@@ -6,18 +6,17 @@ rename) and all floats use shortest-round-trip formatting.
 """
 
 import argparse
-import os
 import sys
-import tempfile
 import time
 
 import numpy as np
 
-from . import evaluation, graph, model
+from . import evaluation, model
 from .data import (
     LabeledDataset,
     NoiseSpec,
     SubspaceSpec,
+    atomic_write,
     load_matrix,
     save_matrix,
     split,
@@ -30,18 +29,6 @@ EXIT_INPUT = 1
 EXIT_NUMERIC = 2
 
 MODEL_HEADER = "pce-model v1"
-
-
-def _atomic_write(path, text):
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)) or ".")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def _floats(values):
@@ -63,7 +50,7 @@ def save_model(m: model.PceModel, path, meta=None):
     lines.append("theta:")
     for row in m.theta:
         lines.append(_floats(row))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    atomic_write(path, "\n".join(lines) + "\n")
 
 
 def load_model(path) -> model.PceModel:
@@ -123,7 +110,7 @@ def _write_csv(path, header, rows):
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(str(c) for c in row))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    atomic_write(path, "\n".join(lines) + "\n")
 
 
 def _polyline_svg(xs, ys, width=640, height=400, margin=40):
@@ -287,10 +274,10 @@ def cmd_sweep(args):
             )
             acc = evaluation.accuracy(predicted, test.labels)
             k = fitted.k
-            rows.append((repr(lam), k, repr(acc)))
+            rows.append((repr(float(lam)), k, repr(acc)))
         else:
             k = model.estimate_dimension(svd.sigma, lam)
-            rows.append((repr(lam), k, ""))
+            rows.append((repr(float(lam)), k, ""))
         ks.append(k)
     _write_csv(args.output, ("lambda", "k", "accuracy"), rows)
     if any(b < a for a, b in zip(ks, ks[1:])):
@@ -313,7 +300,7 @@ def cmd_spectrum(args):
     ]
     _write_csv(args.output, ("index", "sigma_d", "sigma_c", "cumulative_energy"), rows)
     if args.svg:
-        _atomic_write(
+        atomic_write(
             args.svg, _polyline_svg(np.arange(1, len(spectrum) + 1), spectrum)
         )
     print(f"k={k}")

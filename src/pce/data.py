@@ -172,6 +172,20 @@ def split(ds: LabeledDataset, train_fraction, seed: int):
 #   same without the labels line.
 
 
+def atomic_write(path, text):
+    """Write ``text`` to ``path`` through a temp file in the same directory and
+    a rename, so readers never see a partial file."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)) or ".")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def _format_row(row):
     return " ".join(repr(float(x)) for x in row)
 
@@ -197,16 +211,7 @@ def save_matrix(obj, path):
         lines.append(f"pce-matrix v1 m={m} n={n}")
     for i in range(m):
         lines.append(_format_row(matrix[i]))
-    payload = "\n".join(lines) + "\n"
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)) or ".")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(payload)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    atomic_write(path, "\n".join(lines) + "\n")
 
 
 def _parse_header(line, lineno):

@@ -1,8 +1,11 @@
 """Affinity graphs and the graph-embedding step.
 
 Two graph flavors: the factored principal-coefficient graph (A = vk vk') and
-a locally-linear-reconstruction baseline with explicit weights.  Both embed by
-solving the pencil D (A + A' - A A') D' theta = sigma D D' theta.
+a locally-linear-reconstruction baseline with explicit weights.  Both embed
+through the pencil D (A + A' - A A') D' theta = sigma D D' theta.  When vk is
+the leading block of D's right singular vectors the pencil has the closed-form
+solution Theta = Uk Sk^-1; only the other graphs need the generalized
+eigensolver.
 """
 
 from dataclasses import dataclass
@@ -12,7 +15,7 @@ from scipy.spatial.distance import cdist
 
 from .errors import BadDim, DegenerateNeighborhood, DimensionMismatch
 from .linalg import generalized_top_eigs, skinny_svd
-from .model import CoefficientFactor
+from .model import CoefficientFactor, closed_form_projection
 
 __all__ = ["AffinityGraph", "LleConfig", "pce_graph", "lle_graph", "embed"]
 
@@ -91,8 +94,16 @@ def embed(d, graph: AffinityGraph, dim, ridge=None, svd=None):
     The pencil L theta = sigma (D D') theta with L = D (A + A' - A A') D' is
     reduced to the range of D through its SVD: writing theta = U_r alpha turns
     the right matrix into diag(sigma_r^2), which is positive definite, so no
-    ridge is needed even when D D' itself is singular.  For factored graphs L
-    collapses to (D vk)(D vk)' and no n x n matrix is ever formed.
+    ridge is needed even when D D' itself is singular.
+
+    A factored graph whose vk is the leading k-block of D's right singular
+    vectors, as built by ``principal_coefficients``, has L = Uk Sk^2 Uk': the
+    pencil's top k eigenvalues all equal 1 and its solution is the closed form
+    Theta = Uk Sk^-1.  That graph gets the first ``dim`` columns of the
+    canonical Theta, i.e. the top-sigma directions, and no eigensolve runs.
+    Any other factored graph reduces L to (D vk)(D vk)' and, like the
+    reconstruction-weight graph, goes through ``generalized_top_eigs``; no
+    n x n matrix is formed for it.
     """
     d = np.asarray(d, dtype=float)
     m, n = d.shape
@@ -107,10 +118,11 @@ def embed(d, graph: AffinityGraph, dim, ridge=None, svd=None):
 
     # U_r' D = diag(sig) V_r', so both reduced matrices are r x r
     if graph.kind == "pce-factored":
-        if dim > graph.vk.shape[1]:
-            raise BadDim(
-                f"dim={dim} exceeds the graph rank k={graph.vk.shape[1]}"
-            )
+        k = graph.vk.shape[1]
+        if dim > k:
+            raise BadDim(f"dim={dim} exceeds the graph rank k={k}")
+        if np.array_equal(graph.vk, svd.v[:, :k]):
+            return closed_form_projection(svd, dim)
         w = sig[:, None] * (svd.v.T @ graph.vk)
         left = w @ w.T
     else:

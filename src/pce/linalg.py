@@ -11,7 +11,13 @@ import scipy.linalg
 
 from .errors import DimensionMismatch, NonFinite, NotConverged, ZeroMatrix
 
-__all__ = ["SvdFactors", "skinny_svd", "generalized_top_eigs", "rank_tolerance"]
+__all__ = [
+    "SvdFactors",
+    "skinny_svd",
+    "generalized_top_eigs",
+    "canonical_signs",
+    "rank_tolerance",
+]
 
 SYMMETRY_TOL = 1e-10
 
@@ -82,21 +88,27 @@ def _first_nonzero_index(vec):
     return int(nz[0]) if len(nz) else len(vec)
 
 
+def canonical_signs(vectors):
+    """Flip columns in place so each one's largest-magnitude coordinate is
+    positive (the first such coordinate on exact ties); returns ``vectors``."""
+    cols = np.arange(vectors.shape[1])
+    flip = vectors[np.argmax(np.abs(vectors), axis=0), cols] < 0
+    vectors[:, flip] = -vectors[:, flip]
+    return vectors
+
+
 def _canonicalize(values, vectors):
-    # Ties (exactly equal eigenvalues) are ordered by the first nonzero
-    # coordinate of the vector; every vector gets its largest-magnitude
-    # coordinate made positive so the basis is reproducible.
-    order = sorted(
-        range(len(values)),
-        key=lambda i: (-values[i], _first_nonzero_index(vectors[:, i])),
-    )
-    values = values[order]
-    vectors = vectors[:, order]
-    for i in range(vectors.shape[1]):
-        j = int(np.argmax(np.abs(vectors[:, i])))
-        if vectors[j, i] < 0:
-            vectors[:, i] = -vectors[:, i]
-    return values, vectors
+    # Descending eigenvalues; exactly equal eigenvalues are ordered by the
+    # first nonzero coordinate of their vectors, then by position (the sort
+    # is stable).  Only tied eigenvalues need that key.
+    neg = -values
+    ranked = np.sort(neg)
+    tied = np.isin(neg, ranked[1:][ranked[1:] == ranked[:-1]])
+    key = np.zeros(len(values), dtype=int)
+    for i in np.flatnonzero(tied):
+        key[i] = _first_nonzero_index(vectors[:, i])
+    order = np.lexsort((key, neg))
+    return values[order], canonical_signs(vectors[:, order])
 
 
 def generalized_top_eigs(l, r, count, ridge=None):

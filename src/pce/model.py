@@ -1,9 +1,11 @@
 """Principal coefficients embedding: dimension estimation, clean-data recovery,
 model fitting and out-of-sample projection.
 
-The pipeline is: skinny SVD of the training matrix, automatic choice of the
-feature dimension k from the spectrum, the factored self-expression matrix
-C = Vk Vk', and a graph embedding of C that yields the projection Theta.
+One SVD D = U S V' of the training matrix decides everything.  The feature
+dimension is k = #{lam * sigma_i^2 > 1}; the self-expression matrix is
+C = Vk Vk'; and the embedding pencil of C collapses in closed form, because
+D (C + C' - C C') D' = Uk Sk^2 Uk', to the projection Theta = Uk Sk^-1.  PCE
+is therefore uncentred whitened PCA that keeps k directions.
 """
 
 import time
@@ -19,13 +21,14 @@ from .errors import (
     NotSorted,
     TooLarge,
 )
-from .linalg import SvdFactors, skinny_svd
+from .linalg import SvdFactors, canonical_signs, skinny_svd
 
 __all__ = [
     "PceModel",
     "CoefficientFactor",
     "estimate_dimension",
     "principal_coefficients",
+    "closed_form_projection",
     "recover_clean",
     "fit",
     "transform",
@@ -79,8 +82,8 @@ def estimate_dimension(sigma, lam):
         raise NotSorted("spectrum contains non-finite values")
     if np.any(np.diff(sigma) > TIE_TOL):
         raise NotSorted("singular values must be nonincreasing")
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
+    if not (np.isfinite(lam) and lam > 0):
+        raise ValueError(f"lambda must be positive and finite, got {lam:g}")
     # cost(r) = r + lam * sum_{i>r} sigma_i^2, r = 0..len(sigma)
     tail = np.concatenate([np.cumsum((sigma**2)[::-1])[::-1], [0.0]])
     cost = np.arange(len(sigma) + 1) + lam * tail
@@ -88,12 +91,7 @@ def estimate_dimension(sigma, lam):
     return int(np.nonzero(cost <= best + TIE_TOL)[0][0])
 
 
-def principal_coefficients(svd, lam):
-    """First k right singular vectors, k chosen by ``estimate_dimension``.
-
-    The n x n matrix C = vk @ vk.T is never formed here; use
-    ``materialize_affinity`` when an explicit copy is wanted.
-    """
+def _kept_dimension(svd, lam):
     k = estimate_dimension(svd.sigma, lam)
     if k == 0:
         min_lam = (1.0 + 1e-6) / svd.sigma[0] ** 2
@@ -102,7 +100,28 @@ def principal_coefficients(svd, lam):
             f"use lambda > {min_lam:g}",
             min_lambda=min_lam,
         )
+    return k
+
+
+def principal_coefficients(svd, lam):
+    """First k right singular vectors, k chosen by ``estimate_dimension``.
+
+    The n x n matrix C = vk @ vk.T is never formed here; use
+    ``materialize_affinity`` when an explicit copy is wanted.
+    """
+    k = _kept_dimension(svd, lam)
     return CoefficientFactor(vk=np.ascontiguousarray(svd.v[:, :k]), k=k)
+
+
+def closed_form_projection(svd, k):
+    """The canonical PCE projection Theta = Uk Sk^-1 (m x k).
+
+    Column i is u_i / sigma_i with its largest-magnitude entry made positive,
+    so Theta is a deterministic function of the SVD rather than an arbitrary
+    rotation of the k-fold eigenvalue 1 of the embedding pencil.  Its first j
+    columns are the projection for dimension j.
+    """
+    return canonical_signs(svd.u[:, :k] / svd.sigma[:k])
 
 
 def recover_clean(svd, k):
@@ -127,15 +146,15 @@ def materialize_affinity(factor, cap=AFFINITY_CAP):
     return factor.vk @ factor.vk.T
 
 
-def fit(d, lam=1.0, center=False, ridge=None):
-    """Fit a PCE model: estimate k, build the principal-coefficient graph and
-    embed it, returning the m x k projection.
+def fit(d, lam=1.0, center=False):
+    """Fit a PCE model: one skinny SVD gives k = #{lam * sigma_i^2 > 1} and the
+    m x k projection Theta = Uk Sk^-1 (uncentred whitened PCA).
 
-    ``center`` subtracts the per-row training mean first (off by default; the
-    plain pipeline operates on raw columns).
+    This is the embedding of the principal-coefficient graph C = Vk Vk' in
+    closed form, so no eigenproblem is solved.  ``center`` subtracts the
+    per-row training mean first (off by default; the plain pipeline operates
+    on raw columns).
     """
-    from . import graph as _graph  # deferred: graph imports this module's types
-
     t0 = time.perf_counter()
     d = np.asarray(d, dtype=float)
     mean = None
@@ -143,13 +162,11 @@ def fit(d, lam=1.0, center=False, ridge=None):
         mean = d.mean(axis=1, keepdims=True)
         d = d - mean
     svd = skinny_svd(d)
-    factor = principal_coefficients(svd, lam)
-    g = _graph.pce_graph(factor)
-    theta = _graph.embed(d, g, factor.k, ridge=ridge, svd=svd)
+    k = _kept_dimension(svd, lam)
     return PceModel(
         lam=float(lam),
-        k=factor.k,
-        theta=theta,
+        k=k,
+        theta=closed_form_projection(svd, k),
         spectrum=svd.spectrum,
         train_cols=d.shape[1],
         center=None if mean is None else mean[:, 0].copy(),

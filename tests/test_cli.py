@@ -45,6 +45,16 @@ def test_fit_rejects_nonpositive_lambda(dataset_file, tmp_path, capsys):
     assert "lambda must be positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("lam", ["nan", "inf"])
+def test_fit_rejects_nonfinite_lambda(dataset_file, tmp_path, capsys, lam):
+    code = main(
+        ["fit", dataset_file, "--lambda", lam, "--output", str(tmp_path / "m.txt")]
+    )
+    assert code == 2
+    assert "lambda must be positive and finite" in capsys.readouterr().err
+    assert not (tmp_path / "m.txt").exists()
+
+
 def test_fit_deterministic_bytes(dataset_file, tmp_path):
     a = tmp_path / "a.txt"
     b = tmp_path / "b.txt"
@@ -117,6 +127,18 @@ def test_sweep_monotone_k(dataset_file, tmp_path):
     ks = [int(r[1]) for r in rows[1:]]
     assert len(ks) == 3
     assert ks == sorted(ks)
+
+
+def test_sweep_range_writes_float_lambdas(dataset_file, tmp_path):
+    out = tmp_path / "sweep.csv"
+    code = main(
+        ["sweep", dataset_file, "--lambdas", "1:99:2", "--split-seed", "0",
+         "--output", str(out)]
+    )
+    assert code == 0
+    column = [row[0] for row in read_csv(out)[1:]]
+    assert [float(v) for v in column] == [float(v) for v in range(1, 100, 2)]
+    assert column[:2] == ["1.0", "3.0"]
 
 
 def test_sweep_single_lambda_matches_fit(dataset_file, tmp_path, capsys):

@@ -128,3 +128,40 @@ def test_shape_mismatch():
 def test_asymmetric_rejected():
     with pytest.raises(DimensionMismatch):
         generalized_top_eigs(np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2), 1)
+
+
+def _canonicalize_reference(values, vectors):
+    # the original per-column implementation, kept as the oracle
+    from pce.linalg import _first_nonzero_index
+
+    order = sorted(
+        range(len(values)),
+        key=lambda i: (-values[i], _first_nonzero_index(vectors[:, i])),
+    )
+    values = values[order]
+    vectors = vectors[:, order]
+    for i in range(vectors.shape[1]):
+        j = int(np.argmax(np.abs(vectors[:, i])))
+        if vectors[j, i] < 0:
+            vectors[:, i] = -vectors[:, i]
+    return values, vectors
+
+
+def test_canonicalize_matches_reference_on_exact_ties():
+    from pce.linalg import _canonicalize
+
+    rng = np.random.default_rng(12)
+    vectors = rng.standard_normal((6, 10))
+    vectors[:2, 1] = 0.0  # first nonzero coordinate 2
+    vectors[:1, 4] = 0.0  # first nonzero coordinate 1
+    vectors[:2, 7] = 0.0  # ties column 1's key: position decides
+    vectors[:, 8] = 0.0  # zero vector
+    vectors[:, 9] = [0.0, -3.0, 3.0, 1.0, 0.0, 0.0]  # equal-magnitude extremes
+    values = np.array([1.0, 1.0, 0.5, 2.0, 1.0, 0.5, -0.0, 1.0, 0.0, 0.5])
+    expected_values, expected_vectors = _canonicalize_reference(values, vectors)
+    got_values, got_vectors = _canonicalize(values, vectors)
+    assert got_values.tobytes() == expected_values.tobytes()
+    assert got_vectors.tobytes() == expected_vectors.tobytes()
+    # the inputs are left untouched
+    assert values[6] == 0.0 and np.signbit(values[6])
+    assert vectors[1, 9] == -3.0

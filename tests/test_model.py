@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -220,3 +224,57 @@ def test_block_diagonal_affinity():
     labels = ds.labels
     cross = c[labels[:, None] != labels[None, :]]
     assert np.max(np.abs(cross)) < 1e-8
+
+
+def canonical_closed_form(d, k):
+    """U_k S_k^-1 from numpy's SVD, each column's largest-magnitude entry positive."""
+    u, s, _ = np.linalg.svd(d, full_matrices=False)
+    theta = u[:, :k] / s[:k]
+    lead = theta[np.argmax(np.abs(theta), axis=0), np.arange(k)]
+    return theta * np.sign(lead)
+
+
+def test_fit_theta_is_canonical_closed_form():
+    # k = 32 << rank = 300: the embedding pencil's eigenvalue 1 is 32-fold
+    spec = pce.SubspaceSpec(ambient=300, subspaces=((4, 50),) * 8)
+    ds = pce.generate_union_of_subspaces(spec, seed=3)
+    d = pce.add_gaussian_noise(ds.matrix, 0.01, seed=3)
+    model = pce.fit(d, 4.0)
+    assert model.k == 32
+    assert np.abs(model.theta - canonical_closed_form(d, 32)).max() < 1e-12
+    svd = pce.skinny_svd(d)
+    factor = pce.principal_coefficients(svd, 4.0)
+    for dim in (1, 5, 32):
+        theta = pce.embed(d, pce.pce_graph(factor), dim, svd=svd)
+        assert np.array_equal(theta, model.theta[:, :dim])
+
+
+BLAS_THREADS_FIT = """
+import sys
+import numpy as np
+import pce
+spec = pce.SubspaceSpec(ambient=300, subspaces=((4, 50),) * 8)
+ds = pce.generate_union_of_subspaces(spec, seed=3)
+d = pce.add_gaussian_noise(ds.matrix, 0.01, seed=3)
+np.save(sys.argv[1], pce.transform(pce.fit(d, 4.0), d))
+"""
+
+
+def test_features_independent_of_blas_threads(tmp_path):
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    features = []
+    for threads in ("1", "2"):
+        env = dict(os.environ)
+        env.update(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+        )
+        out = tmp_path / f"z{threads}.npy"
+        subprocess.run(
+            [sys.executable, "-c", BLAS_THREADS_FIT, str(out)],
+            env=env, check=True, timeout=120,
+        )
+        features.append(np.load(out))
+    assert features[0].shape == (32, 400)
+    assert np.abs(features[0] - features[1]).max() < 1e-10
