@@ -13,13 +13,16 @@ import numpy as np
 
 from . import evaluation, model
 from .data import (
-    LabeledDataset,
     NoiseSpec,
     SubspaceSpec,
     atomic_write,
+    load_config,
     load_matrix,
+    load_model,
     save_matrix,
+    save_model,
     split,
+    write_csv,
 )
 from .errors import ParseError, PceError, ShapeError
 from .linalg import rank_tolerance, skinny_svd
@@ -27,90 +30,6 @@ from .linalg import rank_tolerance, skinny_svd
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_NUMERIC = 2
-
-MODEL_HEADER = "pce-model v1"
-
-
-def _floats(values):
-    return " ".join(repr(float(v)) for v in values)
-
-
-def save_model(m: model.PceModel, path, meta=None):
-    """Serialize a fitted model; the file is byte-reproducible for a given fit."""
-    lines = [MODEL_HEADER]
-    for key, value in sorted((meta or {}).items()):
-        lines.append(f"# meta {key}={value}")
-    lines.append(f"lambda={m.lam!r}")
-    lines.append(f"k={m.k}")
-    lines.append(f"m={m.ambient_dim}")
-    lines.append(f"n={m.train_cols}")
-    lines.append(f"spectrum={_floats(m.spectrum)}")
-    if m.center is not None:
-        lines.append(f"center={_floats(m.center)}")
-    lines.append("theta:")
-    for row in m.theta:
-        lines.append(_floats(row))
-    atomic_write(path, "\n".join(lines) + "\n")
-
-
-def load_model(path) -> model.PceModel:
-    with open(path) as fh:
-        raw = fh.read().splitlines()
-    lines = [
-        (i, ln.strip())
-        for i, ln in enumerate(raw, start=1)
-        if ln.strip() and not ln.strip().startswith("#")
-    ]
-    if not lines or lines[0][1] != MODEL_HEADER:
-        raise ParseError(
-            f"expected header {MODEL_HEADER!r}", line=lines[0][0] if lines else 1
-        )
-    fields = {}
-    theta_rows = []
-    in_theta = False
-    for lineno, text in lines[1:]:
-        if in_theta:
-            theta_rows.append((lineno, text))
-        elif text == "theta:":
-            in_theta = True
-        else:
-            key, sep, value = text.partition("=")
-            if not sep:
-                raise ParseError(f"expected key=value, got {text!r}", line=lineno)
-            fields[key] = value
-    try:
-        lam = float(fields["lambda"])
-        k = int(fields["k"])
-        m_dim = int(fields["m"])
-        n = int(fields["n"])
-        spectrum = np.array([float(t) for t in fields["spectrum"].split()])
-        center = None
-        if "center" in fields:
-            center = np.array([float(t) for t in fields["center"].split()])
-    except KeyError as exc:
-        raise ParseError(f"model file missing field {exc}") from None
-    except ValueError as exc:
-        raise ParseError(f"bad model field: {exc}") from None
-    if len(theta_rows) != m_dim:
-        raise ShapeError(f"expected {m_dim} theta rows, found {len(theta_rows)}")
-    theta = np.empty((m_dim, k))
-    for i, (lineno, text) in enumerate(theta_rows):
-        tokens = text.split()
-        if len(tokens) != k:
-            raise ShapeError(
-                f"theta row {i} (line {lineno}) has {len(tokens)} values, expected {k}"
-            )
-        theta[i] = [float(t) for t in tokens]
-    return model.PceModel(
-        lam=lam, k=k, theta=theta, spectrum=spectrum, train_cols=n, center=center
-    )
-
-
-def _write_csv(path, header, rows):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(str(c) for c in row))
-    atomic_write(path, "\n".join(lines) + "\n")
 
 
 def _polyline_svg(xs, ys, width=640, height=400, margin=40):
@@ -164,28 +83,15 @@ def cmd_transform(args):
     return EXIT_OK
 
 
-def _parse_config(path):
-    fields = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            key, sep, value = text.partition("=")
-            if not sep:
-                raise ParseError(f"expected key=value, got {text!r}", line=lineno)
-            fields[key.strip()] = value.strip()
-    return fields
-
-
-def _parse_subspaces(text):
+def _parse_pairs(text, want):
     # "4x20,4x20,..." -> ((4, 20), (4, 20), ...)
     pairs = []
     for tok in text.split(","):
-        d, sep, c = tok.partition("x")
-        if not sep:
-            raise ParseError(f"bad subspace token {tok!r} (want DIMxCOUNT)")
-        pairs.append((int(d), int(c)))
+        a, _, b = tok.partition("x")
+        try:
+            pairs.append((int(a), int(b)))
+        except ValueError:
+            raise ParseError(f"bad token {tok!r} (want {want})") from None
     return tuple(pairs)
 
 
@@ -198,7 +104,7 @@ def _config_to_experiment(fields):
             raise ParseError("synthetic wants M:D1xC1,D2xC2,...")
         source = SubspaceSpec(
             ambient=int(ambient),
-            subspaces=_parse_subspaces(rest),
+            subspaces=_parse_pairs(rest, "DIMxCOUNT"),
             coeff_scale=float(fields.get("synthetic_scale", "1.0")),
             basis_rule=fields.get("synthetic_basis", "independent-orthogonal"),
         )
@@ -213,27 +119,27 @@ def _config_to_experiment(fields):
         noise = NoiseSpec(
             kind=fields["noise"], rho=float(fields.get("noise_rho", "0.1")), clip=clip
         )
-    try:
-        return evaluation.ExperimentConfig(
-            source=source,
-            method=fields.get("method", "pce"),
-            lam=float(fields.get("lambda", "1.0")),
-            dim=int(fields["dim"]) if "dim" in fields else None,
-            neighbors=int(fields.get("neighbors", "5")),
-            noise=noise,
-            noise_after_split=fields.get("noise_after_split", "false") == "true",
-            trials=int(fields.get("trials", "10")),
-            train_fraction=float(fields.get("train_fraction", "0.5")),
-            base_seed=int(fields.get("seed", "0")),
-            center=fields.get("center", "false") == "true",
-        )
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
+    return evaluation.ExperimentConfig(
+        source=source,
+        method=fields.get("method", "pce"),
+        lam=float(fields.get("lambda", "1.0")),
+        dim=int(fields["dim"]) if "dim" in fields else None,
+        neighbors=int(fields.get("neighbors", "5")),
+        noise=noise,
+        noise_after_split=fields.get("noise_after_split", "false") == "true",
+        trials=int(fields.get("trials", "10")),
+        train_fraction=float(fields.get("train_fraction", "0.5")),
+        base_seed=int(fields.get("seed", "0")),
+        center=fields.get("center", "false") == "true",
+    )
 
 
 def cmd_eval(args):
-    fields = _parse_config(args.config)
-    cfg = _config_to_experiment(fields)
+    fields = load_config(args.config)
+    try:
+        cfg = _config_to_experiment(fields)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
     report = evaluation.run_experiment(cfg)
     output = args.output or fields.get("output", "report.csv")
     evaluation.write_report_csv(report, output)
@@ -243,11 +149,16 @@ def cmd_eval(args):
 
 
 def _parse_lambdas(text):
-    if ":" in text:
-        start, stop, step = (float(t) for t in text.split(":"))
-        values = list(np.arange(start, stop + step / 2, step))
-    else:
-        values = [float(t) for t in text.split(",")]
+    try:
+        if ":" in text:
+            start, stop, step = (float(t) for t in text.split(":"))
+            if not step > 0:
+                raise ParseError(f"lambda step must be > 0, got {step!r}")
+            values = list(np.arange(start, stop + step / 2, step))
+        else:
+            values = [float(t) for t in text.split(",")]
+    except ValueError as exc:
+        raise ParseError(f"bad lambda list {text!r}: {exc}") from None
     if not values:
         raise ParseError("empty lambda list")
     return values
@@ -261,7 +172,8 @@ def cmd_sweep(args):
         raise ParseError("accuracy sweep needs a labeled pce-dataset file")
     if with_accuracy:
         train, test = split(ds, args.train_fraction, args.split_seed)
-    svd = skinny_svd(ds.matrix)
+    else:
+        sigma = skinny_svd(ds.matrix).sigma
     rows = []
     ks = []
     for lam in lambdas:
@@ -276,10 +188,10 @@ def cmd_sweep(args):
             k = fitted.k
             rows.append((repr(float(lam)), k, repr(acc)))
         else:
-            k = model.estimate_dimension(svd.sigma, lam)
+            k = model.estimate_dimension(sigma, lam)
             rows.append((repr(float(lam)), k, ""))
         ks.append(k)
-    _write_csv(args.output, ("lambda", "k", "accuracy"), rows)
+    write_csv(args.output, ("lambda", "k", "accuracy"), rows)
     if any(b < a for a, b in zip(ks, ks[1:])):
         print("error: k is not nondecreasing in lambda", file=sys.stderr)
         return EXIT_NUMERIC
@@ -298,7 +210,7 @@ def cmd_spectrum(args):
         (i + 1, repr(float(s)), 1 if i < k else 0, repr(float(energy[i])))
         for i, s in enumerate(spectrum)
     ]
-    _write_csv(args.output, ("index", "sigma_d", "sigma_c", "cumulative_energy"), rows)
+    write_csv(args.output, ("index", "sigma_d", "sigma_c", "cumulative_energy"), rows)
     if args.svg:
         atomic_write(
             args.svg, _polyline_svg(np.arange(1, len(spectrum) + 1), spectrum)
@@ -308,18 +220,10 @@ def cmd_spectrum(args):
     return EXIT_OK
 
 
-def _parse_sizes(text):
-    sizes = []
-    for tok in text.split(","):
-        m, sep, n = tok.partition("x")
-        if not sep:
-            raise ParseError(f"bad size token {tok!r} (want MxN)")
-        sizes.append((int(m), int(n)))
-    return sizes
-
-
 def cmd_bench(args):
-    sizes = _parse_sizes(args.sizes)
+    sizes = _parse_pairs(args.sizes, "MxN")
+    if args.repeats < 1:
+        raise ParseError(f"--repeats must be >= 1, got {args.repeats}")
     rows = []
     for m_dim, n in sizes:
         rng = np.random.Generator(
@@ -331,7 +235,7 @@ def cmd_bench(args):
         )
         rows.append((m_dim, n, f"{best:.6f}"))
         print(f"m={m_dim} n={n} fit_s={best:.6f}")
-    _write_csv(args.output, ("m", "n", "fit_s"), rows)
+    write_csv(args.output, ("m", "n", "fit_s"), rows)
     return EXIT_OK
 
 

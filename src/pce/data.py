@@ -1,5 +1,6 @@
 """Synthetic union-of-subspaces data, the two corruption models, stratified
-splitting, and the text file formats.
+splitting, and every v1 text format: this module alone reads and writes
+dataset, matrix and model files, experiment configs and CSV tables.
 
 All randomness flows through numpy's PCG64 generator seeded from explicit
 integers, so every operation is a pure function of (inputs, seed).  Per-column
@@ -14,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InfeasibleSpec, ParseError, ShapeError, TooFewSamples
+from .model import PceModel
 
 __all__ = [
     "LabeledDataset",
@@ -166,10 +168,13 @@ def split(ds: LabeledDataset, train_fraction, seed: int):
 
 # --- text formats -----------------------------------------------------------
 #
-# pce-dataset v1 m=<m> n=<n> classes=<s>
-#   labels line, then m rows of n floats; '#' starts a comment.
-# pce-matrix v1 m=<m> n=<n>
-#   same without the labels line.
+# pce-dataset v1 m=<m> n=<n> classes=<s>: a labels line, then m rows of n floats.
+# pce-matrix v1 m=<m> n=<n>: the same without the labels line.
+# pce-model v1: lambda=, k=, m=, n=, spectrum= and optional center= lines, then
+#   "theta:" and m rows of k floats.
+# Configs are key=value lines.  In all of these '#' starts a comment.
+
+MODEL_HEADER = "pce-model v1"
 
 
 def atomic_write(path, text):
@@ -186,8 +191,64 @@ def atomic_write(path, text):
         raise
 
 
-def _format_row(row):
-    return " ".join(repr(float(x)) for x in row)
+def write_csv(path, header, rows):
+    """Write a comma-separated table with '\\n' line endings, atomically."""
+    lines = [",".join(header)]
+    lines.extend(",".join(str(c) for c in row) for row in rows)
+    atomic_write(path, "\n".join(lines) + "\n")
+
+
+def _format_floats(values):
+    """Space-separated shortest-round-trip floats, so a reload is bit-exact."""
+    return " ".join(map(repr, np.asarray(values, dtype=float).tolist()))
+
+
+def _with_meta(header, meta):
+    return [header] + [f"# meta {key}={value}" for key, value in sorted(meta.items())]
+
+
+def _read_lines(path):
+    """Return (meta, lines): the '# meta key=value' comments, and the stripped
+    lines that are neither blank nor comments as (1-based lineno, text)."""
+    with open(path) as fh:
+        raw = fh.read().splitlines()
+    meta, lines = {}, []
+    for lineno, line in enumerate(raw, start=1):
+        text = line.strip()
+        if text.startswith("# meta "):
+            key, _, value = text[len("# meta ") :].partition("=")
+            meta[key.strip()] = value.strip()
+        elif text and not text.startswith("#"):
+            lines.append((lineno, text))
+    return meta, lines
+
+
+def _split_field(lineno, text):
+    key, sep, value = text.partition("=")
+    if not sep:
+        raise ParseError(f"expected key=value, got {text!r}", line=lineno)
+    return key.strip(), value.strip()
+
+
+def _parse_floats(lineno, text, count, what):
+    """``count`` floats from one line; a ragged line is a ShapeError naming
+    ``what``, a bad literal a ParseError."""
+    tokens = text.split()
+    if len(tokens) != count:
+        raise ShapeError(
+            f"{what} (line {lineno}) has {len(tokens)} values, expected {count}"
+        )
+    try:
+        return [float(t) for t in tokens]
+    except ValueError:
+        raise ParseError("bad float literal", line=lineno) from None
+
+
+def _parse_rows(rows, count, what):
+    matrix = np.empty((len(rows), count))
+    for i, (lineno, text) in enumerate(rows):
+        matrix[i] = _parse_floats(lineno, text, count, f"{what} {i}")
+    return matrix
 
 
 def save_matrix(obj, path):
@@ -200,17 +261,13 @@ def save_matrix(obj, path):
     else:
         matrix, labels, meta = np.asarray(obj, dtype=float), None, {}
     m, n = matrix.shape
-    lines = []
     if labels is not None:
         s = int(labels.max()) + 1
-        lines.append(f"pce-dataset v1 m={m} n={n} classes={s}")
-        for key, value in sorted(meta.items()):
-            lines.append(f"# meta {key}={value}")
+        lines = _with_meta(f"pce-dataset v1 m={m} n={n} classes={s}", meta)
         lines.append(" ".join(str(int(x)) for x in labels))
     else:
-        lines.append(f"pce-matrix v1 m={m} n={n}")
-    for i in range(m):
-        lines.append(_format_row(matrix[i]))
+        lines = [f"pce-matrix v1 m={m} n={n}"]
+    lines.extend(map(_format_floats, matrix))
     atomic_write(path, "\n".join(lines) + "\n")
 
 
@@ -222,7 +279,7 @@ def _parse_header(line, lineno):
         raise ParseError(f"unsupported format version {parts[1:2] or '?'}", line=lineno)
     fields = {}
     for tok in parts[2:]:
-        key, _, value = tok.partition("=")
+        key, value = _split_field(lineno, tok)
         try:
             fields[key] = int(value)
         except ValueError:
@@ -236,19 +293,7 @@ def _parse_header(line, lineno):
 def load_matrix(path):
     """Load a dataset or matrix file.  Returns a LabeledDataset; bare matrices
     get an all-zeros label vector and meta['unlabeled'] = 'true'."""
-    meta = {}
-    with open(path) as fh:
-        raw = fh.read().splitlines()
-    lines = []
-    for lineno, line in enumerate(raw, start=1):
-        stripped = line.strip()
-        if stripped.startswith("# meta "):
-            key, _, value = stripped[len("# meta ") :].partition("=")
-            meta[key.strip()] = value.strip()
-            continue
-        if not stripped or stripped.startswith("#"):
-            continue
-        lines.append((lineno, stripped))
+    meta, lines = _read_lines(path)
     if not lines:
         raise ParseError("empty file", line=1)
     kind, fields = _parse_header(*reversed(lines[0]))
@@ -276,18 +321,73 @@ def load_matrix(path):
         body = body[1:]
     if len(body) != m:
         raise ParseError(f"expected {m} data rows, found {len(body)}", line=lines[0][0])
-    matrix = np.empty((m, n))
-    for i, (lineno, text) in enumerate(body):
-        tokens = text.split()
-        if len(tokens) != n:
-            raise ShapeError(
-                f"row {i} (line {lineno}) has {len(tokens)} values, expected {n}"
-            )
-        try:
-            matrix[i] = [float(t) for t in tokens]
-        except ValueError:
-            raise ParseError("bad float literal", line=lineno) from None
+    matrix = _parse_rows(body, n, "row")
     if labels is None:
         labels = np.zeros(n, dtype=int)
         meta.setdefault("unlabeled", "true")
     return LabeledDataset(matrix=matrix, labels=labels, meta=meta)
+
+
+def save_model(model: PceModel, path, meta=None):
+    """Serialize a fitted model; the file is byte-reproducible for a given fit."""
+    lines = _with_meta(MODEL_HEADER, meta or {})
+    lines += [
+        f"lambda={model.lam!r}",
+        f"k={model.k}",
+        f"m={model.ambient_dim}",
+        f"n={model.train_cols}",
+        f"spectrum={_format_floats(model.spectrum)}",
+    ]
+    if model.center is not None:
+        lines.append(f"center={_format_floats(model.center)}")
+    lines.append("theta:")
+    lines.extend(map(_format_floats, model.theta))
+    atomic_write(path, "\n".join(lines) + "\n")
+
+
+def load_model(path) -> PceModel:
+    """Load a pce-model v1 file, checked as strictly as a data file: lambda is
+    finite and > 0, 1 <= k <= min(m, n), the spectrum has min(m, n) values,
+    center has m, theta is m x k, and every value is finite."""
+    _, lines = _read_lines(path)
+    if not lines or lines[0][1] != MODEL_HEADER:
+        raise ParseError(
+            f"expected header {MODEL_HEADER!r}", line=lines[0][0] if lines else 1
+        )
+    fields, theta_rows, body = {}, [], lines[1:]
+    for i, (lineno, text) in enumerate(body):
+        if text == "theta:":
+            theta_rows = body[i + 1 :]
+            break
+        key, value = _split_field(lineno, text)
+        fields[key] = (lineno, value)
+    try:
+        lam = float(fields["lambda"][1])
+        k, m, n = (int(fields[key][1]) for key in ("k", "m", "n"))
+        spectrum = np.array(_parse_floats(*fields["spectrum"], min(m, n), "spectrum"))
+    except KeyError as exc:
+        raise ParseError(f"model file missing field {exc}") from None
+    except ValueError as exc:
+        raise ParseError(f"bad model field: {exc}") from None
+    if not (np.isfinite(lam) and lam > 0):
+        raise ParseError(f"lambda={lam!r} must be finite and > 0")
+    if not 1 <= k <= min(m, n):
+        raise ParseError(f"k={k} must lie in [1, min(m, n)] = [1, {min(m, n)}]")
+    center = None
+    if "center" in fields:
+        center = np.array(_parse_floats(*fields["center"], m, "center"))
+    if len(theta_rows) != m:
+        raise ShapeError(f"expected {m} theta rows, found {len(theta_rows)}")
+    theta = _parse_rows(theta_rows, k, "theta row")
+    finite = (np.isfinite(v).all() for v in (theta, spectrum, center) if v is not None)
+    if not all(finite):
+        raise ParseError("model file holds a non-finite value")
+    return PceModel(
+        lam=lam, k=k, theta=theta, spectrum=spectrum, train_cols=n, center=center
+    )
+
+
+def load_config(path):
+    """Read an experiment config: ``key=value`` lines, '#' comments."""
+    _, lines = _read_lines(path)
+    return dict(_split_field(*line) for line in lines)

@@ -2,7 +2,6 @@
 repeated-trial experiment runner.
 """
 
-import csv
 import statistics
 import time
 from dataclasses import dataclass, field
@@ -21,6 +20,7 @@ from .data import (
     generate_union_of_subspaces,
     load_matrix,
     split,
+    write_csv,
 )
 from .errors import BadDim, DimensionMismatch, EmptyTrainingSet, LengthMismatch
 
@@ -220,28 +220,16 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
 
 def write_report_csv(report: Report, path):
     """One row per trial (trial, accuracy, k, fit_s, transform_s, classify_s)
-    plus a trailing summary row."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["trial", "accuracy", "k", "fit_s", "transform_s", "classify_s"])
-        for i, acc in enumerate(report.accuracies):
-            writer.writerow(
-                [
-                    i,
-                    repr(acc),
-                    "" if report.ks[i] is None else report.ks[i],
-                    f"{report.fit_seconds[i]:.6f}",
-                    f"{report.transform_seconds[i]:.6f}",
-                    f"{report.classify_seconds[i]:.6f}",
-                ]
-            )
-        writer.writerow(
-            [
-                "summary",
-                repr(report.mean),
-                "" if report.ks[0] is None else report.k_mode,
-                f"{sum(report.fit_seconds):.6f}",
-                f"{sum(report.transform_seconds):.6f}",
-                f"{sum(report.classify_seconds):.6f}",
-            ]
-        )
+    plus a trailing summary row, written atomically."""
+
+    def row(trial, acc, k, *seconds):
+        k = "" if k is None else k
+        return (trial, repr(acc), k, *(f"{t:.6f}" for t in seconds))
+
+    phases = (report.fit_seconds, report.transform_seconds, report.classify_seconds)
+    trials = zip(report.accuracies, report.ks, *phases)
+    rows = [row(i, *values) for i, values in enumerate(trials)]
+    k_mode = None if report.ks[0] is None else report.k_mode
+    rows.append(row("summary", report.mean, k_mode, *map(sum, phases)))
+    header = ("trial", "accuracy", "k", "fit_s", "transform_s", "classify_s")
+    write_csv(path, header, rows)

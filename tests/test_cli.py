@@ -1,4 +1,5 @@
 import csv
+import re
 import subprocess
 import sys
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 import pce
+from pce import cli
 from pce.cli import load_model, main, save_model
 
 
@@ -84,6 +86,55 @@ def test_transform_roundtrip(dataset_file, tmp_path):
     ds = pce.load_matrix(dataset_file)
     model = load_model(model_path)
     assert np.array_equal(z, model.theta.T @ ds.matrix)
+
+
+@pytest.mark.parametrize(
+    "pattern, replacement",
+    [
+        (r"theta:\n\S+", "theta:\nnan"),
+        (r"lambda=\S+", "lambda=-3.0"),
+        (r"theta:", "center=1.0 2.0\ntheta:"),
+        (r"(spectrum=.*)", r"\1 1.0"),
+        (r"theta:\n\S+", "theta:\nabc"),
+        (r"\nk=\d+", "\nk=-40"),
+    ],
+    ids=["nan-theta", "negative-lambda", "short-center", "extra-spectrum",
+         "bad-literal", "negative-k"],
+)
+def test_transform_rejects_invalid_model(dataset_file, tmp_path, pattern, replacement):
+    model_path = tmp_path / "model.txt"
+    fit = ["fit", dataset_file, "--lambda", "10", "--output", str(model_path)]
+    assert main(fit) == 0
+    text = model_path.read_text()
+    mutated = re.sub(pattern, replacement, text, count=1)
+    assert mutated != text
+    model_path.write_text(mutated)
+    out = tmp_path / "z.txt"
+    assert main(["transform", str(model_path), dataset_file, "--output", str(out)]) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (["sweep", "{data}", "--lambdas", "1:5:0"], None),
+        (["bench", "--sizes", "8x16", "--repeats", "0"], None),
+        (["bench", "--sizes", "8x16", "--repeats", "-1"], None),
+        (["bench", "--sizes", "8xq"], None),
+        (["eval", "{config}"], "synthetic=12:2xq\n"),
+        (["eval", "{config}"], "synthetic=12:2x10,2x10\nnoise=gaussian\nnoise_clip=5"),
+    ],
+    ids=["zero-step", "zero-repeats", "negative-repeats", "bad-size", "bad-subspace",
+         "one-clip-bound"],
+)
+def test_bad_arguments_are_input_errors(dataset_file, tmp_path, argv, config):
+    config_path = tmp_path / "exp.cfg"
+    if config is not None:
+        config_path.write_text(config)
+    argv = [a.format(data=dataset_file, config=config_path) for a in argv]
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--output", str(out)]) == 1
+    assert not out.exists()
 
 
 def test_transform_dimension_mismatch(dataset_file, tmp_path, capsys):
@@ -173,6 +224,16 @@ def test_sweep_with_accuracy(dataset_file, tmp_path):
     rows = read_csv(out)[1:]
     for row in rows:
         assert 0.0 <= float(row[2]) <= 1.0
+
+
+def test_sweep_with_split_skips_full_data_svd(dataset_file, tmp_path, monkeypatch):
+    def unused_svd(d):
+        raise AssertionError("the full-data SVD is unused with --split-seed")
+
+    monkeypatch.setattr(cli, "skinny_svd", unused_svd)
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", dataset_file, "--lambdas", "5", "--split-seed", "0"]
+    assert main(argv + ["--output", str(out)]) == 0
 
 
 def test_spectrum_output(dataset_file, tmp_path):
