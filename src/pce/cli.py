@@ -6,6 +6,7 @@ rename) and all floats use shortest-round-trip formatting.
 """
 
 import argparse
+import math
 import sys
 import time
 
@@ -30,6 +31,8 @@ from .linalg import rank_tolerance, skinny_svd
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_NUMERIC = 2
+
+MAX_LAMBDAS = 10_000  # a START:STOP:STEP grid longer than this is refused
 
 
 def _polyline_svg(xs, ys, width=640, height=400, margin=40):
@@ -154,6 +157,11 @@ def _parse_lambdas(text):
             start, stop, step = (float(t) for t in text.split(":"))
             if not step > 0:
                 raise ParseError(f"lambda step must be > 0, got {step!r}")
+            span = (stop - start) / step
+            if not (math.isfinite(span) and math.floor(span) + 1 <= MAX_LAMBDAS):
+                raise ParseError(
+                    f"lambda range {text!r} would hold more than {MAX_LAMBDAS} values"
+                )
             values = list(np.arange(start, stop + step / 2, step))
         else:
             values = [float(t) for t in text.split(",")]
@@ -164,7 +172,14 @@ def _parse_lambdas(text):
     return values
 
 
+def _check_seed(seed, flag):
+    # SeedSequence refuses negative entropy; that is an input error
+    if seed is not None and seed < 0:
+        raise ParseError(f"{flag} must be >= 0, got {seed}")
+
+
 def cmd_sweep(args):
+    _check_seed(args.split_seed, "--split-seed")
     ds = load_matrix(args.data)
     lambdas = _parse_lambdas(args.lambdas)
     with_accuracy = args.split_seed is not None
@@ -221,6 +236,7 @@ def cmd_spectrum(args):
 
 
 def cmd_bench(args):
+    _check_seed(args.seed, "--seed")
     sizes = _parse_pairs(args.sizes, "MxN")
     if args.repeats < 1:
         raise ParseError(f"--repeats must be >= 1, got {args.repeats}")
@@ -298,6 +314,12 @@ def build_parser():
     return parser
 
 
+def _fail(exc, code):
+    notes = "".join(f" ({note})" for note in getattr(exc, "__notes__", ()))
+    print(f"error: {exc}{notes}", file=sys.stderr)
+    return code
+
+
 def main(argv=None):
     parser = build_parser()
     try:
@@ -307,11 +329,9 @@ def main(argv=None):
     try:
         return args.func(args)
     except (ParseError, ShapeError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return _fail(exc, EXIT_INPUT)
     except (PceError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+        return _fail(exc, EXIT_NUMERIC)
 
 
 if __name__ == "__main__":

@@ -172,7 +172,8 @@ def split(ds: LabeledDataset, train_fraction, seed: int):
 # pce-matrix v1 m=<m> n=<n>: the same without the labels line.
 # pce-model v1: lambda=, k=, m=, n=, spectrum= and optional center= lines, then
 #   "theta:" and m rows of k floats.
-# Configs are key=value lines.  In all of these '#' starts a comment.
+# Configs are key=value lines.  In all of these '#' starts a comment.  Every
+# file is UTF-8 text; one that does not decode is a ParseError.
 
 MODEL_HEADER = "pce-model v1"
 
@@ -182,7 +183,7 @@ def atomic_write(path, text):
     a rename, so readers never see a partial file."""
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)) or ".")
     try:
-        with os.fdopen(fd, "w") as fh:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -210,8 +211,11 @@ def _with_meta(header, meta):
 def _read_lines(path):
     """Return (meta, lines): the '# meta key=value' comments, and the stripped
     lines that are neither blank nor comments as (1-based lineno, text)."""
-    with open(path) as fh:
-        raw = fh.read().splitlines()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            raw = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc}") from None
     meta, lines = {}, []
     for lineno, line in enumerate(raw, start=1):
         text = line.strip()

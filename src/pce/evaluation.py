@@ -119,6 +119,8 @@ class ExperimentConfig:
             raise ValueError("trials must be >= 1")
         if not 0 < self.train_fraction < 1:
             raise ValueError("train_fraction must lie in (0, 1)")
+        if self.base_seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.base_seed}")
 
 
 @dataclass
@@ -180,7 +182,8 @@ def _fit_method(cfg: ExperimentConfig, train: LabeledDataset):
 
 def run_experiment(cfg: ExperimentConfig) -> Report:
     """Run ``cfg.trials`` independent trials (seed = base_seed + trial) and
-    collect accuracies, dimensions, and per-phase wall-clock times."""
+    collect accuracies, dimensions, and per-phase wall-clock times.  A trial's
+    error propagates with its type unchanged and a note naming the trial."""
     report = Report()
     for trial in range(cfg.trials):
         seed = cfg.base_seed + trial
@@ -209,7 +212,10 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
             predicted = nn_classify(train_z, train.labels, test_z)
             t3 = time.perf_counter()
         except Exception as exc:
-            raise type(exc)(f"trial {trial}: {exc}") from exc
+            # add_note is Python 3.11+; __notes__ is what it appends to
+            note = f"trial {trial}, seed {seed}"
+            exc.__notes__ = [*getattr(exc, "__notes__", ()), note]
+            raise
         report.accuracies.append(accuracy(predicted, test.labels))
         report.ks.append(k)
         report.fit_seconds.append(t1 - t0)

@@ -1,20 +1,21 @@
 """Affinity graphs and the graph-embedding step.
 
 Two graph flavors: the factored principal-coefficient graph (A = vk vk') and
-a locally-linear-reconstruction baseline with explicit weights.  Both embed
-through the pencil D (A + A' - A A') D' theta = sigma D D' theta.  When vk is
-the leading block of D's right singular vectors the pencil has the closed-form
-solution Theta = Uk Sk^-1; only the other graphs need the generalized
-eigensolver.
+a locally-linear-reconstruction baseline with explicit weights, built from one
+Gram matrix of the data shifted by its first column.  Both embed through the
+pencil D (A + A' - A A') D' theta = sigma D D' theta.  When vk is the leading
+block of D's right singular vectors the pencil has the closed-form solution
+Theta = Uk Sk^-1.  For the other graphs the SVD of D makes the right matrix
+diagonal, so whitening is a scaling and one symmetric ``eigh`` of an r x r
+matrix solves the pencil; no generalized eigensolver runs.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
-from .errors import BadDim, DegenerateNeighborhood, DimensionMismatch
-from .linalg import generalized_top_eigs, skinny_svd
+from .errors import BadDim, DegenerateNeighborhood, DimensionMismatch, NotConverged
+from .linalg import _canonicalize, skinny_svd
 from .model import CoefficientFactor, closed_form_projection
 
 __all__ = ["AffinityGraph", "LleConfig", "pce_graph", "lle_graph", "embed"]
@@ -54,56 +55,82 @@ def lle_graph(d, cfg: LleConfig) -> AffinityGraph:
     neighbors with weights summing to 1.
 
     Neighbor ties are broken by ascending column index; the local Gram matrix
-    gets reg * trace / p added to its diagonal before solving.
+    gets reg * trace / p added to its diagonal before solving.  Distances and
+    local Grams both come from one Gram matrix K = X'X of the data with its
+    first column subtracted from every column.  That shift leaves every
+    difference unchanged, avoids cancelling large squared norms, and keeps
+    integer-valued data (e.g. pixels) integer, so exactly equal distances stay
+    equal and their ties still go to the lower index.  All n KKT systems are
+    solved in one stacked pseudo-inverse, so no per-column loop and no
+    n x p x m array is formed.
     """
     d = np.asarray(d, dtype=float)
     n = d.shape[1]
     if not 1 <= cfg.p < n:
         raise DimensionMismatch(f"need 1 <= p < n, got p={cfg.p}, n={n}")
-    dist = cdist(d.T, d.T)
-    np.fill_diagonal(dist, np.inf)
-    w = np.zeros((n, n))
     p = cfg.p
-    for i in range(n):
-        # stable sort keeps ascending-index tie order
-        nbrs = np.argsort(dist[:, i], kind="stable")[:p]
-        z = d[:, nbrs] - d[:, [i]]
-        gram = z.T @ z
-        trace = np.trace(gram)
-        if trace > 0 and cfg.reg > 0:
-            gram = gram + (cfg.reg * trace / p) * np.eye(p)
-        # constrained least squares via the KKT system; lstsq picks the
-        # minimal-norm weights when the Gram is exactly singular
-        kkt = np.zeros((p + 1, p + 1))
-        kkt[:p, :p] = 2.0 * gram
-        kkt[:p, p] = 1.0
-        kkt[p, :p] = 1.0
-        rhs = np.zeros(p + 1)
-        rhs[p] = 1.0
-        coeffs = np.linalg.lstsq(kkt, rhs, rcond=None)[0][:p]
-        total = coeffs.sum()
-        if not np.all(np.isfinite(coeffs)) or abs(total - 1.0) > 1e-8:
-            raise DegenerateNeighborhood(f"degenerate weights at column {i}")
-        w[nbrs, i] = coeffs / total
+    x = d - d[:, :1]
+    gram = x.T @ x
+    sq_norms = np.diag(gram)
+    dist = sq_norms[:, None] + sq_norms[None, :] - 2.0 * gram
+    np.fill_diagonal(dist, np.inf)
+    # stable sort keeps ascending-index tie order; row i lists column i's
+    # p nearest neighbors
+    nbrs = np.argsort(dist, axis=0, kind="stable")[:p].T
+    cols = np.arange(n)
+    # G_i = K[N,N] - K[N,i] - K[i,N] + K[i,i], the Gram of x_N - x_i
+    cross = gram[nbrs, cols[:, None]]  # K[N_i, i], n x p
+    local = (
+        gram[nbrs[:, :, None], nbrs[:, None, :]]
+        - cross[:, :, None]
+        - cross[:, None, :]
+        + sq_norms[:, None, None]
+    )
+    trace = np.trace(local, axis1=1, axis2=2)
+    if cfg.reg > 0:
+        diag = np.arange(p)
+        local[:, diag, diag] += np.where(trace > 0, cfg.reg * trace / p, 0.0)[:, None]
+    # constrained least squares via the KKT systems; the pseudo-inverse, with
+    # lstsq's default cutoff, picks the minimal-norm weights when a Gram is
+    # exactly singular
+    kkt = np.zeros((n, p + 1, p + 1))
+    kkt[:, :p, :p] = 2.0 * local
+    kkt[:, :p, p] = 1.0
+    kkt[:, p, :p] = 1.0
+    eps = np.finfo(float).eps
+    coeffs = np.linalg.pinv(kkt, rcond=eps * (p + 1))[:, :p, p]  # n x p
+    total = coeffs.sum(axis=1)
+    good = np.isfinite(coeffs).all(axis=1) & (np.abs(total - 1.0) <= 1e-8)
+    if not good.all():
+        raise DegenerateNeighborhood(
+            f"degenerate weights at column {int(np.flatnonzero(~good)[0])}"
+        )
+    w = np.zeros((n, n))
+    w[nbrs, cols[:, None]] = coeffs / total[:, None]
     return AffinityGraph(kind="lle-weights", n=n, weights=w)
 
 
 def embed(d, graph: AffinityGraph, dim, ridge=None, svd=None):
     """Solve the embedding pencil and return the m x dim projection.
 
-    The pencil L theta = sigma (D D') theta with L = D (A + A' - A A') D' is
-    reduced to the range of D through its SVD: writing theta = U_r alpha turns
-    the right matrix into diag(sigma_r^2), which is positive definite, so no
-    ridge is needed even when D D' itself is singular.
+    The pencil L theta = sigma (D D' + ridge I) theta with
+    L = D (A + A' - A A') D' is reduced to the range of D through its SVD:
+    writing theta = U_r alpha turns L into diag(sigma_r) M0 diag(sigma_r) with
+    M0 = V_r' (A + A' - A A') V_r, and the right matrix into
+    diag(sigma_r^2 + ridge), which is diagonal and positive definite, so no
+    ridge is needed even when D D' itself is singular.  Whitening by
+    t = sqrt(sigma_r^2 + ridge) is then a scaling: one symmetric ``eigh`` of
+    M = diag(sigma_r / t) M0 diag(sigma_r / t) gives y, and alpha = y / t
+    satisfies theta' (D D' + ridge U_r U_r') theta = I.
 
     A factored graph whose vk is the leading k-block of D's right singular
     vectors, as built by ``principal_coefficients``, has L = Uk Sk^2 Uk': the
     pencil's top k eigenvalues all equal 1 and its solution is the closed form
     Theta = Uk Sk^-1.  That graph gets the first ``dim`` columns of the
     canonical Theta, i.e. the top-sigma directions, and no eigensolve runs.
-    Any other factored graph reduces L to (D vk)(D vk)' and, like the
-    reconstruction-weight graph, goes through ``generalized_top_eigs``; no
-    n x n matrix is formed for it.
+    Any other factored graph has M0 = (V_r' vk)(V_r' vk)'; a
+    reconstruction-weight graph forms M0 from B = V_r' A as B V_r + (B V_r)' -
+    B B'.  Neither forms an n x n product of the graph with itself.
     """
     d = np.asarray(d, dtype=float)
     m, n = d.shape
@@ -113,29 +140,31 @@ def embed(d, graph: AffinityGraph, dim, ridge=None, svd=None):
         raise BadDim("dim must be at least 1")
     if svd is None:
         svd = skinny_svd(d)
-    r = svd.rank
     sig = svd.sigma
 
-    # U_r' D = diag(sig) V_r', so both reduced matrices are r x r
     if graph.kind == "pce-factored":
         k = graph.vk.shape[1]
         if dim > k:
             raise BadDim(f"dim={dim} exceeds the graph rank k={k}")
         if np.array_equal(graph.vk, svd.v[:, :k]):
             return closed_form_projection(svd, dim)
-        w = sig[:, None] * (svd.v.T @ graph.vk)
-        left = w @ w.T
+        b = svd.v.T @ graph.vk
+        core = b @ b.T
     else:
-        a = graph.weights
-        sym = a + a.T - a @ a.T
-        sv = (svd.v * sig[None, :]).T  # diag(sig) V_r'
-        left = sv @ sym @ sv.T
-        left = 0.5 * (left + left.T)
-    right = np.diag(sig**2)
-    if ridge is None:
-        ridge = 0.0
-
-    values, alpha = generalized_top_eigs(left, right, r, ridge=ridge)
+        b = svd.v.T @ graph.weights
+        bv = b @ svd.v
+        core = bv + bv.T - b @ b.T
+    right = sig**2 + (0.0 if ridge is None else ridge)
+    if not right.min() > 0:
+        raise NotConverged(f"sigma^2 + ridge is not positive for ridge={ridge!r}")
+    t = np.sqrt(right)
+    scale = sig / t
+    whitened = scale[:, None] * core * scale[None, :]
+    try:
+        evals, y = np.linalg.eigh(0.5 * (whitened + whitened.T))
+    except np.linalg.LinAlgError as exc:
+        raise NotConverged("symmetric eigensolve failed") from exc
+    values, alpha = _canonicalize(evals, y / t[:, None])
     usable = int(np.count_nonzero(values > EIG_FLOOR))
     if dim > usable:
         raise BadDim(

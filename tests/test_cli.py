@@ -123,18 +123,53 @@ def test_transform_rejects_invalid_model(dataset_file, tmp_path, pattern, replac
         (["bench", "--sizes", "8xq"], None),
         (["eval", "{config}"], "synthetic=12:2xq\n"),
         (["eval", "{config}"], "synthetic=12:2x10,2x10\nnoise=gaussian\nnoise_clip=5"),
+        (["eval", "{config}"], "data={binary}\ntrials=2\n"),
+        (["fit", "{binary}"], None),
+        (["sweep", "{data}", "--lambdas", "1,2", "--split-seed", "-1"], None),
+        (["eval", "{config}"], "synthetic=12:2x10,2x10\nseed=-1\n"),
+        (["bench", "--sizes", "8x16", "--seed", "-1"], None),
+        (["sweep", "{data}", "--lambdas", "0:1e12:1"], None),
+        (["sweep", "{data}", "--lambdas", "1:2:1e-300"], None),
+        (["sweep", "{data}", "--lambdas", "0:inf:1"], None),
     ],
     ids=["zero-step", "zero-repeats", "negative-repeats", "bad-size", "bad-subspace",
-         "one-clip-bound"],
+         "one-clip-bound", "eval-not-utf8", "fit-not-utf8", "negative-split-seed",
+         "negative-config-seed", "negative-bench-seed", "huge-grid", "tiny-step",
+         "infinite-grid"],
 )
-def test_bad_arguments_are_input_errors(dataset_file, tmp_path, argv, config):
+def test_bad_arguments_are_input_errors(dataset_file, tmp_path, capsys, argv, config):
+    binary = tmp_path / "latin1.txt"
+    text = open(dataset_file, encoding="utf-8").read()
+    binary.write_bytes(text.replace("pce-dataset", "pce-dataset \xe9", 1).encode("latin-1"))
     config_path = tmp_path / "exp.cfg"
     if config is not None:
-        config_path.write_text(config)
-    argv = [a.format(data=dataset_file, config=config_path) for a in argv]
+        config_path.write_text(config.format(binary=binary))
+
+    argv = [a.format(data=dataset_file, config=config_path, binary=binary) for a in argv]
     out = tmp_path / "out.csv"
     assert main(argv + ["--output", str(out)]) == 1
     assert not out.exists()
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("spec", ["0:1e12:1", "1:2:1e-300", "0:inf:1"],
+                         ids=["huge-grid", "tiny-step", "infinite-grid"])
+def test_refused_lambda_range_is_not_built(monkeypatch, spec):
+    # the count is checked before np.arange could allocate the grid
+    def no_grid(*args, **kwargs):
+        raise AssertionError("a refused lambda range must not be built")
+
+    monkeypatch.setattr(np, "arange", no_grid)
+    with pytest.raises(pce.errors.ParseError, match="more than"):
+        cli._parse_lambdas(spec)
+
+
+def test_trial_error_keeps_type_and_names_trial(tmp_path, capsys):
+    # DimensionMismatch (p >= n) stays a numerical error, with the trial noted
+    config = tmp_path / "exp.cfg"
+    config.write_text("synthetic=12:2x10,2x10\nmethod=lle-npe\ndim=2\nneighbors=50\n")
+    assert main(["eval", str(config), "--output", str(tmp_path / "r.csv")]) == 2
+    assert "(trial 0, seed 0)" in capsys.readouterr().err
 
 
 def test_transform_dimension_mismatch(dataset_file, tmp_path, capsys):

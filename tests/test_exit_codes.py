@@ -1,5 +1,6 @@
 """Fuzz of the CLI exit-code contract: whatever the files and argument values,
-``main()`` returns 0, 1 or 2 and never raises.
+``main()`` returns 0, 1 or 2 and never raises.  Input errors must exit 1:
+a file that is not UTF-8 and a negative seed are checked for that.
 
 Mutations keep every size and count small (tokens from a fixed list,
 integers below 100), so no mutated input asks for a large allocation or a
@@ -36,6 +37,11 @@ mutation = st.one_of(
     ),
 )
 mutations = st.lists(mutation, min_size=1, max_size=3)
+byte_edits = st.lists(
+    st.tuples(st.integers(0, 10**4), st.binary(min_size=1, max_size=2)),
+    min_size=1,
+    max_size=3,
+)
 
 
 def mutate(text, edits):
@@ -58,6 +64,29 @@ def mutate(text, edits):
             lines = (text[:j] + edit[2] + text[j + 1 :]).split("\n")
         text = "\n".join(lines)
     return text
+
+
+def mutate_bytes(data, edits):
+    """Overwrite bytes at wrapped positions, which may leave invalid UTF-8."""
+    for j, chunk in edits:
+        j %= max(len(data), 1)
+        data = data[:j] + chunk + data[j + len(chunk) :]
+    return data
+
+
+def is_utf8(data):
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError:
+        return False
+    return True
+
+
+def is_negative_int(text):
+    try:
+        return int(text) < 0
+    except (TypeError, ValueError):
+        return False
 
 
 @pytest.fixture(scope="module")
@@ -87,6 +116,7 @@ def files(tmp_path_factory):
 def run(argv):
     code = main(argv)
     assert code in (0, 1, 2)
+    return code
 
 
 @SETTINGS
@@ -131,12 +161,56 @@ lambdas = st.one_of(
 @given(
     lam=token,
     grid=lambdas,
-    seed=st.one_of(st.none(), st.sampled_from(TOKENS), st.integers(-5, 2**70).map(str)),
+    seed=st.one_of(
+        st.none(),
+        st.sampled_from(TOKENS),
+        st.integers(-5, 5).map(str),
+        st.integers(-5, 2**70).map(str),
+    ),
 )
 def test_fuzz_argument_values(files, lam, grid, seed):
     data, out = str(files["data"]), str(files["root"] / "out")
     run(["fit", data, "--lambda", lam, "--output", out])
     run(["spectrum", data, "--lambda", lam, "--output", out])
     split = [] if seed is None else ["--split-seed", seed]
-    run(["sweep", data, "--lambdas", grid, *split, "--output", out])
+    code = run(["sweep", data, "--lambdas", grid, *split, "--output", out])
+    if is_negative_int(seed):
+        assert code == 1
+        bench = ["bench", "--sizes", "4x6", "--repeats", "1", "--seed", seed]
+        assert run([*bench, "--output", out]) == 1
 
+
+@SETTINGS
+@given(seed=st.one_of(st.sampled_from(TOKENS), st.integers(-5, 5).map(str)))
+def test_fuzz_config_seed(files, seed):
+    path = files["root"] / "seeded.cfg"
+    path.write_text(files["config_text"].replace("seed=0", f"seed={seed}"))
+    code = run(["eval", str(path), "--output", str(files["root"] / "report.csv")])
+    if is_negative_int(seed):
+        assert code == 1
+
+
+# target -> (file the bytes come from, argv); "eval-data" reaches the mutated
+# data file through the data= line of an eval config
+BYTE_TARGETS = {
+    "fit": ("data_text", ["fit", "{path}"]),
+    "transform": ("model_text", ["transform", "{path}", "{data}"]),
+    "eval": ("config_text", ["eval", "{path}"]),
+    "eval-data": ("data_text", ["eval", "{config}"]),
+}
+
+
+@SETTINGS
+@given(edits=byte_edits, target=st.sampled_from(sorted(BYTE_TARGETS)))
+def test_fuzz_bytes(files, edits, target):
+    root = files["root"]
+    source, argv = BYTE_TARGETS[target]
+    data = mutate_bytes(files[source].encode(), edits)
+    path = root / "mutated.bin"
+    path.write_bytes(data)
+    config = root / "data.cfg"
+    config.write_text(f"data={path}\nmethod=pce\nlambda=50\ntrials=2\n")
+    argv = [a.format(path=path, data=files["data"], config=config) for a in argv]
+    code = run([*argv, "--output", str(root / "out")])
+    if not is_utf8(data):
+        assert code == 1

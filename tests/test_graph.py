@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.spatial.distance import cdist
 
 import pce
-from pce.errors import BadDim, DimensionMismatch
+from pce.errors import BadDim, DegenerateNeighborhood, DimensionMismatch
 from pce.graph import LleConfig, embed, lle_graph, pce_graph
 
 
@@ -55,6 +56,89 @@ def test_lle_columns_sum_to_one():
     assert np.allclose(g.weights.sum(axis=0), 1.0, atol=1e-8)
     assert np.all(np.diag(g.weights) == 0.0)
     assert np.all(np.count_nonzero(g.weights, axis=0) <= 4)
+
+
+def reference_lle_weights(d, p, reg):
+    """The per-column loop lle_graph replaced: cdist neighbours, one local
+    Gram and one lstsq KKT solve per column."""
+    n = d.shape[1]
+    dist = cdist(d.T, d.T)
+    np.fill_diagonal(dist, np.inf)
+    w = np.zeros((n, n))
+    for i in range(n):
+        nbrs = np.argsort(dist[:, i], kind="stable")[:p]
+        z = d[:, nbrs] - d[:, [i]]
+        gram = z.T @ z
+        trace = np.trace(gram)
+        if trace > 0 and reg > 0:
+            gram = gram + (reg * trace / p) * np.eye(p)
+        kkt = np.zeros((p + 1, p + 1))
+        kkt[:p, :p] = 2.0 * gram
+        kkt[:p, p] = 1.0
+        kkt[p, :p] = 1.0
+        rhs = np.zeros(p + 1)
+        rhs[p] = 1.0
+        coeffs = np.linalg.lstsq(kkt, rhs, rcond=None)[0][:p]
+        w[nbrs, i] = coeffs / coeffs.sum()
+    return w
+
+
+def _random_data(seed=11):
+    return np.random.default_rng(seed).standard_normal((6, 30))
+
+
+def _with_duplicates(seed=12):
+    d = _random_data(seed)
+    return np.hstack([d, d[:, [3, 3, 17, 5]]])
+
+
+def _equidistant():
+    # columns 1 and 3 are both at distance 1 from column 2, and so on
+    return np.array([[0.0, 1.0, 2.0, 3.0, 4.0, 6.0]])
+
+
+def _integer_pixels(seed=13):
+    # integer-valued data, such as pixel images, has many exactly equal
+    # distances between distinct columns
+    return np.random.default_rng(seed).integers(0, 4, (5, 40)).astype(float)
+
+
+@pytest.mark.parametrize(
+    "make, p, reg",
+    [
+        (_random_data, 5, 1e-3),
+        (_with_duplicates, 4, 1e-3),
+        (_random_data, 4, 0.0),
+        (_with_duplicates, 3, 0.0),
+        (lambda: _random_data() + 1e3, 5, 1e-3),
+        (lambda: _random_data() + 1e3, 4, 0.0),
+        (_equidistant, 1, 1e-3),
+        (_equidistant, 2, 1e-3),
+        (_integer_pixels, 4, 1e-3),
+    ],
+    ids=["random", "duplicates", "reg0", "duplicates-reg0", "shifted", "shifted-reg0",
+         "equidistant-p1", "equidistant-p2", "integer-ties"],
+)
+def test_lle_weights_match_reference_loop(make, p, reg):
+    d = make()
+    w = lle_graph(d, LleConfig(p=p, reg=reg)).weights
+    ref = reference_lle_weights(d, p, reg)
+    assert np.array_equal(w != 0, ref != 0)
+    assert np.abs(w - ref).max() <= 1e-12
+
+
+def test_lle_degenerate_neighborhood_names_first_column(monkeypatch):
+    # finite data never reaches the check, so poison two columns' solutions
+    solve = np.linalg.pinv
+
+    def poisoned(a, **kwargs):
+        out = solve(a, **kwargs)
+        out[[4, 2]] = np.nan
+        return out
+
+    monkeypatch.setattr(np.linalg, "pinv", poisoned)
+    with pytest.raises(DegenerateNeighborhood, match="at column 2$"):
+        lle_graph(_random_data(), LleConfig(p=3))
 
 
 def test_lle_bad_neighborhood_size():
@@ -130,3 +214,29 @@ def test_lle_embed_matches_dense_generalized_solve():
     assert np.allclose(values, w_ref[:dim], atol=1e-8)
     assert principal_angle(theta, v_ref[:, :dim]) < 1e-6
     assert np.allclose(theta.T @ right @ theta, np.eye(dim), atol=1e-8)
+
+
+@pytest.mark.parametrize("kind", ["lle", "factored"])
+def test_embed_with_ridge_matches_pencil(kind):
+    # theta' (D D' + ridge U U') theta = I, and the same subspace and values
+    # as the reduced pencil solved by generalized_top_eigs
+    rng = np.random.default_rng(5)
+    d = rng.standard_normal((9, 24))
+    svd = pce.skinny_svd(d)
+    if kind == "lle":
+        g = lle_graph(d, LleConfig(p=5))
+        a = g.weights
+        core = svd.v.T @ (a + a.T - a @ a.T) @ svd.v
+    else:
+        vk = np.linalg.qr(rng.standard_normal((24, 6)))[0]
+        g = pce_graph(pce.CoefficientFactor(vk=vk, k=6))
+        core = (svd.v.T @ vk) @ (svd.v.T @ vk).T
+    ridge, dim = 0.7, 4
+    theta = embed(d, g, dim, ridge=ridge)
+    metric = d @ d.T + ridge * svd.u @ svd.u.T
+    assert np.allclose(theta.T @ metric @ theta, np.eye(dim), atol=1e-10)
+    left = svd.sigma[:, None] * core * svd.sigma[None, :]
+    _, alpha = pce.generalized_top_eigs(
+        0.5 * (left + left.T), np.diag(svd.sigma**2), dim, ridge=ridge
+    )
+    assert principal_angle(theta, svd.u @ alpha) < 1e-6
