@@ -157,12 +157,14 @@ def _parse_lambdas(text):
             start, stop, step = (float(t) for t in text.split(":"))
             if not step > 0:
                 raise ParseError(f"lambda step must be > 0, got {step!r}")
-            span = (stop - start) / step
-            if not (math.isfinite(span) and math.floor(span) + 1 <= MAX_LAMBDAS):
+            # START + i*STEP <= STOP; the margin keeps 0.1:0.3:0.1 at 3 values
+            span = (stop - start) / step + 1e-9
+            count = math.floor(span) + 1 if math.isfinite(span) else math.inf
+            if count > MAX_LAMBDAS:
                 raise ParseError(
                     f"lambda range {text!r} would hold more than {MAX_LAMBDAS} values"
                 )
-            values = list(np.arange(start, stop + step / 2, step))
+            values = [start + i * step for i in range(count)]
         else:
             values = [float(t) for t in text.split(",")]
     except ValueError as exc:
@@ -179,7 +181,11 @@ def _check_seed(seed, flag):
 
 
 def cmd_sweep(args):
+    """Every k from one SVD of the swept matrix (the train half with a split),
+    and the features for every k from the first k rows of one projection."""
     _check_seed(args.split_seed, "--split-seed")
+    if not 0 < args.train_fraction < 1:
+        raise ParseError(f"--train-fraction {args.train_fraction} is not in (0, 1)")
     ds = load_matrix(args.data)
     lambdas = _parse_lambdas(args.lambdas)
     with_accuracy = args.split_seed is not None
@@ -187,29 +193,24 @@ def cmd_sweep(args):
         raise ParseError("accuracy sweep needs a labeled pce-dataset file")
     if with_accuracy:
         train, test = split(ds, args.train_fraction, args.split_seed)
+    svd = skinny_svd(train.matrix if with_accuracy else ds.matrix)
+    if with_accuracy:  # a lambda that keeps no dimension fails as fit does
+        ks = [model._kept_dimension(svd, lam) for lam in lambdas]
     else:
-        sigma = skinny_svd(ds.matrix).sigma
-    rows = []
-    ks = []
-    for lam in lambdas:
-        if with_accuracy:
-            fitted = model.fit(train.matrix, lam)
-            predicted = evaluation.nn_classify(
-                model.transform(fitted, train.matrix),
-                train.labels,
-                model.transform(fitted, test.matrix),
-            )
-            acc = evaluation.accuracy(predicted, test.labels)
-            k = fitted.k
-            rows.append((repr(float(lam)), k, repr(acc)))
-        else:
-            k = model.estimate_dimension(sigma, lam)
-            rows.append((repr(float(lam)), k, ""))
-        ks.append(k)
-    write_csv(args.output, ("lambda", "k", "accuracy"), rows)
-    if any(b < a for a, b in zip(ks, ks[1:])):
+        ks = [model.estimate_dimension(svd.sigma, lam) for lam in lambdas]
+    ascending = [k for _, k in sorted(zip(lambdas, ks))]
+    if any(b < a for a, b in zip(ascending, ascending[1:])):
         print("error: k is not nondecreasing in lambda", file=sys.stderr)
         return EXIT_NUMERIC
+    acc = dict.fromkeys(ks, "")
+    if with_accuracy:
+        theta = model.closed_form_projection(svd, max(ks))
+        z_train, z_test = theta.T @ train.matrix, theta.T @ test.matrix
+        for k in acc:
+            predicted = evaluation.nn_classify(z_train[:k], train.labels, z_test[:k])
+            acc[k] = repr(evaluation.accuracy(predicted, test.labels))
+    rows = [(repr(float(lam)), k, acc[k]) for lam, k in zip(lambdas, ks)]
+    write_csv(args.output, ("lambda", "k", "accuracy"), rows)
     print(f"rows={len(rows)}")
     return EXIT_OK
 

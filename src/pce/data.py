@@ -178,9 +178,16 @@ def split(ds: LabeledDataset, train_fraction, seed: int):
 MODEL_HEADER = "pce-model v1"
 
 
+def _check_path(path):
+    # open, mkstemp and os.replace raise ValueError on a NUL byte in a path
+    if "\0" in os.fsdecode(path):
+        raise ParseError(f"path {path!r} holds a NUL byte")
+
+
 def atomic_write(path, text):
     """Write ``text`` to ``path`` through a temp file in the same directory and
     a rename, so readers never see a partial file."""
+    _check_path(path)
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)) or ".")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
@@ -211,6 +218,7 @@ def _with_meta(header, meta):
 def _read_lines(path):
     """Return (meta, lines): the '# meta key=value' comments, and the stripped
     lines that are neither blank nor comments as (1-based lineno, text)."""
+    _check_path(path)
     try:
         with open(path, encoding="utf-8") as fh:
             raw = fh.read().splitlines()

@@ -5,6 +5,7 @@ import sys
 
 import numpy as np
 import pytest
+from test_acceptance import noisy_benchmark
 
 import pce
 from pce import cli
@@ -131,23 +132,33 @@ def test_transform_rejects_invalid_model(dataset_file, tmp_path, pattern, replac
         (["sweep", "{data}", "--lambdas", "0:1e12:1"], None),
         (["sweep", "{data}", "--lambdas", "1:2:1e-300"], None),
         (["sweep", "{data}", "--lambdas", "0:inf:1"], None),
+        (["eval", "{config}"], "data={tmp}/nul\x00x.txt\ntrials=2\n"),
+        (["eval", "{config}"], "synthetic=12:2x10,2x10\ntrials=2\noutput={out}\x00\n"),
+        (["sweep", "{data}", "--lambdas", "1", "--split-seed", "0",
+          "--train-fraction", "1.5"], None),
+        (["sweep", "{data}", "--lambdas", "1", "--split-seed", "0",
+          "--train-fraction", "nan"], None),
     ],
     ids=["zero-step", "zero-repeats", "negative-repeats", "bad-size", "bad-subspace",
          "one-clip-bound", "eval-not-utf8", "fit-not-utf8", "negative-split-seed",
          "negative-config-seed", "negative-bench-seed", "huge-grid", "tiny-step",
-         "infinite-grid"],
+         "infinite-grid", "nul-data-path", "nul-output-path", "train-fraction-above-1",
+         "train-fraction-nan"],
 )
 def test_bad_arguments_are_input_errors(dataset_file, tmp_path, capsys, argv, config):
     binary = tmp_path / "latin1.txt"
     text = open(dataset_file, encoding="utf-8").read()
     binary.write_bytes(text.replace("pce-dataset", "pce-dataset \xe9", 1).encode("latin-1"))
     config_path = tmp_path / "exp.cfg"
+    out = tmp_path / "out.csv"
     if config is not None:
-        config_path.write_text(config.format(binary=binary))
+        config_path.write_text(config.format(binary=binary, tmp=tmp_path, out=out))
 
     argv = [a.format(data=dataset_file, config=config_path, binary=binary) for a in argv]
-    out = tmp_path / "out.csv"
-    assert main(argv + ["--output", str(out)]) == 1
+    # a config's own output= is read only when --output is not given
+    if "output=" not in (config or ""):
+        argv += ["--output", str(out)]
+    assert main(argv) == 1
     assert not out.exists()
     assert capsys.readouterr().err.startswith("error: ")
 
@@ -162,6 +173,21 @@ def test_refused_lambda_range_is_not_built(monkeypatch, spec):
     monkeypatch.setattr(np, "arange", no_grid)
     with pytest.raises(pce.errors.ParseError, match="more than"):
         cli._parse_lambdas(spec)
+
+
+@pytest.mark.parametrize(
+    "spec, values",
+    [
+        ("1:2.7:1", [1.0, 2.0]),
+        ("1:1:1e-300", [1.0]),
+        ("1:99:2", [float(v) for v in range(1, 100, 2)]),
+        ("0.1:0.3:0.1", [0.1, 0.2, 0.30000000000000004]),
+    ],
+    ids=["stop-between-values", "single-value", "odd-grid", "rounded-step"],
+)
+def test_lambda_range_is_start_plus_multiples_of_step(spec, values):
+    # START + i*STEP for the count the cap check computes; never past STOP
+    assert cli._parse_lambdas(spec) == values
 
 
 def test_trial_error_keeps_type_and_names_trial(tmp_path, capsys):
@@ -261,14 +287,112 @@ def test_sweep_with_accuracy(dataset_file, tmp_path):
         assert 0.0 <= float(row[2]) <= 1.0
 
 
-def test_sweep_with_split_skips_full_data_svd(dataset_file, tmp_path, monkeypatch):
-    def unused_svd(d):
-        raise AssertionError("the full-data SVD is unused with --split-seed")
+def reference_sweep_rows(ds, lambdas, split_seed=None):
+    """CSV rows from the per-lambda refit loop that ``sweep`` used to run: one
+    ``fit`` and two ``transform`` calls per lambda with a split, otherwise one
+    SVD of the whole matrix and ``estimate_dimension`` per lambda."""
+    if split_seed is not None:
+        train, test = pce.split(ds, 0.5, split_seed)
+    else:
+        sigma = pce.skinny_svd(ds.matrix).sigma
+    rows = []
+    for lam in lambdas:
+        if split_seed is not None:
+            fitted = pce.fit(train.matrix, lam)
+            predicted = pce.nn_classify(
+                pce.transform(fitted, train.matrix),
+                train.labels,
+                pce.transform(fitted, test.matrix),
+            )
+            acc = pce.accuracy(predicted, test.labels)
+            rows.append([repr(float(lam)), str(fitted.k), repr(acc)])
+        else:
+            k = pce.estimate_dimension(sigma, lam)
+            rows.append([repr(float(lam)), str(k), ""])
+    return rows
 
-    monkeypatch.setattr(cli, "skinny_svd", unused_svd)
+
+def lambda_sweep_dataset(seed):
+    # the shape of the lambda_sweep benchmark workload: 50 x 1000, rho = 0.01
+    spec = pce.SubspaceSpec(ambient=50, subspaces=((4, 200),) * 5)
+    ds = pce.generate_union_of_subspaces(spec, seed)
+    return pce.LabeledDataset(pce.add_gaussian_noise(ds.matrix, 0.01, seed=seed), ds.labels)
+
+
+GRIDS = {"1,3,5,50": [1.0, 3.0, 5.0, 50.0], "1:99:2": [float(v) for v in range(1, 100, 2)]}
+
+
+@pytest.mark.parametrize(
+    "source, grid, split_seed",
+    [("fixture", grid, seed) for grid in GRIDS for seed in (None, 0)]
+    + [("criterion-8", "1:99:2", seed) for seed in (None, 0, 1, 2)]
+    + [("lambda-sweep", "1:99:2", 1)],
+)
+def test_sweep_matches_refit_loop(dataset_file, tmp_path, source, grid, split_seed):
+    if source == "fixture":
+        ds = pce.load_matrix(dataset_file)
+    elif source == "criterion-8":
+        ds = noisy_benchmark(0)[0]
+    else:
+        ds = lambda_sweep_dataset(1)
+    data = tmp_path / "d.txt"
+    pce.save_matrix(ds, data)
     out = tmp_path / "sweep.csv"
-    argv = ["sweep", dataset_file, "--lambdas", "5", "--split-seed", "0"]
+    argv = ["sweep", str(data), "--lambdas", grid, "--output", str(out)]
+    if split_seed is not None:
+        argv += ["--split-seed", str(split_seed)]
+    assert main(argv) == 0
+    rows = read_csv(out)
+    assert rows[0] == ["lambda", "k", "accuracy"]
+    assert rows[1:] == reference_sweep_rows(ds, GRIDS[grid], split_seed)
+
+
+def test_sweep_runs_one_svd_on_the_train_half(dataset_file, tmp_path, monkeypatch):
+    shapes = []
+
+    def recording_svd(d):
+        shapes.append(d.shape)
+        return pce.skinny_svd(d)
+
+    def refit(*args, **kwargs):
+        raise AssertionError("sweep reads every lambda from one SVD")
+
+    monkeypatch.setattr(cli, "skinny_svd", recording_svd)
+    monkeypatch.setattr(cli.model, "fit", refit)
+    monkeypatch.setattr(cli.model, "transform", refit)
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", dataset_file, "--lambdas", "1:99:2", "--split-seed", "0"]
     assert main(argv + ["--output", str(out)]) == 0
+    train, _ = pce.split(pce.load_matrix(dataset_file), 0.5, 0)
+    assert shapes == [train.matrix.shape]
+
+
+def test_sweep_lambda_keeping_nothing_fails_as_fit(dataset_file, tmp_path, capsys):
+    train, _ = pce.split(pce.load_matrix(dataset_file), 0.5, 0)
+    with pytest.raises(pce.errors.DegenerateDimension) as fit_error:
+        pce.fit(train.matrix, 1e-9)
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", dataset_file, "--lambdas", "5,1e-9", "--split-seed", "0"]
+    assert main(argv + ["--output", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {fit_error.value}\n"
+    assert not out.exists()
+
+
+def test_sweep_descending_lambdas_keep_their_order(dataset_file, tmp_path):
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", dataset_file, "--lambdas", "1000,0.5", "--output", str(out)]) == 0
+    rows = read_csv(out)[1:]
+    assert [row[0] for row in rows] == ["1000.0", "0.5"]
+    assert int(rows[0][1]) > int(rows[1][1])
+
+
+def test_sweep_decreasing_k_writes_no_csv(dataset_file, tmp_path, monkeypatch, capsys):
+    # estimate_dimension is nondecreasing in lambda; the check guards it
+    monkeypatch.setattr(cli.model, "estimate_dimension", lambda sigma, lam: 5 - lam)
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", dataset_file, "--lambdas", "2,1", "--output", str(out)]) == 2
+    assert "not nondecreasing" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_spectrum_output(dataset_file, tmp_path):
