@@ -8,7 +8,6 @@ rename) and all floats use shortest-round-trip formatting.
 import argparse
 import math
 import sys
-import time
 
 import numpy as np
 
@@ -62,9 +61,7 @@ def _polyline_svg(xs, ys, width=640, height=400, margin=40):
 
 def cmd_fit(args):
     ds = load_matrix(args.data)
-    t0 = time.perf_counter()
     fitted = model.fit(ds.matrix, args.lam, center=args.center)
-    elapsed = time.perf_counter() - t0
     save_model(fitted, args.output, meta={"source": args.data})
     spectrum = fitted.spectrum
     rank = int(np.count_nonzero(spectrum > rank_tolerance(ds.matrix.shape) * spectrum[0]))
@@ -72,7 +69,7 @@ def cmd_fit(args):
     print(f"k={fitted.k}")
     print(f"rank={rank}")
     print(f"error_norm={err!r}")
-    print(f"seconds={elapsed:.6f}")
+    print(f"seconds={fitted.fit_seconds:.6f}")
     return EXIT_OK
 
 
@@ -239,6 +236,8 @@ def cmd_spectrum(args):
 def cmd_bench(args):
     _check_seed(args.seed, "--seed")
     sizes = _parse_pairs(args.sizes, "MxN")
+    if any(side < 1 for pair in sizes for side in pair):
+        raise ParseError(f"--sizes sides must be >= 1, got {args.sizes!r}")
     if args.repeats < 1:
         raise ParseError(f"--repeats must be >= 1, got {args.repeats}")
     rows = []
@@ -247,19 +246,11 @@ def cmd_bench(args):
             np.random.PCG64(np.random.SeedSequence([args.seed, m_dim, n]))
         )
         d = rng.standard_normal((m_dim, n))
-        best = min(
-            _timed_fit(d, args.lam) for _ in range(args.repeats)
-        )
+        best = min(model.fit(d, args.lam).fit_seconds for _ in range(args.repeats))
         rows.append((m_dim, n, f"{best:.6f}"))
         print(f"m={m_dim} n={n} fit_s={best:.6f}")
     write_csv(args.output, ("m", "n", "fit_s"), rows)
     return EXIT_OK
-
-
-def _timed_fit(d, lam):
-    t0 = time.perf_counter()
-    model.fit(d, lam)
-    return time.perf_counter() - t0
 
 
 # --- argument parsing -------------------------------------------------------

@@ -211,8 +211,23 @@ def _format_floats(values):
     return " ".join(map(repr, np.asarray(values, dtype=float).tolist()))
 
 
+_LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"  # all that str.splitlines honours
+_ESCAPED_BREAKS = str.maketrans(
+    {c: c.encode("unicode_escape").decode() for c in _LINE_BREAKS}
+)
+
+
+def _meta_value(value):
+    """``value`` as one line of UTF-8: line breaks are escaped, and the bytes of
+    a file name that is not UTF-8 (os.fsdecode's surrogates) are written as \\xNN."""
+    text = str(value).translate(_ESCAPED_BREAKS)
+    return text.encode("utf-8", "surrogateescape").decode("utf-8", "backslashreplace")
+
+
 def _with_meta(header, meta):
-    return [header] + [f"# meta {key}={value}" for key, value in sorted(meta.items())]
+    return [header] + [
+        f"# meta {key}={_meta_value(value)}" for key, value in sorted(meta.items())
+    ]
 
 
 def _read_lines(path):
@@ -299,6 +314,8 @@ def _parse_header(line, lineno):
     for key in ("m", "n"):
         if key not in fields:
             raise ParseError(f"header missing {key}=", line=lineno)
+        if fields[key] < 1:
+            raise ParseError(f"header {key}={fields[key]} must be >= 1", line=lineno)
     return parts[0], fields
 
 

@@ -1,7 +1,10 @@
-"""Dense linear-algebra kernels: skinny SVD and a generalized symmetric eigensolver.
+"""Dense linear-algebra kernels: skinny SVD and a generalized symmetric
+eigensolver, which is one LAPACK ``sygvd`` call through ``scipy.linalg.eigh``.
 
 Everything here is deterministic: identical inputs produce bitwise-identical
-outputs on a given platform.
+outputs on a given platform and BLAS thread count.  Across thread counts the
+bits may differ; canonical signs and tie order keep the results equal to
+rounding (1e-10), not to the bit.
 """
 
 from dataclasses import dataclass, field
@@ -114,9 +117,9 @@ def _canonicalize(values, vectors):
 def generalized_top_eigs(l, r, count, ridge=None):
     """Top ``count`` eigenpairs of the pencil (l, r + ridge*I).
 
-    ``l`` must be symmetric and ``r`` symmetric PSD.  Solved by Cholesky
-    whitening of ``r + ridge*I`` followed by an ordinary symmetric
-    eigendecomposition.  Returned vectors satisfy
+    ``l`` must be symmetric and ``r`` symmetric PSD.  Solved by one LAPACK
+    ``sygvd`` call (``scipy.linalg.eigh(l, r + ridge*I)``), which whitens by
+    Cholesky itself, so the returned vectors satisfy
     ``vectors.T @ (r + ridge*I) @ vectors = I``.  When ``ridge`` is omitted
     and ``r`` turns out singular, a ridge of 1e-10 * trace(r)/n is applied.
     """
@@ -134,32 +137,17 @@ def generalized_top_eigs(l, r, count, ridge=None):
     if np.abs(r - r.T).max() > SYMMETRY_TOL * max(scale_r, 1.0):
         raise DimensionMismatch("right matrix is not symmetric")
 
-    auto_ridge = ridge is None
-    ridge = 0.0 if auto_ridge else ridge
-    reg = r if ridge == 0.0 else r + ridge * np.eye(n)
+    left = 0.5 * (l + l.T)
     try:
-        chol = np.linalg.cholesky(reg)
+        w, vectors = scipy.linalg.eigh(left, r if not ridge else r + ridge * np.eye(n))
     except np.linalg.LinAlgError as exc:
-        if not auto_ridge:
-            raise NotConverged(
-                "right matrix is singular; pass a positive ridge"
-            ) from exc
-        ridge = 1e-10 * np.trace(r) / n
+        if ridge is not None:
+            raise NotConverged("right matrix is singular; pass a positive ridge") from exc
         try:
-            chol = np.linalg.cholesky(r + ridge * np.eye(n))
+            w, vectors = scipy.linalg.eigh(left, r + 1e-10 * np.trace(r) / n * np.eye(n))
         except np.linalg.LinAlgError:
             raise NotConverged(
                 "right matrix is singular even after the default ridge"
             ) from exc
-    # Whiten: M = L^-1 l L^-T, then eigh; back-transform keeps the metric
-    # normalization exact.
-    half = scipy.linalg.solve_triangular(chol, 0.5 * (l + l.T), lower=True)
-    m = scipy.linalg.solve_triangular(chol, half.T, lower=True)
-    m = 0.5 * (m + m.T)
-    try:
-        w, y = np.linalg.eigh(m)
-    except np.linalg.LinAlgError as exc:
-        raise NotConverged("symmetric eigensolve failed") from exc
-    vectors = scipy.linalg.solve_triangular(chol.T, y, lower=False)
     values, vectors = _canonicalize(w, vectors)
     return values[:count].copy(), np.ascontiguousarray(vectors[:, :count])

@@ -1,4 +1,5 @@
 import csv
+import os
 import re
 import subprocess
 import sys
@@ -38,6 +39,26 @@ def test_fit_writes_model_and_prints_k(dataset_file, tmp_path, capsys):
     svd = pce.skinny_svd(ds.matrix)
     assert model.k == pce.estimate_dimension(svd.sigma, 10.0)
     assert int(printed["rank"]) == svd.rank
+
+
+@pytest.mark.parametrize(
+    "name, escaped",
+    [(os.fsdecode(b"d\xff.txt"), r"d\xff.txt"), ("d\nb.txt", r"d\nb.txt"),
+     ("d\u2028b.txt", r"d\u2028b.txt"), ("d é.txt", "d é.txt")],
+    ids=["not-utf8", "newline", "line-separator", "plain"],
+)
+def test_fit_meta_source_is_one_line(dataset_file, tmp_path, name, escaped):
+    # the data path lands in the model's "# meta source=" line; a plain name as is
+    data = tmp_path / name
+    os.replace(dataset_file, data)
+    model_path = tmp_path / "model.txt"
+    data = os.fsdecode(data)
+    assert main(["fit", data, "--output", str(model_path)]) == 0
+    source = f"# meta source={os.fsdecode(tmp_path)}/{escaped}\n"
+    assert source in model_path.read_text(encoding="utf-8")
+    out = tmp_path / "z.txt"
+    assert main(["transform", str(model_path), data, "--output", str(out)]) == 0
+    assert out.exists()
 
 
 def test_fit_rejects_nonpositive_lambda(dataset_file, tmp_path, capsys):
@@ -138,12 +159,17 @@ def test_transform_rejects_invalid_model(dataset_file, tmp_path, pattern, replac
           "--train-fraction", "1.5"], None),
         (["sweep", "{data}", "--lambdas", "1", "--split-seed", "0",
           "--train-fraction", "nan"], None),
+        (["fit", "{config}"], "pce-matrix v1 m=0 n=-1\n"),
+        (["fit", "{config}"], "pce-matrix v1 m=0 n=3\n"),
+        (["bench", "--sizes", "0x5"], None),
+        (["bench", "--sizes", "5x0"], None),
     ],
     ids=["zero-step", "zero-repeats", "negative-repeats", "bad-size", "bad-subspace",
          "one-clip-bound", "eval-not-utf8", "fit-not-utf8", "negative-split-seed",
          "negative-config-seed", "negative-bench-seed", "huge-grid", "tiny-step",
          "infinite-grid", "nul-data-path", "nul-output-path", "train-fraction-above-1",
-         "train-fraction-nan"],
+         "train-fraction-nan", "negative-header-size", "zero-header-rows",
+         "zero-bench-rows", "zero-bench-cols"],
 )
 def test_bad_arguments_are_input_errors(dataset_file, tmp_path, capsys, argv, config):
     binary = tmp_path / "latin1.txt"

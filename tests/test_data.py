@@ -156,6 +156,18 @@ def test_bad_header(tmp_path):
         pce.load_matrix(path)
 
 
+@pytest.mark.parametrize(
+    "header", ["pce-matrix v1 m=0 n=-1", "pce-matrix v1 m=0 n=3",
+               "pce-dataset v1 m=2 n=0 classes=1"],
+    ids=["negative-cols", "zero-rows", "zero-cols"],
+)
+def test_nonpositive_header_size(tmp_path, header):
+    path = tmp_path / "bad.txt"
+    path.write_text(header + "\n")
+    with pytest.raises(ParseError, match="must be >= 1"):
+        pce.load_matrix(path)
+
+
 def test_comments_ignored(tmp_path):
     path = tmp_path / "ok.txt"
     path.write_text("# leading comment\npce-matrix v1 m=1 n=2\n# inner\n1.5 -2.25\n")

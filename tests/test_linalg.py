@@ -130,6 +130,24 @@ def test_asymmetric_rejected():
         generalized_top_eigs(np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2), 1)
 
 
+def test_asymmetric_right_rejected():
+    right = np.array([[1.0, 1.0], [0.0, 1.0]])
+    with pytest.raises(DimensionMismatch, match="right matrix is not symmetric"):
+        generalized_top_eigs(np.eye(2), right, 1)
+
+
+def test_count_above_order_rejected():
+    with pytest.raises(DimensionMismatch):
+        generalized_top_eigs(np.eye(3), np.eye(3), 4)
+
+
+def test_zero_right_fails_even_with_default_ridge():
+    from pce.errors import NotConverged
+
+    with pytest.raises(NotConverged, match="even after the default ridge"):
+        generalized_top_eigs(np.eye(2), np.zeros((2, 2)), 1)
+
+
 def _canonicalize_reference(values, vectors):
     # the original per-column implementation, kept as the oracle
     from pce.linalg import _first_nonzero_index
