@@ -19,12 +19,13 @@ from .data import (
     load_config,
     load_matrix,
     load_model,
+    require_labels,
     save_matrix,
     save_model,
     split,
     write_csv,
 )
-from .errors import ParseError, PceError, ShapeError
+from .errors import InfeasibleSpec, ParseError, PceError, ShapeError
 from .linalg import rank_tolerance, skinny_svd
 
 EXIT_OK = 0
@@ -138,7 +139,7 @@ def cmd_eval(args):
     fields = load_config(args.config)
     try:
         cfg = _config_to_experiment(fields)
-    except ValueError as exc:
+    except (ValueError, InfeasibleSpec) as exc:
         raise ParseError(str(exc)) from None
     report = evaluation.run_experiment(cfg)
     output = args.output or fields.get("output", "report.csv")
@@ -186,10 +187,9 @@ def cmd_sweep(args):
     ds = load_matrix(args.data)
     lambdas = _parse_lambdas(args.lambdas)
     with_accuracy = args.split_seed is not None
-    if with_accuracy and ds.meta.get("unlabeled") == "true":
-        raise ParseError("accuracy sweep needs a labeled pce-dataset file")
     if with_accuracy:
-        train, test = split(ds, args.train_fraction, args.split_seed)
+        labeled = require_labels(ds, "accuracy sweep")
+        train, test = split(labeled, args.train_fraction, args.split_seed)
     svd = skinny_svd(train.matrix if with_accuracy else ds.matrix)
     if with_accuracy:  # a lambda that keeps no dimension fails as fit does
         ks = [model._kept_dimension(svd, lam) for lam in lambdas]

@@ -68,6 +68,17 @@ class SubspaceSpec:
     coeff_scale: float = 1.0
     basis_rule: str = "independent-orthogonal"
 
+    def __post_init__(self):
+        if self.basis_rule not in ("independent-orthogonal", "random-gaussian"):
+            raise InfeasibleSpec(f"unknown basis rule {self.basis_rule!r}")
+        if any(not 1 <= d <= c for d, c in self.subspaces):
+            raise InfeasibleSpec("each subspace needs dim >= 1 and count >= dim")
+        total_dim = sum(d for d, _ in self.subspaces)
+        if self.basis_rule == "independent-orthogonal" and total_dim > self.ambient:
+            raise InfeasibleSpec(
+                f"sum of subspace dims {total_dim} exceeds ambient {self.ambient}"
+            )
+
 
 @dataclass(frozen=True)
 class NoiseSpec:
@@ -78,29 +89,26 @@ class NoiseSpec:
     rho: float
     clip: tuple | None = None
 
+    def __post_init__(self):
+        if self.kind not in ("gaussian", "pixel"):
+            raise ValueError(f"unknown noise kind {self.kind!r}")
+        if self.kind == "pixel":
+            _check_pixel_fraction(self.rho)
+
 
 def generate_union_of_subspaces(spec: SubspaceSpec, seed: int) -> LabeledDataset:
     """Sample each class from its own linear subspace; deterministic in seed."""
     dims = [int(d) for d, _ in spec.subspaces]
     counts = [int(c) for _, c in spec.subspaces]
-    total_dim = sum(dims)
-    if any(d < 1 for d in dims) or any(c < d for d, c in zip(dims, counts)):
-        raise InfeasibleSpec("each subspace needs dim >= 1 and count >= dim")
-    if spec.basis_rule == "independent-orthogonal" and total_dim > spec.ambient:
-        raise InfeasibleSpec(
-            f"sum of subspace dims {total_dim} exceeds ambient {spec.ambient}"
-        )
     rng = _rng(seed)
     if spec.basis_rule == "independent-orthogonal":
-        frame, _ = np.linalg.qr(rng.standard_normal((spec.ambient, total_dim)))
+        frame, _ = np.linalg.qr(rng.standard_normal((spec.ambient, sum(dims))))
         offsets = np.cumsum([0] + dims)
         bases = [frame[:, offsets[i] : offsets[i + 1]] for i in range(len(dims))]
-    elif spec.basis_rule == "random-gaussian":
+    else:
         bases = [
             np.linalg.qr(rng.standard_normal((spec.ambient, d)))[0] for d in dims
         ]
-    else:
-        raise InfeasibleSpec(f"unknown basis rule {spec.basis_rule!r}")
     blocks, labels = [], []
     for cls, (basis, d, c) in enumerate(zip(bases, dims, counts)):
         coeffs = rng.uniform(-spec.coeff_scale, spec.coeff_scale, size=(d, c))
@@ -125,11 +133,15 @@ def add_gaussian_noise(d, rho, clip=None, seed=0):
     return out
 
 
+def _check_pixel_fraction(rho):
+    if not 0 < rho <= 1:
+        raise ValueError(f"pixel rho must lie in (0, 1], got {rho!r}")
+
+
 def add_pixel_corruption(d, rho, seed=0):
     """Replace a rho fraction of each column's entries (round half up) with
     uniform draws over [0, column max]."""
-    if not 0 < rho <= 1:
-        raise ValueError("rho must lie in (0, 1]")
+    _check_pixel_fraction(rho)
     d = np.asarray(d, dtype=float).copy()
     m = d.shape[0]
     count = int(np.floor(rho * m + 0.5))
@@ -139,6 +151,14 @@ def add_pixel_corruption(d, rho, seed=0):
         pmax = d[:, j].max()
         d[rows, j] = rng.uniform(0.0, pmax, size=count)
     return d
+
+
+def require_labels(ds: LabeledDataset, purpose):
+    """``ds`` itself, or a ParseError when it came from a pce-matrix file, whose
+    all-zero labels would make every accuracy 1.0."""
+    if ds.meta.get("unlabeled") == "true":
+        raise ParseError(f"{purpose} needs a labeled pce-dataset file")
+    return ds
 
 
 def split(ds: LabeledDataset, train_fraction, seed: int):
@@ -231,8 +251,9 @@ def _with_meta(header, meta):
 
 
 def _read_lines(path):
-    """Return (meta, lines): the '# meta key=value' comments, and the stripped
-    lines that are neither blank nor comments as (1-based lineno, text)."""
+    """Return (meta, lines): the '# meta key=value' comments, whose values are
+    kept exactly as written, and the stripped lines that are neither blank nor
+    comments as (1-based lineno, text)."""
     _check_path(path)
     try:
         with open(path, encoding="utf-8") as fh:
@@ -243,8 +264,8 @@ def _read_lines(path):
     for lineno, line in enumerate(raw, start=1):
         text = line.strip()
         if text.startswith("# meta "):
-            key, _, value = text[len("# meta ") :].partition("=")
-            meta[key.strip()] = value.strip()
+            key, _, value = line.lstrip()[len("# meta ") :].partition("=")
+            meta[key.strip()] = value
         elif text and not text.startswith("#"):
             lines.append((lineno, text))
     return meta, lines

@@ -19,6 +19,7 @@ from .data import (
     add_pixel_corruption,
     generate_union_of_subspaces,
     load_matrix,
+    require_labels,
     split,
     write_csv,
 )
@@ -121,6 +122,8 @@ class ExperimentConfig:
             raise ValueError("train_fraction must lie in (0, 1)")
         if self.base_seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.base_seed}")
+        if self.method in ("pca", "lle-npe") and self.dim is None:
+            raise ValueError(f"{self.method} needs an explicit dim")
 
 
 @dataclass
@@ -149,15 +152,13 @@ class Report:
 def _load_source(source, seed):
     if isinstance(source, SubspaceSpec):
         return generate_union_of_subspaces(source, seed)
-    return load_matrix(source)
+    return require_labels(load_matrix(source), "eval")
 
 
 def _apply_noise(matrix, noise: NoiseSpec, seed):
-    if noise.kind == "gaussian":
-        return add_gaussian_noise(matrix, noise.rho, clip=noise.clip, seed=seed)
     if noise.kind == "pixel":
         return add_pixel_corruption(matrix, noise.rho, seed=seed)
-    raise ValueError(f"unknown noise kind {noise.kind!r}")
+    return add_gaussian_noise(matrix, noise.rho, clip=noise.clip, seed=seed)
 
 
 def _fit_method(cfg: ExperimentConfig, train: LabeledDataset):
@@ -168,13 +169,9 @@ def _fit_method(cfg: ExperimentConfig, train: LabeledDataset):
         model = _model.fit(train.matrix, cfg.lam, center=cfg.center)
         return (lambda y: _model.transform(model, y)), model.k
     if cfg.method == "pca":
-        if cfg.dim is None:
-            raise ValueError("pca needs an explicit dim")
         pca = pca_fit(train.matrix, cfg.dim)
         return (lambda y: pca_transform(pca, y)), None
     # lle-npe: reconstruction-weight graph embedded at a user-chosen dimension
-    if cfg.dim is None:
-        raise ValueError("lle-npe needs an explicit dim")
     g = _graph.lle_graph(train.matrix, _graph.LleConfig(p=cfg.neighbors))
     theta = _graph.embed(train.matrix, g, cfg.dim)
     return (lambda y: theta.T @ np.asarray(y, dtype=float)), None

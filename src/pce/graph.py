@@ -6,8 +6,8 @@ Gram matrix of the data shifted by its first column.  Both embed through the
 pencil D (A + A' - A A') D' theta = sigma D D' theta.  When vk is the leading
 block of D's right singular vectors the pencil has the closed-form solution
 Theta = Uk Sk^-1.  For the other graphs the SVD of D makes the right matrix
-diagonal, so whitening is a scaling and one symmetric ``eigh`` of an r x r
-matrix solves the pencil; no generalized eigensolver runs.
+diag(sigma_r^2), so Theta = U_r Sigma_r^-1 Y with Y from one symmetric
+``eigh`` of an r x r matrix; no generalized eigensolver runs.
 """
 
 from dataclasses import dataclass
@@ -110,23 +110,21 @@ def lle_graph(d, cfg: LleConfig) -> AffinityGraph:
     return AffinityGraph(kind="lle-weights", n=n, weights=w)
 
 
-def embed(d, graph: AffinityGraph, dim, ridge=None, svd=None):
+def embed(d, graph: AffinityGraph, dim, svd=None):
     """Solve the embedding pencil and return the m x dim projection.
 
-    The pencil L theta = sigma (D D' + ridge I) theta with
-    L = D (A + A' - A A') D' is reduced to the range of D through its SVD:
-    writing theta = U_r alpha turns L into diag(sigma_r) M0 diag(sigma_r) with
-    M0 = V_r' (A + A' - A A') V_r, and the right matrix into
-    diag(sigma_r^2 + ridge), which is diagonal and positive definite, so no
-    ridge is needed even when D D' itself is singular.  Whitening by
-    t = sqrt(sigma_r^2 + ridge) is then a scaling: one symmetric ``eigh`` of
-    M = diag(sigma_r / t) M0 diag(sigma_r / t) gives y, and alpha = y / t
-    satisfies theta' (D D' + ridge U_r U_r') theta = I.
+    The pencil L theta = sigma D D' theta with L = D (A + A' - A A') D' is
+    reduced to the range of D through its SVD D = U_r Sigma_r V_r': writing
+    theta = U_r Sigma_r^-1 y turns it into the symmetric eigenproblem
+    M0 y = sigma y with M0 = V_r' (A + A' - A A') V_r, because every retained
+    sigma is positive.  One ``eigh`` of the r x r matrix M0 gives Y, and
+    Theta = U_r Sigma_r^-1 Y satisfies Theta' D D' Theta = I even when D D'
+    itself is singular.
 
     A factored graph whose vk is the leading k-block of D's right singular
-    vectors, as built by ``principal_coefficients``, has L = Uk Sk^2 Uk': the
-    pencil's top k eigenvalues all equal 1 and its solution is the closed form
-    Theta = Uk Sk^-1.  That graph gets the first ``dim`` columns of the
+    vectors, as built by ``principal_coefficients``, has M0 = diag(1_k, 0):
+    the pencil's top k eigenvalues all equal 1 and its solution is the closed
+    form Theta = Uk Sk^-1.  That graph gets the first ``dim`` columns of the
     canonical Theta, i.e. the top-sigma directions, and no eigensolve runs.
     Any other factored graph has M0 = (V_r' vk)(V_r' vk)'; a
     reconstruction-weight graph forms M0 from B = V_r' A as B V_r + (B V_r)' -
@@ -140,7 +138,6 @@ def embed(d, graph: AffinityGraph, dim, ridge=None, svd=None):
         raise BadDim("dim must be at least 1")
     if svd is None:
         svd = skinny_svd(d)
-    sig = svd.sigma
 
     if graph.kind == "pce-factored":
         k = graph.vk.shape[1]
@@ -154,17 +151,11 @@ def embed(d, graph: AffinityGraph, dim, ridge=None, svd=None):
         b = svd.v.T @ graph.weights
         bv = b @ svd.v
         core = bv + bv.T - b @ b.T
-    right = sig**2 + (0.0 if ridge is None else ridge)
-    if not right.min() > 0:
-        raise NotConverged(f"sigma^2 + ridge is not positive for ridge={ridge!r}")
-    t = np.sqrt(right)
-    scale = sig / t
-    whitened = scale[:, None] * core * scale[None, :]
     try:
-        evals, y = np.linalg.eigh(0.5 * (whitened + whitened.T))
+        evals, y = np.linalg.eigh(0.5 * (core + core.T))
     except np.linalg.LinAlgError as exc:
         raise NotConverged("symmetric eigensolve failed") from exc
-    values, alpha = _canonicalize(evals, y / t[:, None])
+    values, alpha = _canonicalize(evals, y / svd.sigma[:, None])
     usable = int(np.count_nonzero(values > EIG_FLOOR))
     if dim > usable:
         raise BadDim(

@@ -114,40 +114,29 @@ def _canonicalize(values, vectors):
     return values[order], canonical_signs(vectors[:, order])
 
 
-def generalized_top_eigs(l, r, count, ridge=None):
-    """Top ``count`` eigenpairs of the pencil (l, r + ridge*I).
+def generalized_top_eigs(l, r, count):
+    """Top ``count`` eigenpairs of the pencil (l, r).
 
-    ``l`` must be symmetric and ``r`` symmetric PSD.  Solved by one LAPACK
-    ``sygvd`` call (``scipy.linalg.eigh(l, r + ridge*I)``), which whitens by
-    Cholesky itself, so the returned vectors satisfy
-    ``vectors.T @ (r + ridge*I) @ vectors = I``.  When ``ridge`` is omitted
-    and ``r`` turns out singular, a ridge of 1e-10 * trace(r)/n is applied.
+    ``l`` must be symmetric and ``r`` symmetric positive definite.  Solved by
+    one LAPACK ``sygvd`` call (``scipy.linalg.eigh(l, r)``), which whitens by
+    Cholesky itself, so the returned vectors satisfy ``vectors.T @ r @ vectors = I``.
+    Raises NonFinite on NaN/Inf and NotConverged when ``r`` is not positive
+    definite.
     """
-    l = np.asarray(l, dtype=float)
-    r = np.asarray(r, dtype=float)
-    if l.shape != r.shape or l.ndim != 2 or l.shape[0] != l.shape[1]:
+    l, r = _check_matrix(l), _check_matrix(r)
+    if l.shape != r.shape or l.shape[0] != l.shape[1]:
         raise DimensionMismatch(f"pencil shapes differ: {l.shape} vs {r.shape}")
     n = l.shape[0]
     if count > n:
         raise DimensionMismatch(f"requested {count} eigenpairs from a {n}x{n} pencil")
-    scale_l = np.abs(l).max()
-    scale_r = np.abs(r).max()
-    if np.abs(l - l.T).max() > SYMMETRY_TOL * max(scale_l, 1.0):
-        raise DimensionMismatch("left matrix is not symmetric")
-    if np.abs(r - r.T).max() > SYMMETRY_TOL * max(scale_r, 1.0):
-        raise DimensionMismatch("right matrix is not symmetric")
-
-    left = 0.5 * (l + l.T)
+    for side, a in (("left", l), ("right", r)):
+        if np.abs(a - a.T).max() > SYMMETRY_TOL * max(np.abs(a).max(), 1.0):
+            raise DimensionMismatch(f"{side} matrix is not symmetric")
     try:
-        w, vectors = scipy.linalg.eigh(left, r if not ridge else r + ridge * np.eye(n))
+        w, vectors = scipy.linalg.eigh(0.5 * (l + l.T), r)
     except np.linalg.LinAlgError as exc:
-        if ridge is not None:
-            raise NotConverged("right matrix is singular; pass a positive ridge") from exc
-        try:
-            w, vectors = scipy.linalg.eigh(left, r + 1e-10 * np.trace(r) / n * np.eye(n))
-        except np.linalg.LinAlgError:
-            raise NotConverged(
-                "right matrix is singular even after the default ridge"
-            ) from exc
+        raise NotConverged(
+            "right matrix is not positive definite; pass r + ridge * I instead"
+        ) from exc
     values, vectors = _canonicalize(w, vectors)
     return values[:count].copy(), np.ascontiguousarray(vectors[:, :count])

@@ -163,13 +163,20 @@ def test_transform_rejects_invalid_model(dataset_file, tmp_path, pattern, replac
         (["fit", "{config}"], "pce-matrix v1 m=0 n=3\n"),
         (["bench", "--sizes", "0x5"], None),
         (["bench", "--sizes", "5x0"], None),
+        (["eval", "{config}"], "synthetic=12:2x10,2x10\nmethod=pca\n"),
+        (["eval", "{config}"], "synthetic=12:2x10,2x10\nmethod=lle-npe\n"),
+        (["eval", "{config}"], "synthetic=12:2x10,2x10\nnoise=foo\n"),
+        (["eval", "{config}"], "synthetic=12:2x10,2x10\nnoise=pixel\nnoise_rho=3\n"),
+        (["eval", "{config}"], "synthetic=12:2x10,2x10\nsynthetic_basis=bogus\n"),
+        (["eval", "{config}"], "synthetic=20:0x10,2x10\n"),
     ],
     ids=["zero-step", "zero-repeats", "negative-repeats", "bad-size", "bad-subspace",
          "one-clip-bound", "eval-not-utf8", "fit-not-utf8", "negative-split-seed",
          "negative-config-seed", "negative-bench-seed", "huge-grid", "tiny-step",
          "infinite-grid", "nul-data-path", "nul-output-path", "train-fraction-above-1",
          "train-fraction-nan", "negative-header-size", "zero-header-rows",
-         "zero-bench-rows", "zero-bench-cols"],
+         "zero-bench-rows", "zero-bench-cols", "pca-without-dim", "lle-npe-without-dim",
+         "unknown-noise", "pixel-rho-above-1", "unknown-basis", "zero-dim-subspace"],
 )
 def test_bad_arguments_are_input_errors(dataset_file, tmp_path, capsys, argv, config):
     binary = tmp_path / "latin1.txt"
@@ -248,6 +255,40 @@ def test_eval_runs_and_reruns_identically(tmp_path, capsys):
     second = read_csv(tmp_path / "report.csv")
     for a, b in zip(first, second):
         assert a[:3] == b[:3]  # identical apart from timing columns
+
+
+@pytest.mark.parametrize(
+    "noise",
+    ["noise=pixel\nnoise_rho=0.2\n",
+     "noise=gaussian\nnoise_rho=0.05\nnoise_after_split=true\n"],
+    ids=["pixel", "after-split"],
+)
+def test_eval_noise_paths_rerun_identically(tmp_path, noise):
+    config = tmp_path / "exp.cfg"
+    config.write_text("synthetic=12:2x10,2x10\nlambda=10\ntrials=3\n" + noise)
+    reports = []
+    for run in ("a", "b"):
+        out = tmp_path / f"{run}.csv"
+        assert main(["eval", str(config), "--output", str(out)]) == 0
+        rows = read_csv(out)
+        assert [r[0] for r in rows[1:]] == ["0", "1", "2", "summary"]
+        reports.append([r[:3] for r in rows])  # timing columns excluded
+    assert reports[0] == reports[1]
+
+
+def test_eval_and_sweep_refuse_unlabeled_matrix(tmp_path, capsys):
+    # a pce-matrix file has all-zero labels: any accuracy on it would read 1.0
+    data = tmp_path / "m.txt"
+    pce.save_matrix(np.random.default_rng(0).standard_normal((6, 20)), data)
+    config = tmp_path / "exp.cfg"
+    config.write_text(f"data={data}\nmethod=pce\ntrials=2\n")
+    out = tmp_path / "out.csv"
+    assert main(["eval", str(config), "--output", str(out)]) == 1
+    assert "eval needs a labeled pce-dataset file" in capsys.readouterr().err
+    sweep = ["sweep", str(data), "--lambdas", "1", "--split-seed", "0"]
+    assert main(sweep + ["--output", str(out)]) == 1
+    assert "accuracy sweep needs a labeled pce-dataset file" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_eval_unknown_method(tmp_path, capsys):
@@ -476,3 +517,52 @@ def test_console_entry_point(dataset_file, tmp_path):
     )
     assert proc.returncode == 0
     assert "k=" in proc.stdout
+
+
+CLI_COMMANDS = """
+import sys
+from pce.cli import main
+for argv in (
+    ["fit", "d.txt", "--lambda", "4", "--output", "m.txt"],
+    ["transform", "m.txt", "d.txt", "--output", "z.txt"],
+    ["sweep", "d.txt", "--lambdas", "1:99:2", "--split-seed", "0", "--output", "s.csv"],
+    ["spectrum", "d.txt", "--lambda", "4", "--output", "spec.csv"],
+):
+    if main(argv) != 0:
+        sys.exit(f"{argv[0]} failed")
+"""
+
+
+def test_cli_outputs_across_blas_threads(tmp_path):
+    # the determinism contract across thread counts: theta and the features
+    # agree to 1e-10, and every k (fit, sweep, spectrum) is identical
+    spec = pce.SubspaceSpec(ambient=300, subspaces=((4, 50),) * 8)
+    ds = pce.generate_union_of_subspaces(spec, seed=3)
+    noisy = pce.add_gaussian_noise(ds.matrix, 0.01, seed=3)
+    nproc = len(os.sched_getaffinity(0))
+    runs = []
+    for i, threads in enumerate(("1", str(nproc))):
+        cwd = tmp_path / f"run{i}"
+        cwd.mkdir()
+        pce.save_matrix(pce.LabeledDataset(noisy, ds.labels), cwd / "d.txt")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads)
+        done = subprocess.run([sys.executable, "-c", CLI_COMMANDS], cwd=cwd, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        lines = done.stdout.splitlines()
+        runs.append({
+            "k_lines": [line for line in lines if line.startswith("k=")],
+            "theta": load_model(cwd / "m.txt").theta,
+            "z": pce.load_matrix(cwd / "z.txt").matrix,
+            "sweep_k": [row[1] for row in read_csv(cwd / "s.csv")[1:]],
+            "sigma_c": [row[2] for row in read_csv(cwd / "spec.csv")[1:]],
+        })
+    one, many = runs
+    assert one["k_lines"] == many["k_lines"] == ["k=32", "k=32"]  # fit, spectrum
+    assert len(set(one["sweep_k"])) > 1  # the grid crosses breakpoints
+    for key in ("sweep_k", "sigma_c"):
+        assert one[key] == many[key]
+    for key in ("theta", "z"):
+        assert one[key].shape == many[key].shape
+        assert np.abs(one[key] - many[key]).max() < 1e-10

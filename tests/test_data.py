@@ -126,6 +126,15 @@ def test_dataset_roundtrip(tmp_path):
     assert loaded.meta["source"] == "test"
 
 
+def test_meta_value_whitespace_roundtrip(tmp_path):
+    # only the key is stripped; the value after '=' reads back as written
+    meta = {"source": "  d.txt \t ", "note": " x"}
+    ds = pce.LabeledDataset(np.eye(2), np.array([0, 1]), meta)
+    path = tmp_path / "ds.txt"
+    pce.save_matrix(ds, path)
+    assert pce.load_matrix(path).meta == meta
+
+
 def test_matrix_roundtrip(tmp_path):
     m = np.random.default_rng(7).standard_normal((4, 9))
     path = tmp_path / "m.txt"

@@ -149,7 +149,7 @@ def test_lle_bad_neighborhood_size():
 def test_embed_diag_pencil():
     d = np.diag([2.0, 0.1])
     factor = pce.principal_coefficients(pce.skinny_svd(d), 1.0)
-    theta = embed(d, pce_graph(factor), 1, ridge=0.0)
+    theta = embed(d, pce_graph(factor), 1)
     assert np.allclose(np.abs(theta[:, 0]), [0.5, 0.0], atol=1e-10)
 
 
@@ -218,8 +218,8 @@ def test_lle_embed_matches_dense_generalized_solve():
 
 @pytest.mark.parametrize("kind", ["lle", "factored"])
 def test_embed_with_ridge_matches_pencil(kind):
-    # theta' (D D' + ridge U U') theta = I, and the same subspace and values
-    # as the reduced pencil solved by generalized_top_eigs
+    # theta = U Sigma^-1 Y: theta' D D' theta = I, and the same subspace as
+    # the reduced pencil (Sigma M0 Sigma, Sigma^2) solved by generalized_top_eigs
     rng = np.random.default_rng(5)
     d = rng.standard_normal((9, 24))
     svd = pce.skinny_svd(d)
@@ -231,12 +231,11 @@ def test_embed_with_ridge_matches_pencil(kind):
         vk = np.linalg.qr(rng.standard_normal((24, 6)))[0]
         g = pce_graph(pce.CoefficientFactor(vk=vk, k=6))
         core = (svd.v.T @ vk) @ (svd.v.T @ vk).T
-    ridge, dim = 0.7, 4
-    theta = embed(d, g, dim, ridge=ridge)
-    metric = d @ d.T + ridge * svd.u @ svd.u.T
-    assert np.allclose(theta.T @ metric @ theta, np.eye(dim), atol=1e-10)
+    dim = 4
+    theta = embed(d, g, dim)
+    assert np.allclose(theta.T @ d @ d.T @ theta, np.eye(dim), atol=1e-10)
     left = svd.sigma[:, None] * core * svd.sigma[None, :]
     _, alpha = pce.generalized_top_eigs(
-        0.5 * (left + left.T), np.diag(svd.sigma**2), dim, ridge=ridge
+        0.5 * (left + left.T), np.diag(svd.sigma**2), dim
     )
     assert principal_angle(theta, svd.u @ alpha) < 1e-6

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pce.errors import DimensionMismatch, NonFinite, ZeroMatrix
+from pce.errors import DimensionMismatch, NonFinite, NotConverged, ZeroMatrix
 from pce.linalg import generalized_top_eigs, skinny_svd
 
 
@@ -104,20 +104,10 @@ def test_metric_normalization():
     assert np.all(np.diff(values) <= 1e-12)
 
 
-def test_singular_right_auto_ridge():
-    # r is PSD but singular: with no explicit ridge the default kicks in
-    l = np.diag([4.0, 0.0])
-    r = np.diag([4.0, 0.0])
-    values, vectors = generalized_top_eigs(l, r, 1)
-    assert values[0] == pytest.approx(1.0, abs=1e-6)
-    assert vectors[:, 0].T @ r @ vectors[:, 0] == pytest.approx(1.0, abs=1e-6)
-
-
-def test_singular_right_explicit_zero_ridge_fails():
-    from pce.errors import NotConverged
-
-    with pytest.raises(NotConverged):
-        generalized_top_eigs(np.diag([4.0, 0.0]), np.diag([4.0, 0.0]), 1, ridge=0.0)
+def test_singular_right_fails():
+    # r is PSD but singular: no ridge is added, the caller is told to add one
+    with pytest.raises(NotConverged, match=r"pass r \+ ridge \* I instead"):
+        generalized_top_eigs(np.diag([4.0, 0.0]), np.diag([4.0, 0.0]), 1)
 
 
 def test_shape_mismatch():
@@ -142,10 +132,20 @@ def test_count_above_order_rejected():
 
 
 def test_zero_right_fails_even_with_default_ridge():
-    from pce.errors import NotConverged
-
-    with pytest.raises(NotConverged, match="even after the default ridge"):
+    # the zero matrix is not positive definite: the solve fails at once
+    with pytest.raises(NotConverged, match="right matrix is not positive definite"):
         generalized_top_eigs(np.eye(2), np.zeros((2, 2)), 1)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_nonfinite_pencil_rejected(side, bad):
+    # symmetric placement: the finite check runs before the symmetry test
+    poisoned = np.eye(3)
+    poisoned[0, 1] = poisoned[1, 0] = bad
+    pencil = {"left": np.eye(3), "right": 2.0 * np.eye(3), side: poisoned}
+    with pytest.raises(NonFinite):
+        generalized_top_eigs(pencil["left"], pencil["right"], 1)
 
 
 def _canonicalize_reference(values, vectors):
