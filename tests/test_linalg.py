@@ -104,10 +104,22 @@ def test_metric_normalization():
     assert np.all(np.diff(values) <= 1e-12)
 
 
-def test_singular_right_fails():
-    # r is PSD but singular: no ridge is added, the caller is told to add one
+def test_singular_right_auto_ridge():
+    # r is PSD but singular: the solver adds no ridge of its own, so the caller
+    # scales one from r (the pre-0.2.0 default, 1e-10 * trace(r) / n) and passes r + ridge * I
+    l = np.diag([4.0, 0.0])
+    r = np.diag([4.0, 0.0])
+    ridged = r + 1e-10 * np.trace(r) / r.shape[0] * np.eye(2)
+    values, vectors = generalized_top_eigs(l, ridged, 1)
+    assert values[0] == pytest.approx(1.0, abs=1e-6)
+    assert vectors[:, 0].T @ r @ vectors[:, 0] == pytest.approx(1.0, abs=1e-6)
+
+
+def test_singular_right_explicit_zero_ridge_fails():
+    # a zero ridge leaves r singular, and no ridge is added: the caller is told to add one
+    r = np.diag([4.0, 0.0])
     with pytest.raises(NotConverged, match=r"pass r \+ ridge \* I instead"):
-        generalized_top_eigs(np.diag([4.0, 0.0]), np.diag([4.0, 0.0]), 1)
+        generalized_top_eigs(np.diag([4.0, 0.0]), r + 0.0 * np.eye(2), 1)
 
 
 def test_shape_mismatch():
