@@ -226,7 +226,7 @@ def cmd_spectrum(args):
     write_csv(args.output, ("index", "sigma_d", "sigma_c", "cumulative_energy"), rows)
     if args.svg:
         atomic_write(
-            args.svg, _polyline_svg(np.arange(1, len(spectrum) + 1), spectrum)
+            args.svg, [_polyline_svg(np.arange(1, len(spectrum) + 1), spectrum)]
         )
     print(f"k={k}")
     print(f"rank={svd.rank}")

@@ -11,6 +11,7 @@ internal parallelization order.
 import os
 import tempfile
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -204,14 +205,14 @@ def _check_path(path):
         raise ParseError(f"path {path!r} holds a NUL byte")
 
 
-def atomic_write(path, text):
-    """Write ``text`` to ``path`` through a temp file in the same directory and
-    a rename, so readers never see a partial file."""
+def atomic_write(path, chunks):
+    """Write the text ``chunks`` to ``path`` one at a time, through a temp file
+    in the same directory and a rename, so readers never see a partial file."""
     _check_path(path)
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)) or ".")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -221,9 +222,8 @@ def atomic_write(path, text):
 
 def write_csv(path, header, rows):
     """Write a comma-separated table with '\\n' line endings, atomically."""
-    lines = [",".join(header)]
-    lines.extend(",".join(str(c) for c in row) for row in rows)
-    atomic_write(path, "\n".join(lines) + "\n")
+    lines = (",".join(map(str, row)) for row in chain([header], rows))
+    atomic_write(path, (f"{line}\n" for line in lines))
 
 
 def _format_floats(values):
@@ -255,11 +255,16 @@ def _read_lines(path):
     kept exactly as written, and the stripped lines that are neither blank nor
     comments as (1-based lineno, text)."""
     _check_path(path)
-    try:
-        with open(path, encoding="utf-8") as fh:
-            raw = fh.read().splitlines()
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path} is not UTF-8 text: {exc}") from None
+    raw = []
+    with open(path, "rb") as fh:
+        # no other UTF-8 character holds the byte \n, so splitting each piece
+        # gives the lines that splitlines gives on the whole text
+        for piece in fh:
+            try:
+                raw.extend(piece.decode("utf-8").splitlines())
+            except UnicodeDecodeError as exc:
+                msg = f"{path} is not UTF-8 text: {exc}"
+                raise ParseError(msg, line=len(raw) + 1) from None
     meta, lines = {}, []
     for lineno, line in enumerate(raw, start=1):
         text = line.strip()
@@ -315,8 +320,8 @@ def save_matrix(obj, path):
         lines.append(" ".join(str(int(x)) for x in labels))
     else:
         lines = [f"pce-matrix v1 m={m} n={n}"]
-    lines.extend(map(_format_floats, matrix))
-    atomic_write(path, "\n".join(lines) + "\n")
+    lines = chain(lines, map(_format_floats, matrix))
+    atomic_write(path, (f"{line}\n" for line in lines))
 
 
 def _parse_header(line, lineno):
@@ -391,8 +396,8 @@ def save_model(model: PceModel, path, meta=None):
     if model.center is not None:
         lines.append(f"center={_format_floats(model.center)}")
     lines.append("theta:")
-    lines.extend(map(_format_floats, model.theta))
-    atomic_write(path, "\n".join(lines) + "\n")
+    lines = chain(lines, map(_format_floats, model.theta))
+    atomic_write(path, (f"{line}\n" for line in lines))
 
 
 def load_model(path) -> PceModel:

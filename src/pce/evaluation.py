@@ -76,10 +76,12 @@ class PcaModel:
 def pca_fit(d, dim):
     """Top-``dim`` left singular vectors of the column-centered data."""
     d = np.asarray(d, dtype=float)
-    mean = d.mean(axis=1, keepdims=True)
-    u, s, _ = np.linalg.svd(d - mean, full_matrices=False)
+    if dim < 1:
+        raise BadDim(f"dim={dim} must be >= 1")
     if dim > min(d.shape[0], d.shape[1] - 1):
         raise BadDim(f"dim={dim} exceeds min(m, n-1) = {min(d.shape[0], d.shape[1] - 1)}")
+    mean = d.mean(axis=1, keepdims=True)
+    u, _, _ = np.linalg.svd(d - mean, full_matrices=False)
     return PcaModel(mean=mean[:, 0].copy(), components=np.ascontiguousarray(u[:, :dim]))
 
 
@@ -124,6 +126,8 @@ class ExperimentConfig:
             raise ValueError(f"seed must be >= 0, got {self.base_seed}")
         if self.method in ("pca", "lle-npe") and self.dim is None:
             raise ValueError(f"{self.method} needs an explicit dim")
+        if self.method in ("pca", "lle-npe") and self.dim < 1:
+            raise ValueError(f"{self.method} needs dim >= 1, got {self.dim}")
 
 
 @dataclass
@@ -147,12 +151,6 @@ class Report:
     @property
     def k_mode(self):
         return statistics.mode(self.ks)
-
-
-def _load_source(source, seed):
-    if isinstance(source, SubspaceSpec):
-        return generate_union_of_subspaces(source, seed)
-    return require_labels(load_matrix(source), "eval")
 
 
 def _apply_noise(matrix, noise: NoiseSpec, seed):
@@ -179,13 +177,20 @@ def _fit_method(cfg: ExperimentConfig, train: LabeledDataset):
 
 def run_experiment(cfg: ExperimentConfig) -> Report:
     """Run ``cfg.trials`` independent trials (seed = base_seed + trial) and
-    collect accuracies, dimensions, and per-phase wall-clock times.  A trial's
+    collect accuracies, dimensions, and per-phase wall-clock times.  A data file
+    is parsed once; a SubspaceSpec is sampled per trial from its seed.  A trial's
     error propagates with its type unchanged and a note naming the trial."""
     report = Report()
+    loaded = None
+    if not isinstance(cfg.source, SubspaceSpec):
+        loaded = require_labels(load_matrix(cfg.source), "eval")
     for trial in range(cfg.trials):
         seed = cfg.base_seed + trial
         try:
-            ds = _load_source(cfg.source, seed)
+            if loaded is None:
+                ds = generate_union_of_subspaces(cfg.source, seed)
+            else:
+                ds = loaded
             if cfg.noise is not None and not cfg.noise_after_split:
                 ds = LabeledDataset(
                     _apply_noise(ds.matrix, cfg.noise, seed), ds.labels, ds.meta

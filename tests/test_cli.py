@@ -169,6 +169,9 @@ def test_transform_rejects_invalid_model(dataset_file, tmp_path, pattern, replac
         (["eval", "{config}"], "synthetic=12:2x10,2x10\nnoise=pixel\nnoise_rho=3\n"),
         (["eval", "{config}"], "synthetic=12:2x10,2x10\nsynthetic_basis=bogus\n"),
         (["eval", "{config}"], "synthetic=20:0x10,2x10\n"),
+        (["eval", "{config}"], "synthetic=12:2x10,2x10\nmethod=pca\ndim=0\n"),
+        (["eval", "{config}"], "synthetic=12:2x10,2x10\nmethod=pca\ndim=-1\n"),
+        (["eval", "{config}"], "synthetic=12:2x10,2x10\nmethod=lle-npe\ndim=0\n"),
     ],
     ids=["zero-step", "zero-repeats", "negative-repeats", "bad-size", "bad-subspace",
          "one-clip-bound", "eval-not-utf8", "fit-not-utf8", "negative-split-seed",
@@ -176,7 +179,8 @@ def test_transform_rejects_invalid_model(dataset_file, tmp_path, pattern, replac
          "infinite-grid", "nul-data-path", "nul-output-path", "train-fraction-above-1",
          "train-fraction-nan", "negative-header-size", "zero-header-rows",
          "zero-bench-rows", "zero-bench-cols", "pca-without-dim", "lle-npe-without-dim",
-         "unknown-noise", "pixel-rho-above-1", "unknown-basis", "zero-dim-subspace"],
+         "unknown-noise", "pixel-rho-above-1", "unknown-basis", "zero-dim-subspace",
+         "pca-zero-dim", "pca-negative-dim", "lle-npe-zero-dim"],
 )
 def test_bad_arguments_are_input_errors(dataset_file, tmp_path, capsys, argv, config):
     binary = tmp_path / "latin1.txt"

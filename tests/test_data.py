@@ -1,7 +1,11 @@
+import os
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import pce
+from pce import data
 from pce.errors import InfeasibleSpec, ParseError, ShapeError, TooFewSamples
 
 
@@ -195,3 +199,83 @@ def test_noise_then_recover_contracts():
     assert svd.spectrum[rank] > 0.0
     d0, _ = pce.recover_clean(svd, rank)
     assert np.linalg.norm(d0 - clean) <= np.linalg.norm(added) + 1e-12
+
+
+def _failing_on_third_call(real):
+    calls = []
+
+    def fake(values):
+        calls.append(None)
+        if len(calls) == 3:
+            raise RuntimeError("third row")
+        return real(values)
+
+    return fake
+
+
+@pytest.mark.parametrize("writer", ["save_matrix", "save_model", "write_csv"])
+def test_failed_write_keeps_target(tmp_path, monkeypatch, writer):
+    # the rows are formatted while the temp file is open: a failure on the
+    # third row leaves the old target and no temp file behind
+    target = tmp_path / "out.txt"
+    target.write_bytes(b"old bytes\n")
+    fake = _failing_on_third_call(data._format_floats)
+    monkeypatch.setattr(data, "_format_floats", fake)
+    d = np.arange(20.0).reshape(5, 4)
+    with pytest.raises(RuntimeError, match="third row"):
+        if writer == "save_matrix":
+            data.save_matrix(d, target)
+        elif writer == "save_model":
+            data.save_model(pce.PceModel(1.0, 4, d, np.ones(4), 4), target)
+        else:
+            data.write_csv(target, ("a", "b"), (data._format_floats(row) for row in d))
+    assert target.read_bytes() == b"old bytes\n"
+    assert os.listdir(tmp_path) == ["out.txt"]
+
+
+def test_not_utf8_names_its_line(tmp_path):
+    # the file is decoded line by line, so the error can say where
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"pce-matrix v1 m=1 n=1\n" + b"# " + b"x" * 9000 + b"\n1.0 \xff\n")
+    with pytest.raises(ParseError, match="line 3: .* is not UTF-8 text"):
+        pce.load_matrix(path)
+
+
+def test_large_save_and_load_memory(tmp_path):
+    # writes stream one row at a time; a read holds the lines, not the text too
+    d = np.random.default_rng(8).standard_normal((512, 1000))
+    fitted = pce.fit(d, 1e6)
+    matrix_path, model_path = tmp_path / "d.txt", tmp_path / "m.txt"
+
+    def peak(call, *args):
+        tracemalloc.start()
+        try:
+            call(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(data.save_matrix, d, matrix_path) < 2**20
+    assert peak(data.save_model, fitted, model_path) < 2**20
+    assert peak(data.load_matrix, matrix_path) < 1.5 * os.path.getsize(matrix_path)
+
+
+@pytest.mark.parametrize(
+    "brk", [*data._LINE_BREAKS, "\r\n"],
+    ids=[f"U+{ord(c):04X}" for c in data._LINE_BREAKS] + ["CRLF"],
+)
+def test_readers_split_lines_as_splitlines(tmp_path, brk):
+    # every break str.splitlines honours ends a line, and line numbers count them
+    config = brk.join(["a=1", "# c", "", "b=2", "c=3"]) + brk
+    path = tmp_path / "exp.cfg"
+    path.write_bytes(config.encode("utf-8"))
+    lines = [line for line in config.splitlines() if line and not line.startswith("#")]
+    assert data.load_config(path) == dict(line.split("=") for line in lines)
+    text = brk.join(["pce-matrix v1 m=2 n=2", "1.0 2.0", "", "3.0 4.0"]) + brk
+    path.write_bytes(text.encode("utf-8"))
+    assert np.array_equal(pce.load_matrix(path).matrix, [[1.0, 2.0], [3.0, 4.0]])
+    ragged = text.replace("3.0 4.0", "3.0")
+    path.write_bytes(ragged.encode("utf-8"))
+    lineno = ragged.splitlines().index("3.0") + 1
+    with pytest.raises(ShapeError, match=rf"row 1 \(line {lineno}\)"):
+        pce.load_matrix(path)

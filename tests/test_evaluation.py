@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import pce
+from pce import evaluation
 from pce.errors import BadDim, DimensionMismatch, EmptyTrainingSet, LengthMismatch
 from pce.evaluation import (
     ExperimentConfig,
@@ -94,6 +95,12 @@ def test_pca_bad_dim():
         pca_fit(np.random.default_rng(4).standard_normal((5, 4)), 4)
 
 
+@pytest.mark.parametrize("dim", [0, -1], ids=["zero", "negative"])
+def test_pca_dim_below_one(dim):
+    with pytest.raises(BadDim, match="must be >= 1"):
+        pca_fit(np.random.default_rng(4).standard_normal((5, 4)), dim)
+
+
 def synthetic_config(**overrides):
     spec = pce.SubspaceSpec(ambient=20, subspaces=((2, 10), (2, 10)))
     base = dict(source=spec, method="pce", lam=10.0, trials=1, base_seed=0)
@@ -162,3 +169,24 @@ def test_report_csv_layout(tmp_path):
     assert rows[-1][0] == "summary"
     accs = [float(r[1]) for r in rows[1:4]]
     assert float(rows[-1][1]) == pytest.approx(np.mean(accs))
+
+
+def test_data_file_parsed_once(tmp_path, monkeypatch):
+    # only the noise and the split depend on a trial's seed, so the file is
+    # read once; each trial still matches a one-trial run at its own seed
+    spec = pce.SubspaceSpec(ambient=20, subspaces=((2, 10), (2, 10), (2, 10)))
+    path = str(tmp_path / "d.txt")
+    pce.save_matrix(pce.generate_union_of_subspaces(spec, seed=3), path)
+    calls, real_load = [], evaluation.load_matrix
+
+    def counting_load(p):
+        calls.append(p)
+        return real_load(p)
+
+    monkeypatch.setattr(evaluation, "load_matrix", counting_load)
+    cfg = dict(source=path, lam=2.0, noise=pce.NoiseSpec("gaussian", 0.4))
+    report = run_experiment(synthetic_config(trials=5, **cfg))
+    assert calls == [path]
+    singles = [run_experiment(synthetic_config(base_seed=t, **cfg)) for t in range(5)]
+    assert report.accuracies == [r.accuracies[0] for r in singles]
+    assert report.ks == [r.ks[0] for r in singles]
