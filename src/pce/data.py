@@ -9,6 +9,7 @@ internal parallelization order.
 """
 
 import os
+import stat
 import tempfile
 from dataclasses import dataclass, field
 from itertools import chain
@@ -95,6 +96,8 @@ class NoiseSpec:
             raise ValueError(f"unknown noise kind {self.kind!r}")
         if self.kind == "pixel":
             _check_pixel_fraction(self.rho)
+        if self.clip is not None:
+            _check_clip(self.clip)
 
 
 def generate_union_of_subspaces(spec: SubspaceSpec, seed: int) -> LabeledDataset:
@@ -124,6 +127,8 @@ def generate_union_of_subspaces(spec: SubspaceSpec, seed: int) -> LabeledDataset
 
 def add_gaussian_noise(d, rho, clip=None, seed=0):
     """Add rho-scaled standard-normal noise entrywise, clamping to ``clip``."""
+    if clip is not None:
+        _check_clip(clip)
     d = np.asarray(d, dtype=float)
     out = np.empty_like(d)
     for j in range(d.shape[1]):
@@ -132,6 +137,12 @@ def add_gaussian_noise(d, rho, clip=None, seed=0):
     if clip is not None:
         np.clip(out, clip[0], clip[1], out=out)
     return out
+
+
+def _check_clip(clip):
+    # a NaN bound fails lo < hi too; infinite bounds are allowed
+    if not (len(clip) == 2 and clip[0] < clip[1]):
+        raise ValueError(f"noise clip needs two numbers lo < hi, got {clip!r}")
 
 
 def _check_pixel_fraction(rho):
@@ -205,14 +216,27 @@ def _check_path(path):
         raise ParseError(f"path {path!r} holds a NUL byte")
 
 
+def _output_mode(path):
+    """The mode ``open(path, "w")`` would leave: an existing file keeps its
+    own, a new one gets 0o666 less the umask (mkstemp alone gives 0o600)."""
+    try:
+        return stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        umask = os.umask(0o077)  # the only way to read it; restored at once
+        os.umask(umask)
+        return 0o666 & ~umask
+
+
 def atomic_write(path, chunks):
     """Write the text ``chunks`` to ``path`` one at a time, through a temp file
     in the same directory and a rename, so readers never see a partial file."""
     _check_path(path)
+    mode = _output_mode(path)
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)) or ".")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.writelines(chunks)
+        os.chmod(tmp, mode)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

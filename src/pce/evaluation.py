@@ -7,7 +7,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from . import graph as _graph
 from . import model as _model
@@ -51,6 +50,7 @@ def nn_classify(train_z, train_labels, test_z):
         raise DimensionMismatch(
             f"train features {train_z.shape[0]}-d, test {test_z.shape[0]}-d"
         )
+    from scipy.spatial.distance import cdist  # imported here so fit/transform skip scipy
     dist = cdist(test_z.T, train_z.T)
     nearest = dist.argmin(axis=1)  # argmin returns the first (lowest) index
     return np.asarray(train_labels)[nearest]

@@ -1,5 +1,8 @@
 """Dense linear-algebra kernels: skinny SVD and a generalized symmetric
 eigensolver, which is one LAPACK ``sygvd`` call through ``scipy.linalg.eigh``.
+Only that solver needs scipy, and it imports scipy on its first call, so
+importing this module (and ``pce``) loads numpy alone.  No library path calls
+the solver: it is the reference that the embedding is checked against.
 
 Everything here is deterministic: identical inputs produce bitwise-identical
 outputs on a given platform and BLAS thread count.  Across thread counts the
@@ -10,7 +13,6 @@ rounding (1e-10), not to the bit.
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DimensionMismatch, NonFinite, NotConverged, ZeroMatrix
 
@@ -132,6 +134,7 @@ def generalized_top_eigs(l, r, count):
     for side, a in (("left", l), ("right", r)):
         if np.abs(a - a.T).max() > SYMMETRY_TOL * max(np.abs(a).max(), 1.0):
             raise DimensionMismatch(f"{side} matrix is not symmetric")
+    import scipy.linalg  # imported here so that only this solver loads scipy
     try:
         w, vectors = scipy.linalg.eigh(0.5 * (l + l.T), r)
     except np.linalg.LinAlgError as exc:

@@ -172,6 +172,8 @@ def test_transform_rejects_invalid_model(dataset_file, tmp_path, pattern, replac
         (["eval", "{config}"], "synthetic=12:2x10,2x10\nmethod=pca\ndim=0\n"),
         (["eval", "{config}"], "synthetic=12:2x10,2x10\nmethod=pca\ndim=-1\n"),
         (["eval", "{config}"], "synthetic=12:2x10,2x10\nmethod=lle-npe\ndim=0\n"),
+        (["eval", "{config}"], "synthetic=12:2x10,2x10\nnoise=gaussian\nnoise_clip=1,-1\n"),
+        (["eval", "{config}"], "synthetic=12:2x10,2x10\nnoise=gaussian\nnoise_clip=nan,1\n"),
     ],
     ids=["zero-step", "zero-repeats", "negative-repeats", "bad-size", "bad-subspace",
          "one-clip-bound", "eval-not-utf8", "fit-not-utf8", "negative-split-seed",
@@ -180,7 +182,8 @@ def test_transform_rejects_invalid_model(dataset_file, tmp_path, pattern, replac
          "train-fraction-nan", "negative-header-size", "zero-header-rows",
          "zero-bench-rows", "zero-bench-cols", "pca-without-dim", "lle-npe-without-dim",
          "unknown-noise", "pixel-rho-above-1", "unknown-basis", "zero-dim-subspace",
-         "pca-zero-dim", "pca-negative-dim", "lle-npe-zero-dim"],
+         "pca-zero-dim", "pca-negative-dim", "lle-npe-zero-dim", "inverted-clip",
+         "nan-clip"],
 )
 def test_bad_arguments_are_input_errors(dataset_file, tmp_path, capsys, argv, config):
     binary = tmp_path / "latin1.txt"
@@ -570,3 +573,35 @@ def test_cli_outputs_across_blas_threads(tmp_path):
     for key in ("theta", "z"):
         assert one[key].shape == many[key].shape
         assert np.abs(one[key] - many[key]).max() < 1e-10
+
+
+SCIPY_GUARD = """
+import sys
+import pce
+from pce.cli import main
+for argv in (
+    ["fit", "d.txt", "--output", "m.txt"],
+    ["transform", "m.txt", "d.txt", "--output", "z.txt"],
+    ["spectrum", "d.txt", "--output", "spec.csv", "--svg", "spec.svg"],
+    ["bench", "--sizes", "8x16", "--repeats", "1", "--output", "b.csv"],
+    ["sweep", "d.txt", "--lambdas", "1,10", "--output", "s.csv"],
+):
+    if main(argv) != 0:
+        sys.exit(f"{argv[0]} failed")
+    if "scipy" in sys.modules:
+        sys.exit(f"{argv[0]} loaded scipy")
+if main(["eval", "exp.cfg", "--output", "r.csv"]) != 0:
+    sys.exit("eval failed")
+if "scipy" not in sys.modules:
+    sys.exit("eval ran without scipy")
+"""
+
+
+def test_scipy_loads_only_for_nearest_neighbours(dataset_file, tmp_path):
+    # a fresh process, because other test modules load scipy into this one
+    os.replace(dataset_file, tmp_path / "d.txt")
+    (tmp_path / "exp.cfg").write_text("synthetic=12:2x10,2x10\ntrials=2\n")
+    done = subprocess.run([sys.executable, "-c", SCIPY_GUARD], cwd=tmp_path,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert read_csv(tmp_path / "r.csv")[0]

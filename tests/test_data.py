@@ -1,4 +1,5 @@
 import os
+import stat
 import tracemalloc
 
 import numpy as np
@@ -59,6 +60,24 @@ def test_gaussian_noise_clip():
     noisy = pce.add_gaussian_noise(d, rho=10.0, clip=(0.0, 255.0), seed=2)
     assert noisy.max() <= 255.0
     assert noisy.min() >= 0.0
+
+
+@pytest.mark.parametrize(
+    "clip", [(1.0, -1.0), (float("nan"), 1.0), (0.0, 0.0), (0.0,)],
+    ids=["inverted", "nan", "empty", "one-bound"],
+)
+def test_bad_clip_rejected(clip):
+    with pytest.raises(ValueError, match="lo < hi"):
+        pce.NoiseSpec("gaussian", 0.1, clip=clip)
+    with pytest.raises(ValueError, match="lo < hi"):
+        pce.add_gaussian_noise(np.zeros((3, 2)), 0.1, clip=clip)
+
+
+def test_gaussian_noise_infinite_clip_bound():
+    clip = (0.0, float("inf"))
+    pce.NoiseSpec("gaussian", 0.1, clip=clip)
+    noisy = pce.add_gaussian_noise(np.zeros((30, 20)), 1.0, clip=clip, seed=4)
+    assert noisy.min() == 0.0 and noisy.max() > 0.0
 
 
 def test_gaussian_noise_deterministic():
@@ -231,6 +250,25 @@ def test_failed_write_keeps_target(tmp_path, monkeypatch, writer):
             data.write_csv(target, ("a", "b"), (data._format_floats(row) for row in d))
     assert target.read_bytes() == b"old bytes\n"
     assert os.listdir(tmp_path) == ["out.txt"]
+
+
+@pytest.mark.parametrize(
+    "umask, new_mode", [(0o022, 0o644), (0o027, 0o640)], ids=["umask-022", "umask-027"]
+)
+def test_output_mode_as_open_gives(tmp_path, umask, new_mode):
+    # a new file gets 0o666 less the umask, an existing one keeps its mode
+    new, existing = tmp_path / "new.txt", tmp_path / "existing.txt"
+    existing.write_text("old\n")
+    existing.chmod(0o640)
+    saved = os.umask(umask)
+    try:
+        data.atomic_write(new, ["x\n"])
+        data.atomic_write(existing, ["x\n"])
+    finally:
+        os.umask(saved)
+    assert stat.S_IMODE(new.stat().st_mode) == new_mode
+    assert stat.S_IMODE(existing.stat().st_mode) == 0o640
+    assert existing.read_text() == "x\n"
 
 
 def test_not_utf8_names_its_line(tmp_path):
