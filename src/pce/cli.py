@@ -15,6 +15,7 @@ from . import evaluation, model
 from .data import (
     NoiseSpec,
     SubspaceSpec,
+    _rng,
     atomic_write,
     load_config,
     load_matrix,
@@ -26,7 +27,7 @@ from .data import (
     write_csv,
 )
 from .errors import InfeasibleSpec, ParseError, PceError, ShapeError
-from .linalg import rank_tolerance, skinny_svd
+from .linalg import numerical_rank, skinny_svd
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -36,7 +37,8 @@ MAX_LAMBDAS = 10_000  # a START:STOP:STEP grid longer than this is refused
 
 
 def _polyline_svg(xs, ys, width=640, height=400, margin=40):
-    """Minimal single-series line chart; no dependencies, best-effort output."""
+    """Minimal single-series line chart as SVG lines; no dependencies,
+    best-effort output."""
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     x0, x1 = xs.min(), xs.max()
@@ -46,15 +48,15 @@ def _polyline_svg(xs, ys, width=640, height=400, margin=40):
     px = margin + (xs - x0) / xspan * (width - 2 * margin)
     py = height - margin - (ys - y0) / yspan * (height - 2 * margin)
     points = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(px, py))
-    return (
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">\n'
+    return [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
         f'<line x1="{margin}" y1="{height - margin}" x2="{width - margin}" '
-        f'y2="{height - margin}" stroke="black"/>\n'
+        f'y2="{height - margin}" stroke="black"/>',
         f'<line x1="{margin}" y1="{margin}" x2="{margin}" '
-        f'y2="{height - margin}" stroke="black"/>\n'
-        f'<polyline fill="none" stroke="steelblue" points="{points}"/>\n'
-        "</svg>\n"
-    )
+        f'y2="{height - margin}" stroke="black"/>',
+        f'<polyline fill="none" stroke="steelblue" points="{points}"/>',
+        "</svg>",
+    ]
 
 
 # --- subcommands ------------------------------------------------------------
@@ -64,11 +66,9 @@ def cmd_fit(args):
     ds = load_matrix(args.data)
     fitted = model.fit(ds.matrix, args.lam, center=args.center)
     save_model(fitted, args.output, meta={"source": args.data})
-    spectrum = fitted.spectrum
-    rank = int(np.count_nonzero(spectrum > rank_tolerance(ds.matrix.shape) * spectrum[0]))
-    err = float(np.sqrt(np.sum(spectrum[fitted.k :] ** 2)))
+    err = float(np.sqrt(np.sum(fitted.spectrum[fitted.k :] ** 2)))
     print(f"k={fitted.k}")
-    print(f"rank={rank}")
+    print(f"rank={numerical_rank(fitted.spectrum, ds.matrix.shape)}")
     print(f"error_norm={err!r}")
     print(f"seconds={fitted.fit_seconds:.6f}")
     return EXIT_OK
@@ -96,7 +96,24 @@ def _parse_pairs(text, want):
     return tuple(pairs)
 
 
+CONFIG_KEYS = (
+    "data", "synthetic", "synthetic_scale", "synthetic_basis", "method", "lambda",
+    "dim", "neighbors", "noise", "noise_rho", "noise_clip", "noise_after_split",
+    "trials", "train_fraction", "seed", "center", "output",
+)
+
+
+def _flag(fields, key):
+    value = fields.get(key, "false")
+    if value not in ("true", "false"):
+        raise ParseError(f"{key}={value!r} must be true or false")
+    return value == "true"
+
+
 def _config_to_experiment(fields):
+    unknown = [key for key in fields if key not in CONFIG_KEYS]
+    if unknown:
+        raise ParseError(f"unknown config key {unknown[0]!r}")
     if "data" in fields:
         source = fields["data"]
     elif "synthetic" in fields:
@@ -127,11 +144,11 @@ def _config_to_experiment(fields):
         dim=int(fields["dim"]) if "dim" in fields else None,
         neighbors=int(fields.get("neighbors", "5")),
         noise=noise,
-        noise_after_split=fields.get("noise_after_split", "false") == "true",
+        noise_after_split=_flag(fields, "noise_after_split"),
         trials=int(fields.get("trials", "10")),
         train_fraction=float(fields.get("train_fraction", "0.5")),
         base_seed=int(fields.get("seed", "0")),
-        center=fields.get("center", "false") == "true",
+        center=_flag(fields, "center"),
     )
 
 
@@ -144,7 +161,7 @@ def cmd_eval(args):
     report = evaluation.run_experiment(cfg)
     output = args.output or fields.get("output", "report.csv")
     evaluation.write_report_csv(report, output)
-    k_mode = "" if report.ks[0] is None else report.k_mode
+    k_mode = "" if report.k_mode is None else report.k_mode
     print(f"mean={report.mean!r} std={report.std!r} k_mode={k_mode}")
     return EXIT_OK
 
@@ -202,7 +219,7 @@ def cmd_sweep(args):
     acc = dict.fromkeys(ks, "")
     if with_accuracy:
         theta = model.closed_form_projection(svd, max(ks))
-        z_train, z_test = theta.T @ train.matrix, theta.T @ test.matrix
+        z_train, z_test = (model._project(theta, part.matrix) for part in (train, test))
         for k in acc:
             predicted = evaluation.nn_classify(z_train[:k], train.labels, z_test[:k])
             acc[k] = repr(evaluation.accuracy(predicted, test.labels))
@@ -225,9 +242,7 @@ def cmd_spectrum(args):
     ]
     write_csv(args.output, ("index", "sigma_d", "sigma_c", "cumulative_energy"), rows)
     if args.svg:
-        atomic_write(
-            args.svg, [_polyline_svg(np.arange(1, len(spectrum) + 1), spectrum)]
-        )
+        atomic_write(args.svg, _polyline_svg(np.arange(1, len(spectrum) + 1), spectrum))
     print(f"k={k}")
     print(f"rank={svd.rank}")
     return EXIT_OK
@@ -242,10 +257,7 @@ def cmd_bench(args):
         raise ParseError(f"--repeats must be >= 1, got {args.repeats}")
     rows = []
     for m_dim, n in sizes:
-        rng = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence([args.seed, m_dim, n]))
-        )
-        d = rng.standard_normal((m_dim, n))
+        d = _rng(args.seed, m_dim, n).standard_normal((m_dim, n))
         best = min(model.fit(d, args.lam).fit_seconds for _ in range(args.repeats))
         rows.append((m_dim, n, f"{best:.6f}"))
         print(f"m={m_dim} n={n} fit_s={best:.6f}")

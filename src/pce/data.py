@@ -205,7 +205,8 @@ def split(ds: LabeledDataset, train_fraction, seed: int):
 # pce-model v1: lambda=, k=, m=, n=, spectrum= and optional center= lines, then
 #   "theta:" and m rows of k floats.
 # Configs are key=value lines.  In all of these '#' starts a comment.  Every
-# file is UTF-8 text; one that does not decode is a ParseError.
+# file is UTF-8 text; one that does not decode is a ParseError, and so is a
+# float that is not finite (nan, inf, or one that overflows, such as 1e400).
 
 MODEL_HEADER = "pce-model v1"
 
@@ -227,15 +228,18 @@ def _output_mode(path):
         return 0o666 & ~umask
 
 
-def atomic_write(path, chunks):
-    """Write the text ``chunks`` to ``path`` one at a time, through a temp file
-    in the same directory and a rename, so readers never see a partial file."""
+def atomic_write(path, lines):
+    """Write the text ``lines`` to ``path`` one at a time, each ended by '\\n',
+    through a temp file in the same directory and a rename, so readers never
+    see a partial file.  A symlink at ``path`` is written through, as
+    ``open(path, "w")`` would, not replaced."""
     _check_path(path)
+    path = os.path.realpath(path)
     mode = _output_mode(path)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)) or ".")
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path))
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.writelines(chunks)
+            fh.writelines(f"{line}\n" for line in lines)
         os.chmod(tmp, mode)
         os.replace(tmp, path)
     except BaseException:
@@ -246,8 +250,7 @@ def atomic_write(path, chunks):
 
 def write_csv(path, header, rows):
     """Write a comma-separated table with '\\n' line endings, atomically."""
-    lines = (",".join(map(str, row)) for row in chain([header], rows))
-    atomic_write(path, (f"{line}\n" for line in lines))
+    atomic_write(path, (",".join(map(str, row)) for row in chain([header], rows)))
 
 
 def _format_floats(values):
@@ -307,24 +310,31 @@ def _split_field(lineno, text):
     return key.strip(), value.strip()
 
 
-def _parse_floats(lineno, text, count, what):
-    """``count`` floats from one line; a ragged line is a ShapeError naming
-    ``what``, a bad literal a ParseError."""
-    tokens = text.split()
-    if len(tokens) != count:
-        raise ShapeError(
-            f"{what} (line {lineno}) has {len(tokens)} values, expected {count}"
-        )
-    try:
-        return [float(t) for t in tokens]
-    except ValueError:
-        raise ParseError("bad float literal", line=lineno) from None
-
-
 def _parse_rows(rows, count, what):
-    matrix = np.empty((len(rows), count))
+    """An array of ``count`` floats per (lineno, text) row: the one parser of
+    v1 float lines.  A ragged row is a ShapeError naming ``what`` (formatted
+    with the row index i); a bad literal or a non-finite value (nan, inf, or a
+    literal that overflows, such as 1e400) is a ParseError naming its line."""
+    try:
+        matrix = np.empty((len(rows), count))
+    except MemoryError:  # a header can declare more values than memory holds
+        raise ShapeError(f"{len(rows)} x {count} floats do not fit in memory") from None
     for i, (lineno, text) in enumerate(rows):
-        matrix[i] = _parse_floats(lineno, text, count, f"{what} {i}")
+        tokens = text.split()
+        if len(tokens) != count:
+            raise ShapeError(
+                f"{what.format(i=i)} (line {lineno}) has {len(tokens)} values, "
+                f"expected {count}"
+            )
+        try:
+            matrix[i] = [float(t) for t in tokens]
+        except ValueError:
+            raise ParseError("bad float literal", line=lineno) from None
+    finite = np.isfinite(matrix).all(axis=1)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        msg = f"{what.format(i=i)} holds a non-finite value"
+        raise ParseError(msg, line=rows[i][0])
     return matrix
 
 
@@ -334,18 +344,16 @@ def save_matrix(obj, path):
     Floats use shortest-round-trip formatting, so a reload is bit-exact.
     """
     if isinstance(obj, LabeledDataset):
-        matrix, labels, meta = obj.matrix, obj.labels, obj.meta
+        matrix = obj.matrix
+        m, n = matrix.shape
+        header = f"pce-dataset v1 m={m} n={n} classes={obj.n_classes}"
+        lines = _with_meta(header, obj.meta)
+        lines.append(" ".join(str(int(x)) for x in obj.labels))
     else:
-        matrix, labels, meta = np.asarray(obj, dtype=float), None, {}
-    m, n = matrix.shape
-    if labels is not None:
-        s = int(labels.max()) + 1
-        lines = _with_meta(f"pce-dataset v1 m={m} n={n} classes={s}", meta)
-        lines.append(" ".join(str(int(x)) for x in labels))
-    else:
+        matrix = np.asarray(obj, dtype=float)
+        m, n = matrix.shape
         lines = [f"pce-matrix v1 m={m} n={n}"]
-    lines = chain(lines, map(_format_floats, matrix))
-    atomic_write(path, (f"{line}\n" for line in lines))
+    atomic_write(path, chain(lines, map(_format_floats, matrix)))
 
 
 def _parse_header(line, lineno):
@@ -400,7 +408,7 @@ def load_matrix(path):
         body = body[1:]
     if len(body) != m:
         raise ParseError(f"expected {m} data rows, found {len(body)}", line=lines[0][0])
-    matrix = _parse_rows(body, n, "row")
+    matrix = _parse_rows(body, n, "row {i}")
     if labels is None:
         labels = np.zeros(n, dtype=int)
         meta.setdefault("unlabeled", "true")
@@ -420,8 +428,7 @@ def save_model(model: PceModel, path, meta=None):
     if model.center is not None:
         lines.append(f"center={_format_floats(model.center)}")
     lines.append("theta:")
-    lines = chain(lines, map(_format_floats, model.theta))
-    atomic_write(path, (f"{line}\n" for line in lines))
+    atomic_write(path, chain(lines, map(_format_floats, model.theta)))
 
 
 def load_model(path) -> PceModel:
@@ -443,7 +450,7 @@ def load_model(path) -> PceModel:
     try:
         lam = float(fields["lambda"][1])
         k, m, n = (int(fields[key][1]) for key in ("k", "m", "n"))
-        spectrum = np.array(_parse_floats(*fields["spectrum"], min(m, n), "spectrum"))
+        spectrum = _parse_rows([fields["spectrum"]], min(m, n), "spectrum")[0]
     except KeyError as exc:
         raise ParseError(f"model file missing field {exc}") from None
     except ValueError as exc:
@@ -454,13 +461,10 @@ def load_model(path) -> PceModel:
         raise ParseError(f"k={k} must lie in [1, min(m, n)] = [1, {min(m, n)}]")
     center = None
     if "center" in fields:
-        center = np.array(_parse_floats(*fields["center"], m, "center"))
+        center = _parse_rows([fields["center"]], m, "center")[0]
     if len(theta_rows) != m:
         raise ShapeError(f"expected {m} theta rows, found {len(theta_rows)}")
-    theta = _parse_rows(theta_rows, k, "theta row")
-    finite = (np.isfinite(v).all() for v in (theta, spectrum, center) if v is not None)
-    if not all(finite):
-        raise ParseError("model file holds a non-finite value")
+    theta = _parse_rows(theta_rows, k, "theta row {i}")
     return PceModel(
         lam=lam, k=k, theta=theta, spectrum=spectrum, train_cols=n, center=center
     )

@@ -86,14 +86,7 @@ def pca_fit(d, dim):
 
 
 def pca_transform(pca: PcaModel, y):
-    y = np.asarray(y, dtype=float)
-    if y.ndim == 1:
-        y = y[:, None]
-    if y.shape[0] != pca.mean.shape[0]:
-        raise DimensionMismatch(
-            f"data has {y.shape[0]} rows, PCA expects {pca.mean.shape[0]}"
-        )
-    return pca.components.T @ (y - pca.mean[:, None])
+    return _model._project(pca.components, y, pca.mean, owner="PCA")
 
 
 @dataclass(frozen=True)
@@ -153,10 +146,12 @@ class Report:
         return statistics.mode(self.ks)
 
 
-def _apply_noise(matrix, noise: NoiseSpec, seed):
+def _apply_noise(ds: LabeledDataset, noise: NoiseSpec, seed):
     if noise.kind == "pixel":
-        return add_pixel_corruption(matrix, noise.rho, seed=seed)
-    return add_gaussian_noise(matrix, noise.rho, clip=noise.clip, seed=seed)
+        matrix = add_pixel_corruption(ds.matrix, noise.rho, seed=seed)
+    else:
+        matrix = add_gaussian_noise(ds.matrix, noise.rho, clip=noise.clip, seed=seed)
+    return LabeledDataset(matrix, ds.labels, ds.meta)
 
 
 def _fit_method(cfg: ExperimentConfig, train: LabeledDataset):
@@ -172,7 +167,7 @@ def _fit_method(cfg: ExperimentConfig, train: LabeledDataset):
     # lle-npe: reconstruction-weight graph embedded at a user-chosen dimension
     g = _graph.lle_graph(train.matrix, _graph.LleConfig(p=cfg.neighbors))
     theta = _graph.embed(train.matrix, g, cfg.dim)
-    return (lambda y: theta.T @ np.asarray(y, dtype=float)), None
+    return (lambda y: _model._project(theta, y)), None
 
 
 def run_experiment(cfg: ExperimentConfig) -> Report:
@@ -192,19 +187,11 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
             else:
                 ds = loaded
             if cfg.noise is not None and not cfg.noise_after_split:
-                ds = LabeledDataset(
-                    _apply_noise(ds.matrix, cfg.noise, seed), ds.labels, ds.meta
-                )
+                ds = _apply_noise(ds, cfg.noise, seed)
             train, test = split(ds, cfg.train_fraction, seed)
             if cfg.noise is not None and cfg.noise_after_split:
-                train = LabeledDataset(
-                    _apply_noise(train.matrix, cfg.noise, seed), train.labels, train.meta
-                )
-                test = LabeledDataset(
-                    _apply_noise(test.matrix, cfg.noise, seed + cfg.trials),
-                    test.labels,
-                    test.meta,
-                )
+                train = _apply_noise(train, cfg.noise, seed)
+                test = _apply_noise(test, cfg.noise, seed + cfg.trials)
             t0 = time.perf_counter()
             project, k = _fit_method(cfg, train)
             t1 = time.perf_counter()
@@ -237,7 +224,6 @@ def write_report_csv(report: Report, path):
     phases = (report.fit_seconds, report.transform_seconds, report.classify_seconds)
     trials = zip(report.accuracies, report.ks, *phases)
     rows = [row(i, *values) for i, values in enumerate(trials)]
-    k_mode = None if report.ks[0] is None else report.k_mode
-    rows.append(row("summary", report.mean, k_mode, *map(sum, phases)))
+    rows.append(row("summary", report.mean, report.k_mode, *map(sum, phases)))
     header = ("trial", "accuracy", "k", "fit_s", "transform_s", "classify_s")
     write_csv(path, header, rows)

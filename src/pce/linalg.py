@@ -21,15 +21,17 @@ __all__ = [
     "skinny_svd",
     "generalized_top_eigs",
     "canonical_signs",
-    "rank_tolerance",
+    "numerical_rank",
 ]
 
 SYMMETRY_TOL = 1e-10
 
 
-def rank_tolerance(shape):
-    """Relative threshold (against sigma_1) below which singular values count as zero."""
-    return 1e-12 * max(shape)
+def numerical_rank(spectrum, shape):
+    """Count of the descending singular values ``spectrum`` of a matrix of
+    ``shape`` above 1e-12 * max(shape) * sigma_1; the rest count as zero."""
+    tol = 1e-12 * max(shape)
+    return int(np.count_nonzero(spectrum > tol * spectrum[0]))
 
 
 def _check_matrix(d):
@@ -74,8 +76,7 @@ def skinny_svd(d):
     u, s, vt = np.linalg.svd(d, full_matrices=False)
     if s[0] <= 0.0:
         raise ZeroMatrix("matrix is numerically zero")
-    tol = rank_tolerance(d.shape)
-    r = int(np.count_nonzero(s > tol * s[0]))
+    r = numerical_rank(s, d.shape)
     return SvdFactors(
         u=np.ascontiguousarray(u[:, :r]),
         sigma=s[:r].copy(),

@@ -174,15 +174,21 @@ def fit(d, lam=1.0, center=False):
     )
 
 
-def transform(model, y):
-    """Project columns of ``y`` into the learned feature space (z = theta' y)."""
+def _project(theta, y, center=None, owner="model"):
+    """theta' (y - center) for the columns of ``y`` (a vector is one column);
+    a row count other than theta's is a DimensionMismatch naming ``owner``."""
     y = np.asarray(y, dtype=float)
     if y.ndim == 1:
         y = y[:, None]
-    if y.shape[0] != model.theta.shape[0]:
+    if y.shape[0] != theta.shape[0]:
         raise DimensionMismatch(
-            f"data has {y.shape[0]} rows, model expects {model.theta.shape[0]}"
+            f"data has {y.shape[0]} rows, {owner} expects {theta.shape[0]}"
         )
-    if model.center is not None:
-        y = y - model.center[:, None]
-    return model.theta.T @ y
+    if center is not None:
+        y = y - center[:, None]
+    return theta.T @ y
+
+
+def transform(model, y):
+    """Project columns of ``y`` into the learned feature space (z = theta' y)."""
+    return _project(model.theta, y, model.center)

@@ -119,9 +119,11 @@ def test_transform_roundtrip(dataset_file, tmp_path):
         (r"(spectrum=.*)", r"\1 1.0"),
         (r"theta:\n\S+", "theta:\nabc"),
         (r"\nk=\d+", "\nk=-40"),
+        (r"spectrum=\S+", "spectrum=inf"),
+        (r"theta:", "center=" + " ".join(["1e400"] * 12) + "\ntheta:"),
     ],
     ids=["nan-theta", "negative-lambda", "short-center", "extra-spectrum",
-         "bad-literal", "negative-k"],
+         "bad-literal", "negative-k", "inf-spectrum", "overflow-center"],
 )
 def test_transform_rejects_invalid_model(dataset_file, tmp_path, pattern, replacement):
     model_path = tmp_path / "model.txt"
@@ -174,6 +176,9 @@ def test_transform_rejects_invalid_model(dataset_file, tmp_path, pattern, replac
         (["eval", "{config}"], "synthetic=12:2x10,2x10\nmethod=lle-npe\ndim=0\n"),
         (["eval", "{config}"], "synthetic=12:2x10,2x10\nnoise=gaussian\nnoise_clip=1,-1\n"),
         (["eval", "{config}"], "synthetic=12:2x10,2x10\nnoise=gaussian\nnoise_clip=nan,1\n"),
+        (["eval", "{config}"], "synthetic=12:2x10,2x10\nlamda=0.001\n"),
+        (["eval", "{config}"], "synthetic=12:2x10,2x10\ncenter=yes\n"),
+        (["fit", "{config}"], "pce-matrix v1 m=1 n=1000000000000\n1 2 3\n"),
     ],
     ids=["zero-step", "zero-repeats", "negative-repeats", "bad-size", "bad-subspace",
          "one-clip-bound", "eval-not-utf8", "fit-not-utf8", "negative-split-seed",
@@ -183,7 +188,7 @@ def test_transform_rejects_invalid_model(dataset_file, tmp_path, pattern, replac
          "zero-bench-rows", "zero-bench-cols", "pca-without-dim", "lle-npe-without-dim",
          "unknown-noise", "pixel-rho-above-1", "unknown-basis", "zero-dim-subspace",
          "pca-zero-dim", "pca-negative-dim", "lle-npe-zero-dim", "inverted-clip",
-         "nan-clip"],
+         "nan-clip", "unknown-key", "bad-flag", "huge-header-row"],
 )
 def test_bad_arguments_are_input_errors(dataset_file, tmp_path, capsys, argv, config):
     binary = tmp_path / "latin1.txt"
@@ -201,6 +206,83 @@ def test_bad_arguments_are_input_errors(dataset_file, tmp_path, capsys, argv, co
     assert main(argv) == 1
     assert not out.exists()
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", ["fit", "transform", "spectrum", "sweep", "eval"])
+@pytest.mark.parametrize("literal", ["nan", "inf", "1e400"])
+def test_nonfinite_data_value_is_input_error(
+    dataset_file, tmp_path, capsys, command, literal
+):
+    # data rows are checked as model files are: the error names the line
+    lines = open(dataset_file, encoding="utf-8").read().splitlines()
+    labels = next(i for i, line in enumerate(lines) if not line.startswith(("pce-", "#")))
+    tokens = lines[labels + 3].split()  # data row 2
+    tokens[1] = literal
+    lines[labels + 3] = " ".join(tokens)
+    bad = tmp_path / "bad.txt"
+    bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    model_path, config, out = tmp_path / "m.txt", tmp_path / "exp.cfg", tmp_path / "out"
+    assert main(["fit", dataset_file, "--output", str(model_path)]) == 0
+    config.write_text(f"data={bad}\ntrials=2\n")
+    argv = {
+        "fit": ["fit", str(bad)],
+        "transform": ["transform", str(model_path), str(bad)],
+        "spectrum": ["spectrum", str(bad)],
+        "sweep": ["sweep", str(bad), "--lambdas", "1,10"],
+        "eval": ["eval", str(config)],
+    }[command]
+    capsys.readouterr()
+    assert main(argv + ["--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"line {labels + 4}: row 2 holds a non-finite value" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "line, named",
+    [("lamda=0.001", "'lamda'"), ("trails=1", "'trails'"), ("metod=pca", "'metod'"),
+     ("center=yes", "center='yes'"), ("noise_after_split=1", "noise_after_split='1'")],
+    ids=["lamda", "trails", "metod", "center-yes", "noise-after-split-1"],
+)
+def test_config_keys_and_flags_checked_before_trial_0(
+    tmp_path, capsys, monkeypatch, line, named
+):
+    def no_trials(cfg):
+        raise AssertionError("a bad config must be refused before any trial runs")
+
+    monkeypatch.setattr(cli.evaluation, "run_experiment", no_trials)
+    config = tmp_path / "exp.cfg"
+    config.write_text(f"synthetic=12:2x10,2x10\nnoise=gaussian\n{line}\n")
+    assert main(["eval", str(config), "--output", str(tmp_path / "r.csv")]) == 1
+    assert named in capsys.readouterr().err
+
+
+def test_eval_accepts_every_documented_key(tmp_path):
+    # data= aside (synthetic= is used instead); dim and neighbors are known
+    # keys that pce ignores, and the random-gaussian basis with a coefficient
+    # scale runs end to end
+    report = tmp_path / "report.csv"
+    config = tmp_path / "exp.cfg"
+    config.write_text(
+        "synthetic=12:2x10,3x10\nsynthetic_scale=2.5\nsynthetic_basis=random-gaussian\n"
+        "method=pce\nlambda=10\ndim=3\nneighbors=4\nnoise=gaussian\nnoise_rho=0.01\n"
+        "noise_clip=-10,10\nnoise_after_split=true\ntrials=2\ntrain_fraction=0.6\n"
+        f"seed=3\ncenter=true\noutput={report}\n"
+    )
+    assert set(cli.load_config(config)) == set(cli.CONFIG_KEYS) - {"data"}
+    assert main(["eval", str(config)]) == 0
+    assert [row[0] for row in read_csv(report)] == ["trial", "0", "1", "summary"]
+
+
+def test_output_through_symlink_updates_target(dataset_file, tmp_path):
+    plain, target, link = tmp_path / "plain.txt", tmp_path / "target.txt", tmp_path / "link"
+    target.write_text("old\n")
+    link.symlink_to(target)
+    assert main(["fit", dataset_file, "--output", str(plain)]) == 0
+    assert main(["fit", dataset_file, "--output", str(link)]) == 0
+    assert link.is_symlink()
+    assert target.read_bytes() == plain.read_bytes()
+    assert sorted(os.listdir(tmp_path)) == ["data.txt", "link", "plain.txt", "target.txt"]
 
 
 @pytest.mark.parametrize("spec", ["0:1e12:1", "1:2:1e-300", "0:inf:1"],

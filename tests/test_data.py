@@ -1,6 +1,7 @@
 import os
 import stat
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -30,6 +31,24 @@ def test_generation_deterministic():
     b = pce.generate_union_of_subspaces(spec, seed=9)
     assert np.array_equal(a.matrix, b.matrix)
     assert np.array_equal(a.labels, b.labels)
+
+
+def test_random_gaussian_basis_and_coefficient_scale():
+    # independent bases may hold more dimensions than the ambient space
+    spec = pce.SubspaceSpec(
+        ambient=6, subspaces=((2, 5), (3, 6), (4, 8)), coeff_scale=2.5,
+        basis_rule="random-gaussian",
+    )
+    ds = pce.generate_union_of_subspaces(spec, seed=4)
+    assert ds.matrix.shape == (6, 19)
+    assert list(ds.labels) == [0] * 5 + [1] * 6 + [2] * 8
+    for cls, (dim, _) in enumerate(spec.subspaces):
+        assert np.linalg.matrix_rank(ds.matrix[:, ds.labels == cls]) == dim
+    again = pce.generate_union_of_subspaces(spec, seed=4)
+    assert np.array_equal(again.matrix, ds.matrix)
+    # the same draws at scale 1: coefficients are uniform on [-scale, scale]
+    unit = pce.generate_union_of_subspaces(replace(spec, coeff_scale=1.0), seed=4)
+    assert np.allclose(ds.matrix, 2.5 * unit.matrix, rtol=1e-12, atol=1e-12)
 
 
 def test_infeasible_specs():
@@ -262,8 +281,8 @@ def test_output_mode_as_open_gives(tmp_path, umask, new_mode):
     existing.chmod(0o640)
     saved = os.umask(umask)
     try:
-        data.atomic_write(new, ["x\n"])
-        data.atomic_write(existing, ["x\n"])
+        data.atomic_write(new, ["x"])
+        data.atomic_write(existing, ["x"])
     finally:
         os.umask(saved)
     assert stat.S_IMODE(new.stat().st_mode) == new_mode
