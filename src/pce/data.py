@@ -80,6 +80,10 @@ class SubspaceSpec:
             raise InfeasibleSpec(
                 f"sum of subspace dims {total_dim} exceeds ambient {self.ambient}"
             )
+        if not np.isfinite(2.0 * self.coeff_scale):
+            raise InfeasibleSpec(
+                f"scale {self.coeff_scale!r}: [-scale, scale] needs a finite width"
+            )
 
 
 @dataclass(frozen=True)
@@ -292,15 +296,15 @@ def _read_lines(path):
             except UnicodeDecodeError as exc:
                 msg = f"{path} is not UTF-8 text: {exc}"
                 raise ParseError(msg, line=len(raw) + 1) from None
-    meta, lines = {}, []
+    meta, lines = [], []
     for lineno, line in enumerate(raw, start=1):
         text = line.strip()
         if text.startswith("# meta "):
             key, _, value = line.lstrip()[len("# meta ") :].partition("=")
-            meta[key.strip()] = value
+            meta.append((lineno, key.strip(), value))
         elif text and not text.startswith("#"):
             lines.append((lineno, text))
-    return meta, lines
+    return _unique_keys(meta), lines
 
 
 def _split_field(lineno, text):
@@ -308,6 +312,19 @@ def _split_field(lineno, text):
     if not sep:
         raise ParseError(f"expected key=value, got {text!r}", line=lineno)
     return key.strip(), value.strip()
+
+
+def _unique_keys(triples):
+    """A dict from (lineno, key, value) triples: the one home of the rule that
+    a key in a config, a header, a model file or a '# meta' comment is given
+    at most once.  A repeated key is a ParseError that names both lines."""
+    fields, first = {}, {}
+    for lineno, key, value in triples:
+        if key in fields:
+            msg = f"{key}= is given again (first on line {first[key]})"
+            raise ParseError(msg, line=lineno)
+        fields[key], first[key] = value, lineno
+    return fields
 
 
 def _parse_rows(rows, count, what):
@@ -362,13 +379,14 @@ def _parse_header(line, lineno):
         raise ParseError("expected a pce-dataset or pce-matrix header", line=lineno)
     if len(parts) < 2 or parts[1] != "v1":
         raise ParseError(f"unsupported format version {parts[1:2] or '?'}", line=lineno)
-    fields = {}
+    triples = []
     for tok in parts[2:]:
         key, value = _split_field(lineno, tok)
         try:
-            fields[key] = int(value)
+            triples.append((lineno, key, int(value)))
         except ValueError:
             raise ParseError(f"bad header field {tok!r}", line=lineno) from None
+    fields = _unique_keys(triples)
     for key in ("m", "n"):
         if key not in fields:
             raise ParseError(f"header missing {key}=", line=lineno)
@@ -440,13 +458,14 @@ def load_model(path) -> PceModel:
         raise ParseError(
             f"expected header {MODEL_HEADER!r}", line=lines[0][0] if lines else 1
         )
-    fields, theta_rows, body = {}, [], lines[1:]
+    head, theta_rows, body = [], [], lines[1:]
     for i, (lineno, text) in enumerate(body):
         if text == "theta:":
             theta_rows = body[i + 1 :]
             break
         key, value = _split_field(lineno, text)
-        fields[key] = (lineno, value)
+        head.append((lineno, key, (lineno, value)))
+    fields = _unique_keys(head)
     try:
         lam = float(fields["lambda"][1])
         k, m, n = (int(fields[key][1]) for key in ("k", "m", "n"))
@@ -473,4 +492,4 @@ def load_model(path) -> PceModel:
 def load_config(path):
     """Read an experiment config: ``key=value`` lines, '#' comments."""
     _, lines = _read_lines(path)
-    return dict(_split_field(*line) for line in lines)
+    return _unique_keys((lineno, *_split_field(lineno, text)) for lineno, text in lines)

@@ -41,19 +41,25 @@ METHODS = ("pce", "pca", "lle-npe", "raw")
 
 def nn_classify(train_z, train_labels, test_z):
     """Label each test column with its Euclidean-nearest training column's
-    label; exact distance ties go to the lower training index."""
+    label.  With both sets shifted by the first training column, which keeps
+    integer features exact, column a goes to the b_j minimising ||b_j||^2 - 2a'b_j;
+    exact ties go to the lowest j."""
     train_z = np.atleast_2d(np.asarray(train_z, dtype=float))
     test_z = np.atleast_2d(np.asarray(test_z, dtype=float))
+    train_labels = np.asarray(train_labels)
     if train_z.shape[1] == 0:
         raise EmptyTrainingSet("no training columns")
     if train_z.shape[0] != test_z.shape[0]:
         raise DimensionMismatch(
             f"train features {train_z.shape[0]}-d, test {test_z.shape[0]}-d"
         )
-    from scipy.spatial.distance import cdist  # imported here so fit/transform skip scipy
-    dist = cdist(test_z.T, train_z.T)
-    nearest = dist.argmin(axis=1)  # argmin returns the first (lowest) index
-    return np.asarray(train_labels)[nearest]
+    if len(train_labels) != train_z.shape[1]:
+        raise LengthMismatch(
+            f"{len(train_labels)} labels for {train_z.shape[1]} training columns"
+        )
+    b, a = train_z - train_z[:, :1], test_z - train_z[:, :1]
+    score = np.einsum("ij,ij->j", b, b) - 2.0 * (a.T @ b)
+    return train_labels[score.argmin(axis=1)]
 
 
 def accuracy(predicted, truth):

@@ -121,9 +121,11 @@ def test_transform_roundtrip(dataset_file, tmp_path):
         (r"\nk=\d+", "\nk=-40"),
         (r"spectrum=\S+", "spectrum=inf"),
         (r"theta:", "center=" + " ".join(["1e400"] * 12) + "\ntheta:"),
+        (r"(lambda=\S+)", r"\1\nlambda=5.0"),
     ],
     ids=["nan-theta", "negative-lambda", "short-center", "extra-spectrum",
-         "bad-literal", "negative-k", "inf-spectrum", "overflow-center"],
+         "bad-literal", "negative-k", "inf-spectrum", "overflow-center",
+         "repeated-lambda"],
 )
 def test_transform_rejects_invalid_model(dataset_file, tmp_path, pattern, replacement):
     model_path = tmp_path / "model.txt"
@@ -179,6 +181,12 @@ def test_transform_rejects_invalid_model(dataset_file, tmp_path, pattern, replac
         (["eval", "{config}"], "synthetic=12:2x10,2x10\nlamda=0.001\n"),
         (["eval", "{config}"], "synthetic=12:2x10,2x10\ncenter=yes\n"),
         (["fit", "{config}"], "pce-matrix v1 m=1 n=1000000000000\n1 2 3\n"),
+        (["eval", "{config}"], "synthetic=12:2x10,2x10\nsynthetic_scale=inf\n"),
+        (["eval", "{config}"], "synthetic=12:2x10,2x10\nsynthetic_scale=nan\n"),
+        (["eval", "{config}"], "synthetic=12:2x10,2x10\nsynthetic_scale=1e308\n"),
+        (["eval", "{config}"],
+         "synthetic=12:2x10,2x10\nlambda=0.001\ntrials=2\nlambda=10\n"),
+        (["fit", "{config}"], "pce-matrix v1 m=2 n=3 m=1\n1 2 3\n"),
     ],
     ids=["zero-step", "zero-repeats", "negative-repeats", "bad-size", "bad-subspace",
          "one-clip-bound", "eval-not-utf8", "fit-not-utf8", "negative-split-seed",
@@ -188,7 +196,8 @@ def test_transform_rejects_invalid_model(dataset_file, tmp_path, pattern, replac
          "zero-bench-rows", "zero-bench-cols", "pca-without-dim", "lle-npe-without-dim",
          "unknown-noise", "pixel-rho-above-1", "unknown-basis", "zero-dim-subspace",
          "pca-zero-dim", "pca-negative-dim", "lle-npe-zero-dim", "inverted-clip",
-         "nan-clip", "unknown-key", "bad-flag", "huge-header-row"],
+         "nan-clip", "unknown-key", "bad-flag", "huge-header-row", "inf-scale",
+         "nan-scale", "overflowing-scale", "repeated-config-key", "repeated-header-key"],
 )
 def test_bad_arguments_are_input_errors(dataset_file, tmp_path, capsys, argv, config):
     binary = tmp_path / "latin1.txt"
@@ -661,29 +670,33 @@ SCIPY_GUARD = """
 import sys
 import pce
 from pce.cli import main
-for argv in (
+commands = [
     ["fit", "d.txt", "--output", "m.txt"],
     ["transform", "m.txt", "d.txt", "--output", "z.txt"],
     ["spectrum", "d.txt", "--output", "spec.csv", "--svg", "spec.svg"],
     ["bench", "--sizes", "8x16", "--repeats", "1", "--output", "b.csv"],
     ["sweep", "d.txt", "--lambdas", "1,10", "--output", "s.csv"],
-):
+    ["sweep", "d.txt", "--lambdas", "1,10", "--split-seed", "0", "--output", "a.csv"],
+]
+commands += [["eval", f"{method}.cfg", "--output", f"{method}.csv"]
+             for method in ("pce", "pca", "lle-npe", "raw")]
+for argv in commands:
     if main(argv) != 0:
-        sys.exit(f"{argv[0]} failed")
+        sys.exit(f"{argv} failed")
     if "scipy" in sys.modules:
-        sys.exit(f"{argv[0]} loaded scipy")
-if main(["eval", "exp.cfg", "--output", "r.csv"]) != 0:
-    sys.exit("eval failed")
-if "scipy" not in sys.modules:
-    sys.exit("eval ran without scipy")
+        sys.exit(f"{argv} loaded scipy")
 """
 
 
-def test_scipy_loads_only_for_nearest_neighbours(dataset_file, tmp_path):
+def test_no_command_loads_scipy(dataset_file, tmp_path):
     # a fresh process, because other test modules load scipy into this one
     os.replace(dataset_file, tmp_path / "d.txt")
-    (tmp_path / "exp.cfg").write_text("synthetic=12:2x10,2x10\ntrials=2\n")
+    for method in ("pce", "pca", "lle-npe", "raw"):
+        (tmp_path / f"{method}.cfg").write_text(
+            f"synthetic=12:2x10,2x10\nmethod={method}\ndim=2\ntrials=2\n"
+        )
     done = subprocess.run([sys.executable, "-c", SCIPY_GUARD], cwd=tmp_path,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert read_csv(tmp_path / "r.csv")[0]
+    for name in ("a", "pce", "pca", "lle-npe", "raw"):
+        assert read_csv(tmp_path / f"{name}.csv")[1]

@@ -1,4 +1,5 @@
 import os
+import re
 import stat
 import tracemalloc
 from dataclasses import replace
@@ -175,6 +176,20 @@ def test_meta_value_whitespace_roundtrip(tmp_path):
     path = tmp_path / "ds.txt"
     pce.save_matrix(ds, path)
     assert pce.load_matrix(path).meta == meta
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [("pce-matrix v1 m=1 n=2 m=1\n1 2\n", "line 1: m= is given again (first on line 1)"),
+     ("pce-matrix v1 m=1 n=2\n# meta a=x\n# meta a=x\n1 2\n",
+      "line 3: a= is given again (first on line 2)")],
+    ids=["header", "meta"],
+)
+def test_repeated_key_names_both_lines(tmp_path, text, message):
+    path = tmp_path / "twice.txt"
+    path.write_text(text)
+    with pytest.raises(ParseError, match=re.escape(message)):
+        pce.load_matrix(path)
 
 
 def test_matrix_roundtrip(tmp_path):

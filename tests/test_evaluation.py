@@ -2,9 +2,11 @@ import csv
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 import pce
 from pce import evaluation
+from pce.data import add_pixel_corruption
 from pce.errors import BadDim, DimensionMismatch, EmptyTrainingSet, LengthMismatch
 from pce.evaluation import (
     ExperimentConfig,
@@ -39,6 +41,9 @@ def test_nn_errors():
         nn_classify(np.zeros((2, 0)), [], np.zeros((2, 1)))
     with pytest.raises(DimensionMismatch):
         nn_classify(np.zeros((2, 3)), [0, 0, 0], np.zeros((3, 1)))
+    for test in ([[2]], [[0]]):  # column 2 has no label; column 0 does
+        with pytest.raises(LengthMismatch):
+            nn_classify([[0, 1, 2]], [5, 6], test)
 
 
 def test_nn_invariant_under_orthogonal_transform():
@@ -50,6 +55,31 @@ def test_nn_invariant_under_orthogonal_transform():
     base = nn_classify(train, labels, test)
     rotated = nn_classify(q @ train, labels, q @ test)
     assert np.array_equal(base, rotated)
+
+
+def _pixel_features(rng):
+    # integer pixels whose training set holds every column twice, so a test
+    # column sits at exactly equal distances from two training columns
+    train = rng.integers(0, 256, size=(64, 50)).astype(float)
+    test = add_pixel_corruption(train[:, rng.integers(0, 50, size=200)], 0.3, seed=1)
+    return np.hstack([train, train]), np.rint(test)
+
+
+@pytest.mark.parametrize(
+    "features",
+    [
+        lambda rng: (rng.standard_normal((20, 300)), rng.standard_normal((20, 200))),
+        _pixel_features,
+        lambda rng: (1e8 + rng.standard_normal((5, 100)),
+                     1e8 + rng.standard_normal((5, 200))),
+    ],
+    ids=["gaussian", "duplicated-pixels", "offset-1e8"],
+)
+def test_nn_matches_cdist(features):
+    train, test = features(np.random.default_rng(0))
+    labels = np.arange(train.shape[1])  # a label per column shows the index chosen
+    expected = cdist(test.T, train.T).argmin(axis=1)
+    assert np.array_equal(nn_classify(train, labels, test), expected)
 
 
 def test_accuracy_counting():
