@@ -172,6 +172,10 @@ def _parse_lambdas(text):
             start, stop, step = (float(t) for t in text.split(":"))
             if not step > 0:
                 raise ParseError(f"lambda step must be > 0, got {step!r}")
+            # a STOP of +inf is an unbounded grid, which the cap below refuses
+            for name, value in (("START", start), ("STOP", stop)):
+                if not math.isfinite(value) and (name, value) != ("STOP", math.inf):
+                    raise ParseError(f"lambda range {text!r}: {name} {value!r} is not finite")
             # START + i*STEP <= STOP; the margin keeps 0.1:0.3:0.1 at 3 values
             span = (stop - start) / step + 1e-9
             count = math.floor(span) + 1 if math.isfinite(span) else math.inf
@@ -207,7 +211,7 @@ def cmd_sweep(args):
     if with_accuracy:
         labeled = require_labels(ds, "accuracy sweep")
         train, test = split(labeled, args.train_fraction, args.split_seed)
-    svd = skinny_svd(train.matrix if with_accuracy else ds.matrix)
+    svd = skinny_svd(train.matrix if with_accuracy else ds.matrix, right=False)
     if with_accuracy:  # a lambda that keeps no dimension fails as fit does
         ks = [model._kept_dimension(svd, lam) for lam in lambdas]
     else:
@@ -231,7 +235,7 @@ def cmd_sweep(args):
 
 def cmd_spectrum(args):
     ds = load_matrix(args.data)
-    svd = skinny_svd(ds.matrix)
+    svd = skinny_svd(ds.matrix, right=False)
     spectrum = svd.spectrum
     k = model.estimate_dimension(svd.sigma, args.lam)
     energy = np.cumsum(spectrum**2)

@@ -100,6 +100,8 @@ class NoiseSpec:
             raise ValueError(f"unknown noise kind {self.kind!r}")
         if self.kind == "pixel":
             _check_pixel_fraction(self.rho)
+        else:
+            _check_gaussian_rho(self.rho)
         if self.clip is not None:
             _check_clip(self.clip)
 
@@ -131,6 +133,7 @@ def generate_union_of_subspaces(spec: SubspaceSpec, seed: int) -> LabeledDataset
 
 def add_gaussian_noise(d, rho, clip=None, seed=0):
     """Add rho-scaled standard-normal noise entrywise, clamping to ``clip``."""
+    _check_gaussian_rho(rho)
     if clip is not None:
         _check_clip(clip)
     d = np.asarray(d, dtype=float)
@@ -147,6 +150,12 @@ def _check_clip(clip):
     # a NaN bound fails lo < hi too; infinite bounds are allowed
     if not (len(clip) == 2 and clip[0] < clip[1]):
         raise ValueError(f"noise clip needs two numbers lo < hi, got {clip!r}")
+
+
+def _check_gaussian_rho(rho):
+    # a NaN rho fails both comparisons
+    if not 0 <= rho < np.inf:
+        raise ValueError(f"gaussian noise rho must be finite and >= 0, got {rho!r}")
 
 
 def _check_pixel_fraction(rho):

@@ -23,6 +23,7 @@ from .data import (
     write_csv,
 )
 from .errors import BadDim, DimensionMismatch, EmptyTrainingSet, LengthMismatch
+from .linalg import _svd
 
 __all__ = [
     "nn_classify",
@@ -87,7 +88,7 @@ def pca_fit(d, dim):
     if dim > min(d.shape[0], d.shape[1] - 1):
         raise BadDim(f"dim={dim} exceeds min(m, n-1) = {min(d.shape[0], d.shape[1] - 1)}")
     mean = d.mean(axis=1, keepdims=True)
-    u, _, _ = np.linalg.svd(d - mean, full_matrices=False)
+    u, _, _ = _svd(d - mean, right=False)
     return PcaModel(mean=mean[:, 0].copy(), components=np.ascontiguousarray(u[:, :dim]))
 
 

@@ -4,6 +4,14 @@ Only that solver needs scipy, and it imports scipy on its first call, so
 importing this module (and ``pce``) loads numpy alone.  No library path calls
 the solver: it is the reference that the embedding is checked against.
 
+``_svd`` is the one home of the library's SVD and QR-first SVD.  A wide
+``d`` (n >= 11/6 m, LAPACK dgesdd's own crossover) goes through Chan's R-SVD
+(ACM TOMS 8, 1982): the QR factor R of d' is m x m, d = R'Q', and the SVD
+R' = B S A' gives U = B and the singular values S; Q is formed only to build
+V = QA when right vectors are asked for.  Any other ``d`` is one LAPACK
+``gesdd`` call on ``d`` itself.  On a wide ``d`` the two routes agree to
+rounding, not to the bit.
+
 Everything here is deterministic: identical inputs produce bitwise-identical
 outputs on a given platform and BLAS thread count.  Across thread counts the
 bits may differ; canonical signs and tie order keep the results equal to
@@ -25,6 +33,8 @@ __all__ = [
 ]
 
 SYMMETRY_TOL = 1e-10
+# n >= QR_RATIO * m takes the QR of d' first; LAPACK dgesdd's own crossover
+QR_RATIO = 11 / 6
 
 
 def numerical_rank(spectrum, shape):
@@ -50,11 +60,12 @@ class SvdFactors:
     ``u`` (m x r) and ``v`` (n x r) are column-orthonormal, ``sigma`` holds the
     r retained singular values in descending order.  ``spectrum`` keeps the full
     min(m, n) singular values so callers can reason about the discarded tail.
+    ``v`` is None when the SVD was taken without right vectors.
     """
 
     u: np.ndarray
     sigma: np.ndarray
-    v: np.ndarray
+    v: np.ndarray | None
     rank: int
     spectrum: np.ndarray = field(repr=False)
 
@@ -66,21 +77,44 @@ class SvdFactors:
         return (self.u * self.sigma) @ self.v.T
 
 
-def skinny_svd(d):
-    """SVD of ``d`` keeping only singular triplets above the rank tolerance.
+def _svd(d, right=True):
+    """Thin SVD (u, s, v) of a 2-d float array, with v = None unless ``right``.
+
+    For n >= QR_RATIO * m, d' = QR makes d = R'Q', so the m x m SVD
+    R' = B S A' gives u = B and s, and v = QA.  Q is formed only for
+    ``right``; both QR modes give R the same bits.
+    """
+    m, n = d.shape
+    q = None
+    if n >= QR_RATIO * m:
+        if right:
+            q, r = np.linalg.qr(d.T, mode="reduced")
+        else:
+            r = np.linalg.qr(d.T, mode="r")
+        d = r.T
+    u, s, vt = np.linalg.svd(d, full_matrices=False)
+    if not right:
+        return u, s, None
+    return u, s, vt.T if q is None else q @ vt.T
+
+
+def skinny_svd(d, *, right=True):
+    """SVD of ``d`` keeping only singular triplets above the rank tolerance;
+    ``right=False`` skips the right vectors (``v`` is None) and gives the
+    same ``u``, ``sigma`` and rank bits.
 
     Raises ZeroMatrix when every entry is numerically zero (the self-expression
     problem is undefined for the zero matrix) and NonFinite on NaN/Inf.
     """
     d = _check_matrix(d)
-    u, s, vt = np.linalg.svd(d, full_matrices=False)
+    u, s, v = _svd(d, right)
     if s[0] <= 0.0:
         raise ZeroMatrix("matrix is numerically zero")
     r = numerical_rank(s, d.shape)
     return SvdFactors(
         u=np.ascontiguousarray(u[:, :r]),
         sigma=s[:r].copy(),
-        v=np.ascontiguousarray(vt[:r].T),
+        v=None if v is None else np.ascontiguousarray(v[:, :r]),
         rank=r,
         spectrum=s,
     )

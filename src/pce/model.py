@@ -21,7 +21,7 @@ from .errors import (
     NotSorted,
     TooLarge,
 )
-from .linalg import SvdFactors, canonical_signs, skinny_svd
+from .linalg import canonical_signs, skinny_svd
 
 __all__ = [
     "PceModel",
@@ -161,7 +161,7 @@ def fit(d, lam=1.0, center=False):
     if center:
         mean = d.mean(axis=1, keepdims=True)
         d = d - mean
-    svd = skinny_svd(d)
+    svd = skinny_svd(d, right=False)
     k = _kept_dimension(svd, lam)
     return PceModel(
         lam=float(lam),

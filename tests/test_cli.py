@@ -187,6 +187,15 @@ def test_transform_rejects_invalid_model(dataset_file, tmp_path, pattern, replac
         (["eval", "{config}"],
          "synthetic=12:2x10,2x10\nlambda=0.001\ntrials=2\nlambda=10\n"),
         (["fit", "{config}"], "pce-matrix v1 m=2 n=3 m=1\n1 2 3\n"),
+        (["eval", "{config}"],
+         "synthetic=12:2x10,2x10\nmethod=raw\nnoise=gaussian\nnoise_rho=nan\n"),
+        (["eval", "{config}"],
+         "synthetic=12:2x10,2x10\nmethod=pce\nnoise=gaussian\nnoise_rho=inf\n"),
+        (["eval", "{config}"], "synthetic=12:2x10,2x10\nnoise=gaussian\nnoise_rho=-0.5\n"),
+        (["sweep", "{data}", "--lambdas", "1:nan:1"], None),
+        (["sweep", "{data}", "--lambdas", "nan:5:1"], None),
+        (["sweep", "{data}", "--lambdas", "inf:5:1"], None),
+        (["sweep", "{data}", "--lambdas", "1:-inf:1"], None),
     ],
     ids=["zero-step", "zero-repeats", "negative-repeats", "bad-size", "bad-subspace",
          "one-clip-bound", "eval-not-utf8", "fit-not-utf8", "negative-split-seed",
@@ -197,7 +206,10 @@ def test_transform_rejects_invalid_model(dataset_file, tmp_path, pattern, replac
          "unknown-noise", "pixel-rho-above-1", "unknown-basis", "zero-dim-subspace",
          "pca-zero-dim", "pca-negative-dim", "lle-npe-zero-dim", "inverted-clip",
          "nan-clip", "unknown-key", "bad-flag", "huge-header-row", "inf-scale",
-         "nan-scale", "overflowing-scale", "repeated-config-key", "repeated-header-key"],
+         "nan-scale", "overflowing-scale", "repeated-config-key", "repeated-header-key",
+         "nan-gaussian-rho", "inf-gaussian-rho", "negative-gaussian-rho",
+         "nan-lambda-stop", "nan-lambda-start", "infinite-lambda-start",
+         "negative-infinite-lambda-stop"],
 )
 def test_bad_arguments_are_input_errors(dataset_file, tmp_path, capsys, argv, config):
     binary = tmp_path / "latin1.txt"
@@ -250,8 +262,11 @@ def test_nonfinite_data_value_is_input_error(
 @pytest.mark.parametrize(
     "line, named",
     [("lamda=0.001", "'lamda'"), ("trails=1", "'trails'"), ("metod=pca", "'metod'"),
-     ("center=yes", "center='yes'"), ("noise_after_split=1", "noise_after_split='1'")],
-    ids=["lamda", "trails", "metod", "center-yes", "noise-after-split-1"],
+     ("center=yes", "center='yes'"), ("noise_after_split=1", "noise_after_split='1'"),
+     ("noise_rho=nan", "got nan"), ("noise_rho=inf", "got inf"),
+     ("noise_rho=-0.5", "got -0.5")],
+    ids=["lamda", "trails", "metod", "center-yes", "noise-after-split-1",
+         "nan-gaussian-rho", "inf-gaussian-rho", "negative-gaussian-rho"],
 )
 def test_config_keys_and_flags_checked_before_trial_0(
     tmp_path, capsys, monkeypatch, line, named
@@ -303,6 +318,17 @@ def test_refused_lambda_range_is_not_built(monkeypatch, spec):
 
     monkeypatch.setattr(np, "arange", no_grid)
     with pytest.raises(pce.errors.ParseError, match="more than"):
+        cli._parse_lambdas(spec)
+
+
+@pytest.mark.parametrize(
+    "spec, named",
+    [("1:nan:1", "STOP nan"), ("nan:5:1", "START nan"), ("inf:5:1", "START inf"),
+     ("-inf:5:1", "START -inf"), ("1:-inf:1", "STOP -inf")],
+    ids=["nan-stop", "nan-start", "inf-start", "negative-inf-start", "negative-inf-stop"],
+)
+def test_nonfinite_lambda_bound_is_named(spec, named):
+    with pytest.raises(pce.errors.ParseError, match=f"{named} is not finite"):
         cli._parse_lambdas(spec)
 
 
@@ -515,9 +541,9 @@ def test_sweep_matches_refit_loop(dataset_file, tmp_path, source, grid, split_se
 def test_sweep_runs_one_svd_on_the_train_half(dataset_file, tmp_path, monkeypatch):
     shapes = []
 
-    def recording_svd(d):
+    def recording_svd(d, **kwargs):
         shapes.append(d.shape)
-        return pce.skinny_svd(d)
+        return pce.skinny_svd(d, **kwargs)
 
     def refit(*args, **kwargs):
         raise AssertionError("sweep reads every lambda from one SVD")
@@ -631,10 +657,8 @@ for argv in (
 """
 
 
-def test_cli_outputs_across_blas_threads(tmp_path):
-    # the determinism contract across thread counts: theta and the features
-    # agree to 1e-10, and every k (fit, sweep, spectrum) is identical
-    spec = pce.SubspaceSpec(ambient=300, subspaces=((4, 50),) * 8)
+def cli_outputs_at_one_and_all_threads(tmp_path, ambient):
+    spec = pce.SubspaceSpec(ambient=ambient, subspaces=((4, 50),) * 8)
     ds = pce.generate_union_of_subspaces(spec, seed=3)
     noisy = pce.add_gaussian_noise(ds.matrix, 0.01, seed=3)
     nproc = len(os.sched_getaffinity(0))
@@ -664,6 +688,21 @@ def test_cli_outputs_across_blas_threads(tmp_path):
     for key in ("theta", "z"):
         assert one[key].shape == many[key].shape
         assert np.abs(one[key] - many[key]).max() < 1e-10
+
+
+def test_cli_outputs_across_blas_threads(tmp_path):
+    # the determinism contract across thread counts: theta and the features
+    # agree to 1e-10, and every k (fit, sweep, spectrum) is identical
+    cli_outputs_at_one_and_all_threads(tmp_path, 300)
+
+
+def test_cli_outputs_across_blas_threads_qr_first(tmp_path):
+    # the same contract when fit and spectrum take the QR of d' first
+    cli_outputs_at_one_and_all_threads(tmp_path, 200)
+    data, a, b = (tmp_path / "run0" / name for name in ("d.txt", "a.txt", "b.txt"))
+    assert main(["fit", str(data), "--output", str(a)]) == 0
+    assert main(["fit", str(data), "--output", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
 
 
 SCIPY_GUARD = """

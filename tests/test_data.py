@@ -93,6 +93,21 @@ def test_bad_clip_rejected(clip):
         pce.add_gaussian_noise(np.zeros((3, 2)), 0.1, clip=clip)
 
 
+@pytest.mark.parametrize("rho", [float("nan"), float("inf"), -0.5],
+                         ids=["nan", "inf", "negative"])
+def test_bad_gaussian_rho_rejected(rho):
+    with pytest.raises(ValueError, match="finite and >= 0"):
+        pce.NoiseSpec("gaussian", rho)
+    with pytest.raises(ValueError, match="finite and >= 0"):
+        pce.add_gaussian_noise(np.zeros((3, 2)), rho)
+
+
+def test_gaussian_noise_zero_rho_is_identity():
+    d = np.arange(6.0).reshape(3, 2)
+    pce.NoiseSpec("gaussian", 0.0)
+    assert np.array_equal(pce.add_gaussian_noise(d, 0.0, seed=5), d)
+
+
 def test_gaussian_noise_infinite_clip_bound():
     clip = (0.0, float("inf"))
     pce.NoiseSpec("gaussian", 0.1, clip=clip)

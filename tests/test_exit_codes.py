@@ -1,6 +1,7 @@
 """Fuzz of the CLI exit-code contract: whatever the files and argument values,
 ``main()`` returns 0, 1 or 2 and never raises.  Input errors must exit 1:
-a file that is not UTF-8 and a negative seed are checked for that.
+a file that is not UTF-8, a negative seed and a repeated key are checked for
+that.
 
 Mutations keep every size and count small (tokens from a fixed list,
 integers below 100), so no mutated input asks for a large allocation or a
@@ -8,7 +9,7 @@ long run.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import pce
@@ -64,6 +65,45 @@ def mutate(text, edits):
             lines = (text[:j] + edit[2] + text[j + 1 :]).split("\n")
         text = "\n".join(lines)
     return text
+
+
+def key_lines(text, kind):
+    """Indices of the lines a reader takes as key=value: every '# meta'
+    comment, and of the lines that are neither blank nor comments every one
+    in a config and, in a model, those between the header and 'theta:'."""
+    found, content, above_theta = [], 0, True
+    for i, line in enumerate(text.split("\n")):
+        stripped = line.strip()
+        if stripped.startswith("# meta "):
+            found.append(i)
+        elif stripped and not stripped.startswith("#"):
+            above_theta = above_theta and stripped != "theta:"
+            if kind == "config" or (kind == "model" and content and above_theta):
+                found.append(i)
+            content += 1
+    return found
+
+
+def repeat_key(text, kind, pick):
+    """``text`` with one key given twice: a key line repeated, or in a data
+    file possibly a field of its header (the first line holding content)."""
+    lines = text.split("\n")
+    choices = [("line", i) for i in key_lines(text, kind)]
+    if kind == "data":
+        header = next((i for i, line in enumerate(lines)
+                       if line.strip() and not line.strip().startswith("#")), None)
+        if header is not None:
+            tokens = lines[header].split()
+            choices += [("field", header, j) for j, t in enumerate(tokens) if "=" in t]
+    assume(choices)
+    choice = choices[pick % len(choices)]
+    if choice[0] == "line":
+        lines.insert(choice[1], lines[choice[1]])
+    else:
+        tokens = lines[choice[1]].split()
+        tokens.insert(choice[2], tokens[choice[2]])
+        lines[choice[1]] = " ".join(tokens)
+    return "\n".join(lines)
 
 
 def mutate_bytes(data, edits):
@@ -188,6 +228,21 @@ def test_fuzz_config_seed(files, seed):
     code = run(["eval", str(path), "--output", str(files["root"] / "report.csv")])
     if is_negative_int(seed):
         assert code == 1
+
+
+@SETTINGS
+@given(edits=mutations, pick=st.integers(0, 99),
+       kind=st.sampled_from(["config", "model", "data"]))
+def test_fuzz_repeated_key_is_input_error(files, edits, pick, kind):
+    root = files["root"]
+    path = root / "repeated.txt"
+    path.write_text(repeat_key(mutate(files[f"{kind}_text"], edits), kind, pick))
+    argv = {
+        "config": ["eval", str(path)],
+        "model": ["transform", str(path), str(files["data"])],
+        "data": ["fit", str(path)],
+    }[kind]
+    assert run([*argv, "--output", str(root / "out")]) == 1
 
 
 # target -> (file the bytes come from, argv); "eval-data" reaches the mutated

@@ -37,7 +37,7 @@ def test_nonfinite_rejected():
         skinny_svd(np.array([[1.0, np.nan]]))
 
 
-@pytest.mark.parametrize("shape", [(5, 9), (9, 5), (16, 16), (64, 33)])
+@pytest.mark.parametrize("shape", [(5, 9), (9, 5), (16, 16), (64, 33), (8, 20)])
 def test_roundtrip_and_energy(shape):
     rng = np.random.default_rng(hash(shape) % 2**32)
     d = rng.standard_normal(shape)
@@ -51,6 +51,19 @@ def test_roundtrip_and_energy(shape):
     assert np.allclose(f.u.T @ f.u, np.eye(f.rank), atol=1e-10)
     assert np.allclose(f.v.T @ f.v, np.eye(f.rank), atol=1e-10)
     assert np.all(np.diff(f.sigma) <= 0)
+
+
+@pytest.mark.parametrize("shape", [(40, 12), (12, 40)], ids=["tall", "wide-qr-first"])
+def test_left_only_svd_matches_full(shape):
+    rng = np.random.default_rng(3)
+    # rank 10 < min(m, n), so the truncation at the rank is exercised
+    d = rng.standard_normal((shape[0], 10)) @ rng.standard_normal((10, shape[1]))
+    full = skinny_svd(d)
+    left = skinny_svd(d, right=False)
+    assert left.v is None
+    assert left.rank == full.rank == 10
+    for name in ("u", "sigma", "spectrum"):
+        assert np.array_equal(getattr(left, name), getattr(full, name))
 
 
 def test_svd_deterministic():

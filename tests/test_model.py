@@ -234,9 +234,11 @@ def canonical_closed_form(d, k):
     return theta * np.sign(lead)
 
 
-def test_fit_theta_is_canonical_closed_form():
-    # k = 32 << rank = 300: the embedding pencil's eigenvalue 1 is 32-fold
-    spec = pce.SubspaceSpec(ambient=300, subspaces=((4, 50),) * 8)
+@pytest.mark.parametrize("ambient", [300, 200], ids=["300x400", "200x400-qr-first"])
+def test_fit_theta_is_canonical_closed_form(ambient):
+    # k = 32 << rank: the embedding pencil's eigenvalue 1 is 32-fold.  The
+    # 200 x 400 matrix is past linalg.QR_RATIO, so its SVD takes the QR first
+    spec = pce.SubspaceSpec(ambient=ambient, subspaces=((4, 50),) * 8)
     ds = pce.generate_union_of_subspaces(spec, seed=3)
     d = pce.add_gaussian_noise(ds.matrix, 0.01, seed=3)
     model = pce.fit(d, 4.0)
@@ -247,6 +249,23 @@ def test_fit_theta_is_canonical_closed_form():
     for dim in (1, 5, 32):
         theta = pce.embed(d, pce.pce_graph(factor), dim, svd=svd)
         assert np.array_equal(theta, model.theta[:, :dim])
+
+
+def test_fit_on_wide_data_never_forms_q(monkeypatch):
+    # fit reads no right vectors, so the QR of d' is taken in mode "r" only
+    modes = []
+    qr = np.linalg.qr
+
+    def recording_qr(a, mode="reduced"):
+        modes.append(mode)
+        return qr(a, mode=mode)
+
+    monkeypatch.setattr(np.linalg, "qr", recording_qr)
+    d = np.random.default_rng(5).standard_normal((20, 60))
+    pce.fit(d, 1.0)
+    assert modes == ["r"]
+    pce.skinny_svd(d)
+    assert modes == ["r", "reduced"]
 
 
 BLAS_THREADS_FIT = """
