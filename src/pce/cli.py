@@ -178,7 +178,8 @@ def _parse_lambdas(text):
                     raise ParseError(f"lambda range {text!r}: {name} {value!r} is not finite")
             # START + i*STEP <= STOP; the margin keeps 0.1:0.3:0.1 at 3 values
             span = (stop - start) / step + 1e-9
-            count = math.floor(span) + 1 if math.isfinite(span) else math.inf
+            # an overflowing STOP - START is an unbounded (+inf) or empty (-inf) range
+            count = math.floor(span) + 1 if math.isfinite(span) else max(span, 0)
             if count > MAX_LAMBDAS:
                 raise ParseError(
                     f"lambda range {text!r} would hold more than {MAX_LAMBDAS} values"

@@ -23,7 +23,7 @@ from .data import (
     write_csv,
 )
 from .errors import BadDim, DimensionMismatch, EmptyTrainingSet, LengthMismatch
-from .linalg import _svd
+from .linalg import canonical_signs, skinny_svd
 
 __all__ = [
     "nn_classify",
@@ -81,15 +81,17 @@ class PcaModel:
 
 
 def pca_fit(d, dim):
-    """Top-``dim`` left singular vectors of the column-centered data."""
-    d = np.asarray(d, dtype=float)
+    """Top-``dim`` left singular vectors of the column-centered data, each with
+    its largest-magnitude entry positive.  ``dim`` may not exceed the centred
+    data's rank; ``skinny_svd`` raises NonFinite and ZeroMatrix as usual."""
     if dim < 1:
         raise BadDim(f"dim={dim} must be >= 1")
-    if dim > min(d.shape[0], d.shape[1] - 1):
-        raise BadDim(f"dim={dim} exceeds min(m, n-1) = {min(d.shape[0], d.shape[1] - 1)}")
-    mean = d.mean(axis=1, keepdims=True)
-    u, _, _ = _svd(d - mean, right=False)
-    return PcaModel(mean=mean[:, 0].copy(), components=np.ascontiguousarray(u[:, :dim]))
+    d = np.asarray(d, dtype=float)
+    mean = d.mean(axis=-1, keepdims=True)  # axis -1: a 1-d d fails the shape check
+    svd = skinny_svd(d - mean, right=False)
+    if dim > svd.rank:
+        raise BadDim(f"dim={dim} exceeds the rank {svd.rank} of the centred data")
+    return PcaModel(mean=mean[:, 0].copy(), components=canonical_signs(svd.u[:, :dim].copy()))
 
 
 def pca_transform(pca: PcaModel, y):

@@ -138,18 +138,19 @@ def embed(d, graph: AffinityGraph, dim, svd=None):
         raise BadDim("dim must be at least 1")
     if svd is None:
         svd = skinny_svd(d)
+    v = svd.require_v()
 
     if graph.kind == "pce-factored":
         k = graph.vk.shape[1]
         if dim > k:
             raise BadDim(f"dim={dim} exceeds the graph rank k={k}")
-        if np.array_equal(graph.vk, svd.v[:, :k]):
+        if np.array_equal(graph.vk, v[:, :k]):
             return closed_form_projection(svd, dim)
-        b = svd.v.T @ graph.vk
+        b = v.T @ graph.vk
         core = b @ b.T
     else:
-        b = svd.v.T @ graph.weights
-        bv = b @ svd.v
+        b = v.T @ graph.weights
+        bv = b @ v
         core = bv + bv.T - b @ b.T
     try:
         evals, y = np.linalg.eigh(0.5 * (core + core.T))

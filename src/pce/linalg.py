@@ -4,13 +4,11 @@ Only that solver needs scipy, and it imports scipy on its first call, so
 importing this module (and ``pce``) loads numpy alone.  No library path calls
 the solver: it is the reference that the embedding is checked against.
 
-``_svd`` is the one home of the library's SVD and QR-first SVD.  A wide
-``d`` (n >= 11/6 m, LAPACK dgesdd's own crossover) goes through Chan's R-SVD
-(ACM TOMS 8, 1982): the QR factor R of d' is m x m, d = R'Q', and the SVD
-R' = B S A' gives U = B and the singular values S; Q is formed only to build
-V = QA when right vectors are asked for.  Any other ``d`` is one LAPACK
-``gesdd`` call on ``d`` itself.  On a wide ``d`` the two routes agree to
-rounding, not to the bit.
+``skinny_svd`` holds the library's one ``np.linalg.svd`` call, and every SVD
+(the centred-PCA baseline's included) goes through it.  A wide ``d`` takes
+Chan's R-SVD (see ``skinny_svd``), which agrees with the plain call to
+rounding, not to the bit.  Factors taken with ``right=False`` have
+``v = None``; ``SvdFactors.require_v`` is the one reader of V and refuses them.
 
 Everything here is deterministic: identical inputs produce bitwise-identical
 outputs on a given platform and BLAS thread count.  Across thread counts the
@@ -60,7 +58,8 @@ class SvdFactors:
     ``u`` (m x r) and ``v`` (n x r) are column-orthonormal, ``sigma`` holds the
     r retained singular values in descending order.  ``spectrum`` keeps the full
     min(m, n) singular values so callers can reason about the discarded tail.
-    ``v`` is None when the SVD was taken without right vectors.
+    ``v`` is None when the SVD was taken without right vectors; read V
+    through ``require_v``.
     """
 
     u: np.ndarray
@@ -69,33 +68,14 @@ class SvdFactors:
     rank: int
     spectrum: np.ndarray = field(repr=False)
 
-    @property
-    def shape(self):
-        return (self.u.shape[0], self.v.shape[0])
+    def require_v(self):
+        """``v``, or a ValueError when the SVD was taken with ``right=False``."""
+        if self.v is None:
+            raise ValueError("this SVD has no V; take it with skinny_svd(d, right=True)")
+        return self.v
 
     def reconstruct(self):
-        return (self.u * self.sigma) @ self.v.T
-
-
-def _svd(d, right=True):
-    """Thin SVD (u, s, v) of a 2-d float array, with v = None unless ``right``.
-
-    For n >= QR_RATIO * m, d' = QR makes d = R'Q', so the m x m SVD
-    R' = B S A' gives u = B and s, and v = QA.  Q is formed only for
-    ``right``; both QR modes give R the same bits.
-    """
-    m, n = d.shape
-    q = None
-    if n >= QR_RATIO * m:
-        if right:
-            q, r = np.linalg.qr(d.T, mode="reduced")
-        else:
-            r = np.linalg.qr(d.T, mode="r")
-        d = r.T
-    u, s, vt = np.linalg.svd(d, full_matrices=False)
-    if not right:
-        return u, s, None
-    return u, s, vt.T if q is None else q @ vt.T
+        return (self.u * self.sigma) @ self.require_v().T
 
 
 def skinny_svd(d, *, right=True):
@@ -103,14 +83,28 @@ def skinny_svd(d, *, right=True):
     ``right=False`` skips the right vectors (``v`` is None) and gives the
     same ``u``, ``sigma`` and rank bits.
 
+    For n >= QR_RATIO * m (11/6, LAPACK dgesdd's own crossover) this is
+    Chan's R-SVD (ACM TOMS 8, 1982): d' = QR makes d = R'Q', so the m x m SVD
+    R' = B S A' gives u = B and sigma, and v = QA.  Q is formed only for
+    ``right``; both QR modes give R the same bits.  Any other ``d`` is one
+    LAPACK ``gesdd`` call on ``d`` itself.
+
     Raises ZeroMatrix when every entry is numerically zero (the self-expression
     problem is undefined for the zero matrix) and NonFinite on NaN/Inf.
     """
     d = _check_matrix(d)
-    u, s, v = _svd(d, right)
+    q, a = None, d
+    if d.shape[1] >= QR_RATIO * d.shape[0]:
+        if right:
+            q, tri = np.linalg.qr(d.T, mode="reduced")
+        else:
+            tri = np.linalg.qr(d.T, mode="r")
+        a = tri.T
+    u, s, vt = np.linalg.svd(a, full_matrices=False)
     if s[0] <= 0.0:
         raise ZeroMatrix("matrix is numerically zero")
     r = numerical_rank(s, d.shape)
+    v = (vt.T if q is None else q @ vt.T) if right else None
     return SvdFactors(
         u=np.ascontiguousarray(u[:, :r]),
         sigma=s[:r].copy(),

@@ -110,7 +110,7 @@ def principal_coefficients(svd, lam):
     ``materialize_affinity`` when an explicit copy is wanted.
     """
     k = _kept_dimension(svd, lam)
-    return CoefficientFactor(vk=np.ascontiguousarray(svd.v[:, :k]), k=k)
+    return CoefficientFactor(vk=np.ascontiguousarray(svd.require_v()[:, :k]), k=k)
 
 
 def closed_form_projection(svd, k):
@@ -133,8 +133,9 @@ def recover_clean(svd, k):
     """
     if not 1 <= k <= svd.rank:
         raise BadK(f"k={k} outside 1..{svd.rank}")
-    d0 = (svd.u[:, :k] * svd.sigma[:k]) @ svd.v[:, :k].T
-    e = (svd.u[:, k:] * svd.sigma[k:]) @ svd.v[:, k:].T
+    v = svd.require_v()
+    d0 = (svd.u[:, :k] * svd.sigma[:k]) @ v[:, :k].T
+    e = (svd.u[:, k:] * svd.sigma[k:]) @ v[:, k:].T
     return d0, e
 
 

@@ -196,6 +196,7 @@ def test_transform_rejects_invalid_model(dataset_file, tmp_path, pattern, replac
         (["sweep", "{data}", "--lambdas", "nan:5:1"], None),
         (["sweep", "{data}", "--lambdas", "inf:5:1"], None),
         (["sweep", "{data}", "--lambdas", "1:-inf:1"], None),
+        (["sweep", "{data}", "--lambdas", "1e308:-1e308:1"], None),
     ],
     ids=["zero-step", "zero-repeats", "negative-repeats", "bad-size", "bad-subspace",
          "one-clip-bound", "eval-not-utf8", "fit-not-utf8", "negative-split-seed",
@@ -209,7 +210,7 @@ def test_transform_rejects_invalid_model(dataset_file, tmp_path, pattern, replac
          "nan-scale", "overflowing-scale", "repeated-config-key", "repeated-header-key",
          "nan-gaussian-rho", "inf-gaussian-rho", "negative-gaussian-rho",
          "nan-lambda-stop", "nan-lambda-start", "infinite-lambda-start",
-         "negative-infinite-lambda-stop"],
+         "negative-infinite-lambda-stop", "overflowing-empty-lambda-range"],
 )
 def test_bad_arguments_are_input_errors(dataset_file, tmp_path, capsys, argv, config):
     binary = tmp_path / "latin1.txt"
@@ -332,6 +333,13 @@ def test_nonfinite_lambda_bound_is_named(spec, named):
         cli._parse_lambdas(spec)
 
 
+@pytest.mark.parametrize("spec", ["3:1:1", "1e308:-1e308:1"],
+                         ids=["stop-below-start", "overflowing-stop-below-start"])
+def test_lambda_range_below_start_is_empty(spec):
+    with pytest.raises(pce.errors.ParseError, match="empty lambda list"):
+        cli._parse_lambdas(spec)
+
+
 @pytest.mark.parametrize(
     "spec, values",
     [
@@ -353,6 +361,25 @@ def test_trial_error_keeps_type_and_names_trial(tmp_path, capsys):
     config.write_text("synthetic=12:2x10,2x10\nmethod=lle-npe\ndim=2\nneighbors=50\n")
     assert main(["eval", str(config), "--output", str(tmp_path / "r.csv")]) == 2
     assert "(trial 0, seed 0)" in capsys.readouterr().err
+
+
+def test_pca_dim_above_centred_rank_exits_2(tmp_path, capsys):
+    # two 2-d subspaces: each train half's centred data has rank 4
+    config = tmp_path / "exp.cfg"
+    config.write_text("synthetic=12:2x10,2x10\nmethod=pca\ndim=5\n")
+    assert main(["eval", str(config), "--output", str(tmp_path / "r.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "dim=5 exceeds the rank 4 of the centred data (trial 0, seed 0)" in err
+    assert not (tmp_path / "r.csv").exists()
+
+
+def test_pca_on_constant_rows_exits_2(tmp_path, capsys):
+    data, config = tmp_path / "data.txt", tmp_path / "exp.cfg"
+    matrix = np.arange(6.0)[:, None] * np.ones((1, 20))
+    pce.save_matrix(pce.LabeledDataset(matrix, np.repeat([0, 1], 10)), data)
+    config.write_text(f"data={data}\nmethod=pca\ndim=1\n")
+    assert main(["eval", str(config), "--output", str(tmp_path / "r.csv")]) == 2
+    assert "matrix is numerically zero" in capsys.readouterr().err
 
 
 def test_transform_dimension_mismatch(dataset_file, tmp_path, capsys):

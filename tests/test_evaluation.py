@@ -7,7 +7,14 @@ from scipy.spatial.distance import cdist
 import pce
 from pce import evaluation
 from pce.data import add_pixel_corruption
-from pce.errors import BadDim, DimensionMismatch, EmptyTrainingSet, LengthMismatch
+from pce.errors import (
+    BadDim,
+    DimensionMismatch,
+    EmptyTrainingSet,
+    LengthMismatch,
+    NonFinite,
+    ZeroMatrix,
+)
 from pce.evaluation import (
     ExperimentConfig,
     nn_classify,
@@ -129,6 +136,42 @@ def test_pca_bad_dim():
 def test_pca_dim_below_one(dim):
     with pytest.raises(BadDim, match="must be >= 1"):
         pca_fit(np.random.default_rng(4).standard_normal((5, 4)), dim)
+
+
+@pytest.mark.parametrize("shape", [(5, 20), (20, 5)], ids=["wide", "tall"])
+def test_pca_nonfinite_rejected(shape):
+    d = np.ones(shape)
+    d[1, 2] = np.nan
+    with pytest.raises(NonFinite):
+        pca_fit(d, 1)
+
+
+def test_pca_dim_above_centred_rank():
+    # 30 points in a 3-d affine subspace of R^8: the centred data has rank 2,
+    # although min(m, n - 1) = 8
+    rng = np.random.default_rng(5)
+    basis = rng.standard_normal((8, 2))
+    d = basis @ rng.standard_normal((2, 30)) + rng.standard_normal((8, 1))
+    assert pca_fit(d, 2).components.shape == (8, 2)
+    with pytest.raises(BadDim, match="exceeds the rank 2 of the centred data"):
+        pca_fit(d, 3)
+
+
+def test_pca_constant_rows_rejected():
+    d = np.arange(6.0)[:, None] * np.ones((1, 10))
+    with pytest.raises(ZeroMatrix):
+        pca_fit(d, 1)
+
+
+def test_pca_components_have_canonical_signs():
+    d = np.random.default_rng(6).standard_normal((15, 40))
+    components = pca_fit(d, 10).components
+    biggest = components[np.argmax(np.abs(components), axis=0), np.arange(10)]
+    assert np.all(biggest > 0)
+    # a column's sign is all that canonical_signs may change
+    centred = d - d.mean(axis=1, keepdims=True)
+    u = np.linalg.svd(centred, full_matrices=False)[0][:, :10]
+    assert np.allclose(np.abs(components), np.abs(u), atol=1e-10)
 
 
 def synthetic_config(**overrides):

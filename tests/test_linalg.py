@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import pce
 from pce.errors import DimensionMismatch, NonFinite, NotConverged, ZeroMatrix
 from pce.linalg import generalized_top_eigs, skinny_svd
 
@@ -64,6 +65,29 @@ def test_left_only_svd_matches_full(shape):
     assert left.rank == full.rank == 10
     for name in ("u", "sigma", "spectrum"):
         assert np.array_equal(getattr(left, name), getattr(full, name))
+
+
+V_READERS = {
+    "require_v": lambda d, svd: svd.require_v(),
+    "reconstruct": lambda d, svd: svd.reconstruct(),
+    "recover_clean": lambda d, svd: pce.recover_clean(svd, 1),
+    "principal_coefficients": lambda d, svd: pce.principal_coefficients(svd, 10.0),
+    "embed-pce-graph": lambda d, svd: pce.embed(
+        d, pce.pce_graph(pce.principal_coefficients(skinny_svd(d), 10.0)), 1, svd=svd
+    ),
+    "embed-lle-graph": lambda d, svd: pce.embed(
+        d, pce.lle_graph(d, pce.LleConfig(p=3)), 1, svd=svd
+    ),
+}
+
+
+@pytest.mark.parametrize("reader", V_READERS.values(), ids=V_READERS.keys())
+@pytest.mark.parametrize("shape", [(20, 8), (8, 20)], ids=["tall", "wide-qr-first"])
+def test_left_only_factors_refuse_every_v_reader(reader, shape):
+    d = np.random.default_rng(9).standard_normal(shape)
+    reader(d, skinny_svd(d))  # the full factors are accepted
+    with pytest.raises(ValueError, match=r"take it with skinny_svd\(d, right=True\)"):
+        reader(d, skinny_svd(d, right=False))
 
 
 def test_svd_deterministic():

@@ -1,4 +1,6 @@
+import ast
 import importlib
+from pathlib import Path
 
 import pce
 
@@ -15,3 +17,34 @@ def test_public_name_lists_resolve_and_agree():
         exported.update(module.__all__)
     assert [public for public in pce.__all__ if not hasattr(pce, public)] == []
     assert set(pce.__all__) <= exported
+
+
+def svd_calls(node):
+    """Calls in ``node`` to an SVD by any spelling: np.linalg.svd, linalg.svd, svd."""
+    return [
+        call for call in ast.walk(node)
+        if isinstance(call, ast.Call)
+        and ast.unparse(call.func).split(".")[-2:] in (["linalg", "svd"], ["svd"])
+    ]
+
+
+def test_one_svd_call_in_the_library():
+    # every SVD in pce goes through skinny_svd, which holds the one LAPACK call
+    calls, private = {}, []
+    for path in sorted(Path(pce.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        calls[path.stem] = len(svd_calls(tree))
+        private += [
+            path.stem for node in ast.walk(tree)
+            if (isinstance(node, ast.ImportFrom) and "_svd" in [a.name for a in node.names])
+            or (isinstance(node, ast.Attribute) and node.attr == "_svd")
+        ]
+        if path.stem == "linalg":
+            home = next(
+                node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "skinny_svd"
+            )
+            assert [ast.unparse(c.func) for c in svd_calls(home)] == ["np.linalg.svd"]
+    assert {name: n for name, n in calls.items() if n} == {"linalg": 1}
+    assert private == []
+    assert not hasattr(importlib.import_module("pce.linalg"), "_svd")
