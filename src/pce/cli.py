@@ -96,18 +96,33 @@ def _parse_pairs(text, want):
     return tuple(pairs)
 
 
-CONFIG_KEYS = (
-    "data", "synthetic", "synthetic_scale", "synthetic_basis", "method", "lambda",
-    "dim", "neighbors", "noise", "noise_rho", "noise_clip", "noise_after_split",
-    "trials", "train_fraction", "seed", "center", "output",
-)
+# eval config key -> (dataclass, field, type); an omitted key takes the
+# field's default, and keys are converted in this order
+FIELD_KEYS = {
+    "synthetic_scale": (SubspaceSpec, "coeff_scale", float),
+    "synthetic_basis": (SubspaceSpec, "basis_rule", str),
+    "method": (evaluation.ExperimentConfig, "method", str),
+    "lambda": (evaluation.ExperimentConfig, "lam", float),
+    "dim": (evaluation.ExperimentConfig, "dim", int),
+    "neighbors": (evaluation.ExperimentConfig, "neighbors", int),
+    "noise_after_split": (evaluation.ExperimentConfig, "noise_after_split", bool),
+    "trials": (evaluation.ExperimentConfig, "trials", int),
+    "train_fraction": (evaluation.ExperimentConfig, "train_fraction", float),
+    "seed": (evaluation.ExperimentConfig, "base_seed", int),
+    "center": (evaluation.ExperimentConfig, "center", bool),
+}
+CONFIG_KEYS = ("data", "synthetic", *FIELD_KEYS, "noise", "noise_rho", "noise_clip", "output")
 
 
-def _flag(fields, key):
-    value = fields.get(key, "false")
-    if value not in ("true", "false"):
-        raise ParseError(f"{key}={value!r} must be true or false")
-    return value == "true"
+def _build(cls, fields, **given):
+    """``cls`` from ``given`` and the FIELD_KEYS of ``cls`` that ``fields`` holds."""
+    for key, (owner, name, kind) in FIELD_KEYS.items():
+        if owner is cls and key in fields:
+            value = fields[key]
+            if kind is bool and value not in ("true", "false"):
+                raise ParseError(f"{key}={value!r} must be true or false")
+            given[name] = value == "true" if kind is bool else kind(value)
+    return cls(**given)
 
 
 def _config_to_experiment(fields):
@@ -120,12 +135,8 @@ def _config_to_experiment(fields):
         ambient, sep, rest = fields["synthetic"].partition(":")
         if not sep:
             raise ParseError("synthetic wants M:D1xC1,D2xC2,...")
-        source = SubspaceSpec(
-            ambient=int(ambient),
-            subspaces=_parse_pairs(rest, "DIMxCOUNT"),
-            coeff_scale=float(fields.get("synthetic_scale", "1.0")),
-            basis_rule=fields.get("synthetic_basis", "independent-orthogonal"),
-        )
+        ambient, pairs = int(ambient), _parse_pairs(rest, "DIMxCOUNT")
+        source = _build(SubspaceSpec, fields, ambient=ambient, subspaces=pairs)
     else:
         raise ParseError("config needs either data= or synthetic=")
     noise = None
@@ -137,19 +148,7 @@ def _config_to_experiment(fields):
         noise = NoiseSpec(
             kind=fields["noise"], rho=float(fields.get("noise_rho", "0.1")), clip=clip
         )
-    return evaluation.ExperimentConfig(
-        source=source,
-        method=fields.get("method", "pce"),
-        lam=float(fields.get("lambda", "1.0")),
-        dim=int(fields["dim"]) if "dim" in fields else None,
-        neighbors=int(fields.get("neighbors", "5")),
-        noise=noise,
-        noise_after_split=_flag(fields, "noise_after_split"),
-        trials=int(fields.get("trials", "10")),
-        train_fraction=float(fields.get("train_fraction", "0.5")),
-        base_seed=int(fields.get("seed", "0")),
-        center=_flag(fields, "center"),
-    )
+    return _build(evaluation.ExperimentConfig, fields, source=source, noise=noise)
 
 
 def cmd_eval(args):
@@ -178,13 +177,12 @@ def _parse_lambdas(text):
                     raise ParseError(f"lambda range {text!r}: {name} {value!r} is not finite")
             # START + i*STEP <= STOP; the margin keeps 0.1:0.3:0.1 at 3 values
             span = (stop - start) / step + 1e-9
-            # an overflowing STOP - START is an unbounded (+inf) or empty (-inf) range
-            count = math.floor(span) + 1 if math.isfinite(span) else max(span, 0)
-            if count > MAX_LAMBDAS:
+            # a +inf or NaN span (0:inf:inf) is unbounded; a -inf one is empty
+            if not span < MAX_LAMBDAS:
                 raise ParseError(
                     f"lambda range {text!r} would hold more than {MAX_LAMBDAS} values"
                 )
-            values = [start + i * step for i in range(count)]
+            values = [start + i * step for i in range(math.floor(max(span, -1.0)) + 1)]
         else:
             values = [float(t) for t in text.split(",")]
     except ValueError as exc:

@@ -80,6 +80,8 @@ class SubspaceSpec:
             raise InfeasibleSpec(
                 f"sum of subspace dims {total_dim} exceeds ambient {self.ambient}"
             )
+        if self.ambient < 1:
+            raise InfeasibleSpec(f"ambient dimension {self.ambient} must be >= 1")
         if not np.isfinite(2.0 * self.coeff_scale):
             raise InfeasibleSpec(
                 f"scale {self.coeff_scale!r}: [-scale, scale] needs a finite width"

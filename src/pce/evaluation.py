@@ -23,7 +23,7 @@ from .data import (
     write_csv,
 )
 from .errors import BadDim, DimensionMismatch, EmptyTrainingSet, LengthMismatch
-from .linalg import canonical_signs, skinny_svd
+from .linalg import _check_matrix, canonical_signs, skinny_svd
 
 __all__ = [
     "nn_classify",
@@ -83,11 +83,12 @@ class PcaModel:
 def pca_fit(d, dim):
     """Top-``dim`` left singular vectors of the column-centered data, each with
     its largest-magnitude entry positive.  ``dim`` may not exceed the centred
-    data's rank; ``skinny_svd`` raises NonFinite and ZeroMatrix as usual."""
+    data's rank.  ``d`` is checked as ``skinny_svd`` checks it (DimensionMismatch,
+    NonFinite) before centring; constant rows raise ZeroMatrix."""
     if dim < 1:
         raise BadDim(f"dim={dim} must be >= 1")
-    d = np.asarray(d, dtype=float)
-    mean = d.mean(axis=-1, keepdims=True)  # axis -1: a 1-d d fails the shape check
+    d = _check_matrix(d)  # the mean of a matrix with no columns warns
+    mean = d.mean(axis=1, keepdims=True)
     svd = skinny_svd(d - mean, right=False)
     if dim > svd.rank:
         raise BadDim(f"dim={dim} exceeds the rank {svd.rank} of the centred data")
@@ -130,6 +131,8 @@ class ExperimentConfig:
             raise ValueError(f"{self.method} needs an explicit dim")
         if self.method in ("pca", "lle-npe") and self.dim < 1:
             raise ValueError(f"{self.method} needs dim >= 1, got {self.dim}")
+        if self.method == "lle-npe" and self.neighbors < 1:
+            raise ValueError(f"lle-npe needs neighbors >= 1, got {self.neighbors}")
 
 
 @dataclass

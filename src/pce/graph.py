@@ -131,7 +131,7 @@ def embed(d, graph: AffinityGraph, dim, svd=None):
     B B'.  Neither forms an n x n product of the graph with itself.
     """
     d = np.asarray(d, dtype=float)
-    m, n = d.shape
+    n = d.shape[1]
     if graph.n != n:
         raise DimensionMismatch(f"graph has {graph.n} nodes, data has {n} columns")
     if dim < 1:

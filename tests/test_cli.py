@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from test_acceptance import noisy_benchmark
 import pce
 from pce import cli
 from pce.cli import load_model, main, save_model
+from pce.evaluation import ExperimentConfig
 
 
 @pytest.fixture
@@ -197,6 +199,11 @@ def test_transform_rejects_invalid_model(dataset_file, tmp_path, pattern, replac
         (["sweep", "{data}", "--lambdas", "inf:5:1"], None),
         (["sweep", "{data}", "--lambdas", "1:-inf:1"], None),
         (["sweep", "{data}", "--lambdas", "1e308:-1e308:1"], None),
+        (["sweep", "{data}", "--lambdas", "0:inf:inf"], None),
+        (["eval", "{config}"],
+         "synthetic=20:2x10,2x10\nmethod=lle-npe\ndim=2\nneighbors=0\n"),
+        (["eval", "{config}"], "synthetic=0:1x3,1x3\nsynthetic_basis=random-gaussian\n"),
+        (["eval", "{config}"], "synthetic=-5:1x3,1x3\nsynthetic_basis=random-gaussian\n"),
     ],
     ids=["zero-step", "zero-repeats", "negative-repeats", "bad-size", "bad-subspace",
          "one-clip-bound", "eval-not-utf8", "fit-not-utf8", "negative-split-seed",
@@ -210,7 +217,8 @@ def test_transform_rejects_invalid_model(dataset_file, tmp_path, pattern, replac
          "nan-scale", "overflowing-scale", "repeated-config-key", "repeated-header-key",
          "nan-gaussian-rho", "inf-gaussian-rho", "negative-gaussian-rho",
          "nan-lambda-stop", "nan-lambda-start", "infinite-lambda-start",
-         "negative-infinite-lambda-stop", "overflowing-empty-lambda-range"],
+         "negative-infinite-lambda-stop", "overflowing-empty-lambda-range",
+         "nan-lambda-span", "lle-npe-zero-neighbors", "zero-ambient", "negative-ambient"],
 )
 def test_bad_arguments_are_input_errors(dataset_file, tmp_path, capsys, argv, config):
     binary = tmp_path / "latin1.txt"
@@ -265,9 +273,12 @@ def test_nonfinite_data_value_is_input_error(
     [("lamda=0.001", "'lamda'"), ("trails=1", "'trails'"), ("metod=pca", "'metod'"),
      ("center=yes", "center='yes'"), ("noise_after_split=1", "noise_after_split='1'"),
      ("noise_rho=nan", "got nan"), ("noise_rho=inf", "got inf"),
-     ("noise_rho=-0.5", "got -0.5")],
+     ("noise_rho=-0.5", "got -0.5"),
+     ("method=lle-npe\ndim=2\nneighbors=0", "lle-npe needs neighbors >= 1, got 0"),
+     ("center=yes\nnoise_after_split=1", "error: noise_after_split='1'")],
     ids=["lamda", "trails", "metod", "center-yes", "noise-after-split-1",
-         "nan-gaussian-rho", "inf-gaussian-rho", "negative-gaussian-rho"],
+         "nan-gaussian-rho", "inf-gaussian-rho", "negative-gaussian-rho",
+         "lle-npe-zero-neighbors", "first-of-two-bad-flags"],
 )
 def test_config_keys_and_flags_checked_before_trial_0(
     tmp_path, capsys, monkeypatch, line, named
@@ -299,6 +310,24 @@ def test_eval_accepts_every_documented_key(tmp_path):
     assert [row[0] for row in read_csv(report)] == ["trial", "0", "1", "summary"]
 
 
+def test_config_keys_set_their_fields_and_omitted_keys_take_defaults():
+    spec = pce.SubspaceSpec(ambient=12, subspaces=((2, 10), (3, 10)))
+    given = {"synthetic": "12:2x10,3x10"}
+    assert cli._config_to_experiment(given) == ExperimentConfig(source=spec)
+    given |= {
+        "synthetic_scale": "2.5", "synthetic_basis": "random-gaussian",
+        "method": "lle-npe", "lambda": "10", "dim": "3", "neighbors": "4",
+        "noise_after_split": "true", "trials": "2", "train_fraction": "0.6",
+        "seed": "3", "center": "true",
+    }
+    assert set(given) == {"synthetic", *cli.FIELD_KEYS}
+    assert cli._config_to_experiment(given) == ExperimentConfig(
+        source=replace(spec, coeff_scale=2.5, basis_rule="random-gaussian"),
+        method="lle-npe", lam=10.0, dim=3, neighbors=4, noise_after_split=True,
+        trials=2, train_fraction=0.6, base_seed=3, center=True,
+    )
+
+
 def test_output_through_symlink_updates_target(dataset_file, tmp_path):
     plain, target, link = tmp_path / "plain.txt", tmp_path / "target.txt", tmp_path / "link"
     target.write_text("old\n")
@@ -310,8 +339,8 @@ def test_output_through_symlink_updates_target(dataset_file, tmp_path):
     assert sorted(os.listdir(tmp_path)) == ["data.txt", "link", "plain.txt", "target.txt"]
 
 
-@pytest.mark.parametrize("spec", ["0:1e12:1", "1:2:1e-300", "0:inf:1"],
-                         ids=["huge-grid", "tiny-step", "infinite-grid"])
+@pytest.mark.parametrize("spec", ["0:1e12:1", "1:2:1e-300", "0:inf:1", "0:inf:inf"],
+                         ids=["huge-grid", "tiny-step", "infinite-grid", "nan-span"])
 def test_refused_lambda_range_is_not_built(monkeypatch, spec):
     # the count is checked before np.arange could allocate the grid
     def no_grid(*args, **kwargs):

@@ -61,6 +61,11 @@ def test_infeasible_specs():
         pce.generate_union_of_subspaces(
             pce.SubspaceSpec(ambient=8, subspaces=((3, 2),)), seed=0
         )
+    # the random-gaussian rule has no sum-of-dims bound to catch these
+    for ambient in (0, -5):
+        with pytest.raises(InfeasibleSpec, match=f"ambient dimension {ambient} must be"):
+            pce.SubspaceSpec(ambient=ambient, subspaces=((1, 3), (1, 3)),
+                             basis_rule="random-gaussian")
 
 
 def test_gaussian_noise_moments():
@@ -235,6 +240,19 @@ def test_bad_header(tmp_path):
     path.write_text("something else\n")
     with pytest.raises(ParseError):
         pce.load_matrix(path)
+    for text, message in [
+        ("pce-matrix v2 m=1 n=1\n1\n", "line 1: unsupported format version ['v2']"),
+        ("pce-matrix v1 m=a n=1\n1\n", "line 1: bad header field 'm=a'"),
+        ("pce-matrix v1 n=1\n1\n", "line 1: header missing m="),
+        ("# only a comment\n", "line 1: empty file"),
+        ("pce-dataset v1 m=1 n=2 classes=1\n", "line 1: missing labels line"),
+        ("pce-dataset v1 m=1 n=2 classes=3\n0 1\n1 2\n",
+         "line 2: labels imply 2 classes, header says 3"),
+    ]:
+        path.write_text(text)
+        with pytest.raises(ParseError) as info:
+            pce.load_matrix(path)
+        assert str(info.value) == message
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import csv
+import warnings
 
 import numpy as np
 import pytest
@@ -144,6 +145,14 @@ def test_pca_nonfinite_rejected(shape):
     d[1, 2] = np.nan
     with pytest.raises(NonFinite):
         pca_fit(d, 1)
+
+
+def test_pca_matrix_without_columns_rejected_before_centring():
+    # the mean of a matrix with no columns would warn "Mean of empty slice"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DimensionMismatch, match=r"shape \(5, 0\)"):
+            pca_fit(np.ones((5, 0)), 1)
 
 
 def test_pca_dim_above_centred_rank():

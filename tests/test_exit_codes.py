@@ -9,7 +9,7 @@ long run.
 """
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import pce
@@ -198,6 +198,7 @@ lambdas = st.one_of(
 
 
 @SETTINGS
+@example(lam="1", grid="0:inf:inf", seed=None)  # a NaN span, which the draws miss
 @given(
     lam=token,
     grid=lambdas,

@@ -182,6 +182,19 @@ def test_embed_dim_exceeds_rank():
         embed(d, pce_graph(factor), 2)
 
 
+def test_embed_rejects_mismatched_graph_and_bad_dim():
+    rng = np.random.default_rng(6)
+    d = rng.standard_normal((6, 9))
+    graph = pce_graph(pce.CoefficientFactor(vk=np.ones((9, 2)) / 3.0, k=2))
+    with pytest.raises(DimensionMismatch, match="graph has 9 nodes, data has 8 columns"):
+        embed(d[:, :8], graph, 1)
+    with pytest.raises(BadDim, match="dim must be at least 1"):
+        embed(d, graph, 0)
+    # two equal columns give M0 rank 1: one usable eigenvalue for dim 2 <= k
+    with pytest.raises(BadDim, match="dim=2 exceeds the 1 eigenvalues above 1e-08"):
+        embed(d, graph, 2)
+
+
 def test_eigenvalue_count_matches_k():
     rng = np.random.default_rng(3)
     d = rng.standard_normal((10, 24))
