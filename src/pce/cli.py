@@ -182,7 +182,9 @@ def _parse_lambdas(text):
                 raise ParseError(
                     f"lambda range {text!r} would hold more than {MAX_LAMBDAS} values"
                 )
-            values = [start + i * step for i in range(math.floor(max(span, -1.0)) + 1)]
+            # i = 0 gives START itself: 0 * STEP is nan for an infinite STEP
+            count = math.floor(max(span, -1.0)) + 1
+            values = [start + i * step if i else start for i in range(count)]
         else:
             values = [float(t) for t in text.split(",")]
     except ValueError as exc:

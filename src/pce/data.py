@@ -38,22 +38,25 @@ def _rng(*entropy):
 
 @dataclass(frozen=True)
 class LabeledDataset:
-    """A data matrix (columns are samples) with per-column integer class ids."""
+    """A data matrix (columns are samples) with integer class ids per column or None."""
 
     matrix: np.ndarray
-    labels: np.ndarray
+    labels: np.ndarray | None
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "labels", np.asarray(self.labels, dtype=int))
-        if len(self.labels) != self.matrix.shape[1]:
-            raise ShapeError(
-                f"{len(self.labels)} labels for {self.matrix.shape[1]} columns"
-            )
+        if self.labels is not None:
+            object.__setattr__(self, "labels", np.asarray(self.labels, dtype=int))
+            if len(self.labels) != self.matrix.shape[1]:
+                raise ShapeError(
+                    f"{len(self.labels)} labels for {self.matrix.shape[1]} columns"
+                )
 
     @property
     def n_classes(self):
-        return int(self.labels.max()) + 1 if len(self.labels) else 0
+        if self.labels is None or not len(self.labels):
+            return 0
+        return int(self.labels.max()) + 1
 
 
 @dataclass(frozen=True)
@@ -73,8 +76,8 @@ class SubspaceSpec:
     def __post_init__(self):
         if self.basis_rule not in ("independent-orthogonal", "random-gaussian"):
             raise InfeasibleSpec(f"unknown basis rule {self.basis_rule!r}")
-        if any(not 1 <= d <= c for d, c in self.subspaces):
-            raise InfeasibleSpec("each subspace needs dim >= 1 and count >= dim")
+        if not self.subspaces or any(not 1 <= d <= c for d, c in self.subspaces):
+            raise InfeasibleSpec("at least one subspace, each with 1 <= dim <= count")
         total_dim = sum(d for d, _ in self.subspaces)
         if self.basis_rule == "independent-orthogonal" and total_dim > self.ambient:
             raise InfeasibleSpec(
@@ -181,16 +184,17 @@ def add_pixel_corruption(d, rho, seed=0):
 
 
 def require_labels(ds: LabeledDataset, purpose):
-    """``ds`` itself, or a ParseError when it came from a pce-matrix file, whose
-    all-zero labels would make every accuracy 1.0."""
-    if ds.meta.get("unlabeled") == "true":
+    """``ds`` itself, or a ParseError naming ``purpose`` when ``ds.labels`` is
+    None, as it is for a pce-matrix file: such data has no classes to score."""
+    if ds.labels is None:
         raise ParseError(f"{purpose} needs a labeled pce-dataset file")
     return ds
 
 
 def split(ds: LabeledDataset, train_fraction, seed: int):
     """Per-class stratified split; train size is round-half-up of the fraction,
-    clamped so both sides keep every class."""
+    clamped so both sides keep every class.  Unlabeled data is a ParseError."""
+    require_labels(ds, "split")
     if not 0 < train_fraction < 1:
         raise ValueError("train_fraction must lie in (0, 1)")
     rng = _rng(seed)
@@ -367,21 +371,19 @@ def _parse_rows(rows, count, what):
 
 
 def save_matrix(obj, path):
-    """Write a LabeledDataset or bare matrix to the text format (atomically).
+    """Write a LabeledDataset, or a bare matrix as one without labels, to the
+    text format (atomically): pce-matrix when ``labels`` is None, else pce-dataset.
 
     Floats use shortest-round-trip formatting, so a reload is bit-exact.
     """
-    if isinstance(obj, LabeledDataset):
-        matrix = obj.matrix
-        m, n = matrix.shape
-        header = f"pce-dataset v1 m={m} n={n} classes={obj.n_classes}"
-        lines = _with_meta(header, obj.meta)
+    if not isinstance(obj, LabeledDataset):
+        obj = LabeledDataset(np.asarray(obj, dtype=float), None)
+    m, n = obj.matrix.shape
+    lines = _with_meta(f"pce-matrix v1 m={m} n={n}", obj.meta)
+    if obj.labels is not None:
+        lines[0] = f"pce-dataset v1 m={m} n={n} classes={obj.n_classes}"
         lines.append(" ".join(str(int(x)) for x in obj.labels))
-    else:
-        matrix = np.asarray(obj, dtype=float)
-        m, n = matrix.shape
-        lines = [f"pce-matrix v1 m={m} n={n}"]
-    atomic_write(path, chain(lines, map(_format_floats, matrix)))
+    atomic_write(path, chain(lines, map(_format_floats, obj.matrix)))
 
 
 def _parse_header(line, lineno):
@@ -407,8 +409,9 @@ def _parse_header(line, lineno):
 
 
 def load_matrix(path):
-    """Load a dataset or matrix file.  Returns a LabeledDataset; bare matrices
-    get an all-zeros label vector and meta['unlabeled'] = 'true'."""
+    """Load a dataset or matrix file as a LabeledDataset.  Only the header says
+    whether there are labels: a pce-matrix file loads with ``labels=None``
+    and saves back as the same bytes.  '# meta' lines only annotate."""
     meta, lines = _read_lines(path)
     if not lines:
         raise ParseError("empty file", line=1)
@@ -438,9 +441,6 @@ def load_matrix(path):
     if len(body) != m:
         raise ParseError(f"expected {m} data rows, found {len(body)}", line=lines[0][0])
     matrix = _parse_rows(body, n, "row {i}")
-    if labels is None:
-        labels = np.zeros(n, dtype=int)
-        meta.setdefault("unlabeled", "true")
     return LabeledDataset(matrix=matrix, labels=labels, meta=meta)
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadDim, DegenerateNeighborhood, DimensionMismatch, NotConverged
-from .linalg import _canonicalize, skinny_svd
+from .linalg import _canonicalize, canonical_signs, skinny_svd
 from .model import CoefficientFactor, closed_form_projection
 
 __all__ = ["AffinityGraph", "LleConfig", "pce_graph", "lle_graph", "embed"]
@@ -119,7 +119,7 @@ def embed(d, graph: AffinityGraph, dim, svd=None):
     M0 y = sigma y with M0 = V_r' (A + A' - A A') V_r, because every retained
     sigma is positive.  One ``eigh`` of the r x r matrix M0 gives Y, and
     Theta = U_r Sigma_r^-1 Y satisfies Theta' D D' Theta = I even when D D'
-    itself is singular.
+    itself is singular; ``canonical_signs`` then fixes each column's sign.
 
     A factored graph whose vk is the leading k-block of D's right singular
     vectors, as built by ``principal_coefficients``, has M0 = diag(1_k, 0):
@@ -162,4 +162,4 @@ def embed(d, graph: AffinityGraph, dim, svd=None):
         raise BadDim(
             f"dim={dim} exceeds the {usable} eigenvalues above {EIG_FLOOR:g}"
         )
-    return np.ascontiguousarray(svd.u @ alpha[:, :dim])
+    return canonical_signs(svd.u @ alpha[:, :dim])

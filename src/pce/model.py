@@ -21,7 +21,7 @@ from .errors import (
     NotSorted,
     TooLarge,
 )
-from .linalg import canonical_signs, skinny_svd
+from .linalg import _check_matrix, canonical_signs, skinny_svd
 
 __all__ = [
     "PceModel",
@@ -157,12 +157,9 @@ def fit(d, lam=1.0, center=False):
     on raw columns).
     """
     t0 = time.perf_counter()
-    d = np.asarray(d, dtype=float)
-    mean = None
-    if center:
-        mean = d.mean(axis=1, keepdims=True)
-        d = d - mean
-    svd = skinny_svd(d, right=False)
+    d = _check_matrix(d)  # the mean of a matrix with no columns warns
+    mean = d.mean(axis=1, keepdims=True) if center else None
+    svd = skinny_svd(d if mean is None else d - mean, right=False)
     k = _kept_dimension(svd, lam)
     return PceModel(
         lam=float(lam),

@@ -376,8 +376,10 @@ def test_lambda_range_below_start_is_empty(spec):
         ("1:1:1e-300", [1.0]),
         ("1:99:2", [float(v) for v in range(1, 100, 2)]),
         ("0.1:0.3:0.1", [0.1, 0.2, 0.30000000000000004]),
+        ("1:2:inf", [1.0]),
     ],
-    ids=["stop-between-values", "single-value", "odd-grid", "rounded-step"],
+    ids=["stop-between-values", "single-value", "odd-grid", "rounded-step",
+         "infinite-step"],
 )
 def test_lambda_range_is_start_plus_multiples_of_step(spec, values):
     # START + i*STEP for the count the cap check computes; never past STOP
@@ -456,10 +458,14 @@ def test_eval_noise_paths_rerun_identically(tmp_path, noise):
     assert reports[0] == reports[1]
 
 
-def test_eval_and_sweep_refuse_unlabeled_matrix(tmp_path, capsys):
-    # a pce-matrix file has all-zero labels: any accuracy on it would read 1.0
+@pytest.mark.parametrize("meta", ["", "# meta unlabeled=false\n"],
+                         ids=["plain", "meta-says-labeled"])
+def test_eval_and_sweep_refuse_unlabeled_matrix(tmp_path, capsys, meta):
+    # a pce-matrix file has no labels to score, whatever its '# meta' lines say
     data = tmp_path / "m.txt"
     pce.save_matrix(np.random.default_rng(0).standard_normal((6, 20)), data)
+    header, body = data.read_text().split("\n", 1)
+    data.write_text(f"{header}\n{meta}{body}")
     config = tmp_path / "exp.cfg"
     config.write_text(f"data={data}\nmethod=pce\ntrials=2\n")
     out = tmp_path / "out.csv"
@@ -469,6 +475,16 @@ def test_eval_and_sweep_refuse_unlabeled_matrix(tmp_path, capsys):
     assert main(sweep + ["--output", str(out)]) == 1
     assert "accuracy sweep needs a labeled pce-dataset file" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_eval_ignores_meta_lines_of_a_dataset(dataset_file, tmp_path):
+    # '# meta' lines only annotate: the header alone says the file has labels
+    path = tmp_path / "d.txt"
+    header, body = open(dataset_file).read().split("\n", 1)
+    path.write_text(f"{header}\n# meta unlabeled=true\n{body}")
+    config = tmp_path / "exp.cfg"
+    config.write_text(f"data={path}\nmethod=pce\nlambda=10\ntrials=2\n")
+    assert main(["eval", str(config), "--output", str(tmp_path / "r.csv")]) == 0
 
 
 def test_eval_unknown_method(tmp_path, capsys):

@@ -61,6 +61,8 @@ def test_infeasible_specs():
         pce.generate_union_of_subspaces(
             pce.SubspaceSpec(ambient=8, subspaces=((3, 2),)), seed=0
         )
+    with pytest.raises(InfeasibleSpec, match="at least one subspace"):
+        pce.SubspaceSpec(ambient=5, subspaces=())
     # the random-gaussian rule has no sum-of-dims bound to catch these
     for ambient in (0, -5):
         with pytest.raises(InfeasibleSpec, match=f"ambient dimension {ambient} must be"):
@@ -174,6 +176,8 @@ def test_split_deterministic_and_small_class():
     tiny = pce.LabeledDataset(np.zeros((2, 3)), np.array([0, 0, 1]))
     with pytest.raises(TooFewSamples):
         pce.split(tiny, 0.5, seed=0)
+    with pytest.raises(ParseError, match="split needs a labeled pce-dataset file"):
+        pce.split(pce.LabeledDataset(np.zeros((2, 8)), None), 0.5, seed=5)
 
 
 def test_dataset_roundtrip(tmp_path):
@@ -218,7 +222,21 @@ def test_matrix_roundtrip(tmp_path):
     pce.save_matrix(m, path)
     loaded = pce.load_matrix(path)
     assert np.array_equal(loaded.matrix, m)
-    assert loaded.meta.get("unlabeled") == "true"
+    assert loaded.labels is None
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["pce-matrix v1 m=2 n=2\n1.0 -2.5\n3.0 4.0\n",
+     "pce-matrix v1 m=2 n=2\n# meta source=d.txt\n# meta unlabeled=false\n1.0 -2.5\n3.0 4.0\n"],
+    ids=["plain", "meta"],
+)
+def test_matrix_file_saves_back_to_its_bytes(tmp_path, text):
+    # a pce-matrix file stays one: its '# meta' lines are kept, no labels appear
+    path, again = tmp_path / "m.txt", tmp_path / "again.txt"
+    path.write_text(text)
+    pce.save_matrix(pce.load_matrix(path), again)
+    assert again.read_bytes() == path.read_bytes()
 
 
 def test_ragged_row_named(tmp_path):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -227,6 +229,21 @@ def test_lle_embed_matches_dense_generalized_solve():
     assert np.allclose(values, w_ref[:dim], atol=1e-8)
     assert principal_angle(theta, v_ref[:, :dim]) < 1e-6
     assert np.allclose(theta.T @ right @ theta, np.eye(dim), atol=1e-8)
+
+
+@pytest.mark.parametrize("shape", [(12, 40), (30, 20), (50, 200)],
+                         ids=["12x40", "30x20", "50x200"])
+def test_lle_embed_ignores_svd_column_signs(shape):
+    # flipping one pair (u_i, v_i) leaves D = U S V' as it is, so it leaves theta too
+    d = np.random.default_rng(sum(shape)).standard_normal(shape)
+    g = lle_graph(d, LleConfig(p=5))
+    svd = pce.skinny_svd(d)
+    theta = embed(d, g, 4, svd=svd)
+    for i in range(svd.rank):
+        sign = np.ones(svd.rank)
+        sign[i] = -1.0
+        flipped = replace(svd, u=svd.u * sign, v=svd.v * sign)
+        assert np.array_equal(embed(d, g, 4, svd=flipped), theta), f"pair {i}"
 
 
 @pytest.mark.parametrize("kind", ["lle", "factored"])

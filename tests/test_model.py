@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pce
-from pce.errors import BadK, DegenerateDimension, EmptySpectrum, NotSorted, TooLarge
+from pce.errors import (
+    BadK,
+    DegenerateDimension,
+    DimensionMismatch,
+    EmptySpectrum,
+    NotSorted,
+    TooLarge,
+)
 from pce.model import estimate_dimension
 
 
@@ -185,6 +193,14 @@ def test_fit_identical_columns():
     assert model.k == 1
     direction = model.theta[:, 0] / np.linalg.norm(model.theta[:, 0])
     assert np.allclose(np.abs(direction), [0.6, 0.8], atol=1e-10)
+
+
+def test_fit_matrix_without_columns_rejected_before_centring():
+    # the mean of a matrix with no columns would warn "Mean of empty slice"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DimensionMismatch, match=r"shape \(5, 0\)"):
+            pce.fit(np.ones((5, 0)), center=True)
 
 
 def test_fit_independent_subspaces_recovers_total_dim():
