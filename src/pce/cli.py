@@ -27,7 +27,7 @@ from .data import (
     write_csv,
 )
 from .errors import InfeasibleSpec, ParseError, PceError, ShapeError
-from .linalg import numerical_rank, skinny_svd
+from .linalg import skinny_svd
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -66,10 +66,10 @@ def cmd_fit(args):
     ds = load_matrix(args.data)
     fitted = model.fit(ds.matrix, args.lam, center=args.center)
     save_model(fitted, args.output, meta={"source": args.data})
-    err = float(np.sqrt(np.sum(fitted.spectrum[fitted.k :] ** 2)))
-    print(f"k={fitted.k}")
-    print(f"rank={numerical_rank(fitted.spectrum, ds.matrix.shape)}")
-    print(f"error_norm={err!r}")
+    summary = model.describe(fitted.spectrum, fitted.lam, ds.matrix.shape)
+    print(f"k={summary.k}")
+    print(f"rank={summary.rank}")
+    print(f"error_norm={summary.error_norm!r}")
     print(f"seconds={fitted.fit_seconds:.6f}")
     return EXIT_OK
 
@@ -182,8 +182,9 @@ def _parse_lambdas(text):
                 raise ParseError(
                     f"lambda range {text!r} would hold more than {MAX_LAMBDAS} values"
                 )
-            # i = 0 gives START itself: 0 * STEP is nan for an infinite STEP
-            count = math.floor(max(span, -1.0)) + 1
+            # START joins only when START <= STOP; i = 0 gives START itself,
+            # as 0 * STEP is nan for an infinite STEP
+            count = math.floor(span) + 1 if start <= stop else 0
             values = [start + i * step if i else start for i in range(count)]
         else:
             values = [float(t) for t in text.split(",")]
@@ -236,20 +237,17 @@ def cmd_sweep(args):
 
 def cmd_spectrum(args):
     ds = load_matrix(args.data)
-    svd = skinny_svd(ds.matrix, right=False)
-    spectrum = svd.spectrum
-    k = model.estimate_dimension(svd.sigma, args.lam)
-    energy = np.cumsum(spectrum**2)
-    energy /= energy[-1]
+    spectrum = skinny_svd(ds.matrix, right=False).spectrum
+    summary = model.describe(spectrum, args.lam, ds.matrix.shape)
     rows = [
-        (i + 1, repr(float(s)), 1 if i < k else 0, repr(float(energy[i])))
-        for i, s in enumerate(spectrum)
+        (i + 1, repr(float(s)), 1 if i < summary.k else 0, repr(float(energy)))
+        for i, (s, energy) in enumerate(zip(spectrum, summary.cumulative_energy))
     ]
     write_csv(args.output, ("index", "sigma_d", "sigma_c", "cumulative_energy"), rows)
     if args.svg:
         atomic_write(args.svg, _polyline_svg(np.arange(1, len(spectrum) + 1), spectrum))
-    print(f"k={k}")
-    print(f"rank={svd.rank}")
+    print(f"k={summary.k}")
+    print(f"rank={summary.rank}")
     return EXIT_OK
 
 

@@ -17,7 +17,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import InfeasibleSpec, ParseError, ShapeError, TooFewSamples
-from .model import PceModel
+from .model import PceModel, describe
 
 __all__ = [
     "LabeledDataset",
@@ -462,8 +462,9 @@ def save_model(model: PceModel, path, meta=None):
 
 def load_model(path) -> PceModel:
     """Load a pce-model v1 file, checked as strictly as a data file: lambda is
-    finite and > 0, 1 <= k <= min(m, n), the spectrum has min(m, n) values,
-    center has m, theta is m x k, and every value is finite."""
+    finite and > 0, 1 <= k <= min(m, n), the spectrum has min(m, n) values and
+    is nonincreasing with sigma_1 > 0, k is the k that ``describe`` keeps at
+    lambda, center has m, theta is m x k, and every value is finite."""
     _, lines = _read_lines(path)
     if not lines or lines[0][1] != MODEL_HEADER:
         raise ParseError(
@@ -489,6 +490,11 @@ def load_model(path) -> PceModel:
         raise ParseError(f"lambda={lam!r} must be finite and > 0")
     if not 1 <= k <= min(m, n):
         raise ParseError(f"k={k} must lie in [1, min(m, n)] = [1, {min(m, n)}]")
+    if not (spectrum[0] > 0 and np.all(np.diff(spectrum) <= 0)):
+        raise ParseError("spectrum must be nonincreasing with sigma_1 > 0")
+    kept = describe(spectrum, lam, (m, n)).k
+    if k != kept:
+        raise ParseError(f"k={k} disagrees with lambda={lam!r}, which keeps k={kept}")
     center = None
     if "center" in fields:
         center = _parse_rows([fields["center"]], m, "center")[0]

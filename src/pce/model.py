@@ -21,12 +21,14 @@ from .errors import (
     NotSorted,
     TooLarge,
 )
-from .linalg import _check_matrix, canonical_signs, skinny_svd
+from .linalg import _check_matrix, canonical_signs, numerical_rank, skinny_svd
 
 __all__ = [
     "PceModel",
     "CoefficientFactor",
+    "SpectrumSummary",
     "estimate_dimension",
+    "describe",
     "principal_coefficients",
     "closed_form_projection",
     "recover_clean",
@@ -69,6 +71,20 @@ class PceModel:
         return self.theta.shape[0]
 
 
+def _squares(sigma):
+    # sigma^2 = squares * 4^e for 2^e at sigma_1, the one squaring of a singular
+    # value: none overflows, and the exact scaling keeps every normal square's bits
+    e = int(np.frexp(sigma[0])[1])
+    return np.ldexp(sigma, -e) ** 2, e
+
+
+def _times_2e(x, e, lam=1.0):
+    # lam * x * 2^e (inf on overflow) without lam * 2^e, which may overflow or be subnormal
+    frac, exp = np.frexp(lam)
+    with np.errstate(over="ignore"):
+        return np.ldexp(frac * x, int(exp) + e)
+
+
 def estimate_dimension(sigma, lam):
     """Feature dimension minimizing r + lam * sum of the squared trailing values.
 
@@ -85,22 +101,50 @@ def estimate_dimension(sigma, lam):
     if not (np.isfinite(lam) and lam > 0):
         raise ValueError(f"lambda must be positive and finite, got {lam:g}")
     # cost(r) = r + lam * sum_{i>r} sigma_i^2, r = 0..len(sigma)
-    tail = np.concatenate([np.cumsum((sigma**2)[::-1])[::-1], [0.0]])
-    cost = np.arange(len(sigma) + 1) + lam * tail
+    squares, e = _squares(sigma)
+    tail = np.concatenate([np.cumsum(squares[::-1])[::-1], [0.0]])
+    cost = np.arange(len(sigma) + 1) + _times_2e(tail, 2 * e, lam)
     best = cost.min()
     return int(np.nonzero(cost <= best + TIE_TOL)[0][0])
 
 
+@dataclass(frozen=True)
+class SpectrumSummary:
+    """``describe``'s record; ``min_lambda`` is the least lambda that keeps a
+    dimension, None when no finite one does."""
+
+    k: int
+    rank: int
+    error_norm: float  # ||E||_F, the norm of the values past k
+    cumulative_energy: np.ndarray  # share of sum sigma^2 in the first i values
+    min_lambda: float | None
+
+
+def describe(spectrum, lam, shape):
+    """Summary of the descending ``spectrum`` of a ``shape`` matrix at ``lam``,
+    finite at any scale; k is chosen among the values within the numerical
+    rank, as ``fit`` chooses it."""
+    spectrum = np.asarray(spectrum, dtype=float)
+    rank = numerical_rank(spectrum, shape)
+    k = estimate_dimension(spectrum[:rank], lam)
+    squares, e = _squares(spectrum)
+    energy = np.cumsum(squares)
+    min_lam = float(_times_2e((1.0 + 1e-6) / squares[0], -2 * e))  # past 1/sigma_1^2
+    error_norm = float(_times_2e(np.sqrt(np.sum(squares[k:])), e))
+    min_lam = min_lam if np.isfinite(min_lam) else None
+    return SpectrumSummary(k, rank, error_norm, energy / energy[-1], min_lam)
+
+
 def _kept_dimension(svd, lam):
-    k = estimate_dimension(svd.sigma, lam)
-    if k == 0:
-        min_lam = (1.0 + 1e-6) / svd.sigma[0] ** 2
+    # svd.sigma holds only values above the rank, so describe keeps them all
+    summary = describe(svd.sigma, lam, svd.u.shape)
+    if summary.k == 0:
+        low = summary.min_lambda
+        hint = "no finite lambda keeps one" if low is None else f"use lambda > {low:g}"
         raise DegenerateDimension(
-            f"lambda={lam:g} keeps no dimensions for this spectrum; "
-            f"use lambda > {min_lam:g}",
-            min_lambda=min_lam,
+            f"lambda={lam:g} keeps no dimensions for this spectrum; {hint}", min_lambda=low
         )
-    return k
+    return summary.k
 
 
 def principal_coefficients(svd, lam):

@@ -1,9 +1,11 @@
 import csv
+import math
 import os
 import re
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -124,10 +126,14 @@ def test_transform_roundtrip(dataset_file, tmp_path):
         (r"spectrum=\S+", "spectrum=inf"),
         (r"theta:", "center=" + " ".join(["1e400"] * 12) + "\ntheta:"),
         (r"(lambda=\S+)", r"\1\nlambda=5.0"),
+        (r"spectrum=.*", "spectrum=" + " ".join(["-1.0"] * 12)),
+        (r"spectrum=(\S+) (\S+)", r"spectrum=\2 \1"),
+        (r"lambda=\S+", "lambda=1e-300"),
     ],
     ids=["nan-theta", "negative-lambda", "short-center", "extra-spectrum",
          "bad-literal", "negative-k", "inf-spectrum", "overflow-center",
-         "repeated-lambda"],
+         "repeated-lambda", "negative-spectrum", "increasing-spectrum",
+         "k-disagrees-with-lambda"],
 )
 def test_transform_rejects_invalid_model(dataset_file, tmp_path, pattern, replacement):
     model_path = tmp_path / "model.txt"
@@ -204,6 +210,7 @@ def test_transform_rejects_invalid_model(dataset_file, tmp_path, pattern, replac
          "synthetic=20:2x10,2x10\nmethod=lle-npe\ndim=2\nneighbors=0\n"),
         (["eval", "{config}"], "synthetic=0:1x3,1x3\nsynthetic_basis=random-gaussian\n"),
         (["eval", "{config}"], "synthetic=-5:1x3,1x3\nsynthetic_basis=random-gaussian\n"),
+        (["sweep", "{data}", "--lambdas", "3:1:inf"], None),
     ],
     ids=["zero-step", "zero-repeats", "negative-repeats", "bad-size", "bad-subspace",
          "one-clip-bound", "eval-not-utf8", "fit-not-utf8", "negative-split-seed",
@@ -218,11 +225,12 @@ def test_transform_rejects_invalid_model(dataset_file, tmp_path, pattern, replac
          "nan-gaussian-rho", "inf-gaussian-rho", "negative-gaussian-rho",
          "nan-lambda-stop", "nan-lambda-start", "infinite-lambda-start",
          "negative-infinite-lambda-stop", "overflowing-empty-lambda-range",
-         "nan-lambda-span", "lle-npe-zero-neighbors", "zero-ambient", "negative-ambient"],
+         "nan-lambda-span", "lle-npe-zero-neighbors", "zero-ambient", "negative-ambient",
+         "infinite-step-below-start"],
 )
 def test_bad_arguments_are_input_errors(dataset_file, tmp_path, capsys, argv, config):
     binary = tmp_path / "latin1.txt"
-    text = open(dataset_file, encoding="utf-8").read()
+    text = Path(dataset_file).read_text(encoding="utf-8")
     binary.write_bytes(text.replace("pce-dataset", "pce-dataset \xe9", 1).encode("latin-1"))
     config_path = tmp_path / "exp.cfg"
     out = tmp_path / "out.csv"
@@ -244,7 +252,7 @@ def test_nonfinite_data_value_is_input_error(
     dataset_file, tmp_path, capsys, command, literal
 ):
     # data rows are checked as model files are: the error names the line
-    lines = open(dataset_file, encoding="utf-8").read().splitlines()
+    lines = Path(dataset_file).read_text(encoding="utf-8").splitlines()
     labels = next(i for i, line in enumerate(lines) if not line.startswith(("pce-", "#")))
     tokens = lines[labels + 3].split()  # data row 2
     tokens[1] = literal
@@ -362,8 +370,11 @@ def test_nonfinite_lambda_bound_is_named(spec, named):
         cli._parse_lambdas(spec)
 
 
-@pytest.mark.parametrize("spec", ["3:1:1", "1e308:-1e308:1"],
-                         ids=["stop-below-start", "overflowing-stop-below-start"])
+@pytest.mark.parametrize(
+    "spec", ["3:1:1", "1e308:-1e308:1", "3:1:inf", "1:-1:inf", "1:0:1e308"],
+    ids=["stop-below-start", "overflowing-stop-below-start", "infinite-step",
+         "infinite-step-past-zero", "huge-step"],
+)
 def test_lambda_range_below_start_is_empty(spec):
     with pytest.raises(pce.errors.ParseError, match="empty lambda list"):
         cli._parse_lambdas(spec)
@@ -480,7 +491,7 @@ def test_eval_and_sweep_refuse_unlabeled_matrix(tmp_path, capsys, meta):
 def test_eval_ignores_meta_lines_of_a_dataset(dataset_file, tmp_path):
     # '# meta' lines only annotate: the header alone says the file has labels
     path = tmp_path / "d.txt"
-    header, body = open(dataset_file).read().split("\n", 1)
+    header, body = Path(dataset_file).read_text(encoding="utf-8").split("\n", 1)
     path.write_text(f"{header}\n# meta unlabeled=true\n{body}")
     config = tmp_path / "exp.cfg"
     config.write_text(f"data={path}\nmethod=pce\nlambda=10\ntrials=2\n")
@@ -686,6 +697,80 @@ def test_spectrum_counts_rank_for_clean_data(tmp_path):
     assert main(["spectrum", str(path), "--lambda", repr(lam), "--output", str(out)]) == 0
     rows = read_csv(out)[1:]
     assert sum(int(r[2]) for r in rows) == 6
+
+
+@pytest.fixture
+def scaled_gaussian(tmp_path):
+    """Writes the 20 x 30 standard-gaussian matrix (seed 0) times ``scale``."""
+
+    def write(scale):
+        path = tmp_path / f"g{scale:g}.txt"
+        pce.save_matrix(np.random.default_rng(0).standard_normal((20, 30)) * scale, path)
+        return str(path)
+
+    return write
+
+
+@pytest.mark.parametrize("scale", [1e155, 1e-155, 1e200, 1e-200, 1e-160])
+def test_spectrum_energy_at_extreme_scales(scaled_gaussian, tmp_path, scale):
+    # sigma^2 overflows past 1e154 and turns subnormal below 1e-154; the
+    # cumulative energy is a ratio, so it must match the one at scale 1
+    energies = []
+    for data in (scaled_gaussian(1.0), scaled_gaussian(scale)):
+        out = tmp_path / "spec.csv"
+        assert main(["spectrum", data, "--output", str(out)]) == 0
+        energies.append([row[3] for row in read_csv(out)[1:]])
+    assert "nan" not in energies[1]
+    assert energies[1][-1] == "1.0"
+    assert np.allclose(np.array(energies[1], dtype=float),
+                       np.array(energies[0], dtype=float), rtol=1e-12, atol=0)
+
+
+def _fit_lines(argv, capsys):
+    code = main(argv)
+    captured = capsys.readouterr()
+    return code, dict(line.split("=", 1) for line in captured.out.splitlines()), captured.err
+
+
+def test_fit_at_scale_1e155_keeps_k_between_squared_values(scaled_gaussian, tmp_path, capsys):
+    # a lambda between 1/sigma_10^2 and 1/sigma_11^2 keeps 10 directions, and
+    # ||E||_F is the finite norm of the other 10 values
+    data = scaled_gaussian(1e155)
+    sigma = pce.skinny_svd(pce.load_matrix(data).matrix, right=False).spectrum
+    e = math.frexp(sigma[0])[1]
+    lam = math.ldexp(1.0 / (math.ldexp(sigma[9], -e) * math.ldexp(sigma[10], -e)), -2 * e)
+    argv = ["fit", data, "--lambda", repr(lam), "--output", str(tmp_path / "m.txt")]
+    code, printed, _ = _fit_lines(argv, capsys)
+    assert code == 0
+    assert printed["k"] == "10"
+    assert float(printed["error_norm"]) == pytest.approx(math.hypot(*sigma[10:]), rel=1e-12)
+
+
+def test_fit_at_scale_1e155_with_tiny_lambda_keeps_nothing(scaled_gaussian, tmp_path, capsys):
+    # 1e-320 * sigma_1^2 < 1: k = 0, a numerical error naming a finite lambda
+    model_path = tmp_path / "m.txt"
+    argv = ["fit", scaled_gaussian(1e155), "--lambda", "1e-320", "--output", str(model_path)]
+    code, _, err = _fit_lines(argv, capsys)
+    assert code == 2
+    assert "keeps no dimensions for this spectrum; use lambda > 8.93925e-313" in err
+    assert not model_path.exists()
+
+
+@pytest.mark.parametrize(
+    "scale, hint",
+    [(1e-160, "no finite lambda keeps one"),
+     (1e-200, "no finite lambda keeps one"),
+     (1e-155, "use lambda > 8.93925e+307")],
+    ids=["1e-160", "1e-200", "1e-155-finite"],
+)
+def test_fit_at_tiny_scale_names_the_least_lambda(
+    scaled_gaussian, tmp_path, capsys, scale, hint
+):
+    # 1 / sigma_1^2 overflows for sigma_1 below about 7.5e-155: no finite lambda then
+    argv = ["fit", scaled_gaussian(scale), "--output", str(tmp_path / "m.txt")]
+    code, _, err = _fit_lines(argv, capsys)
+    assert code == 2
+    assert err == f"error: lambda=1 keeps no dimensions for this spectrum; {hint}\n"
 
 
 def test_bench_rows(tmp_path):

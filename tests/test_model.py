@@ -1,7 +1,11 @@
+import ast
+import math
 import os
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +21,7 @@ from pce.errors import (
     NotSorted,
     TooLarge,
 )
-from pce.model import estimate_dimension
+from pce.model import describe, estimate_dimension
 
 
 def argmin_oracle(sigma, lam):
@@ -87,6 +91,83 @@ def test_threshold_closed_form():
             assert estimate_dimension(sigma, lam) == int(
                 np.count_nonzero(lam * sigma**2 > 1.0)
             )
+
+
+def test_describe_keeps_the_bits_of_direct_squares():
+    # at a normal scale the power-of-two scaling changes no bit of any field
+    rng = np.random.default_rng(11)
+    for shape in [(20, 30), (40, 25), (12, 20)]:
+        d = rng.standard_normal((shape[0], 6)) @ rng.standard_normal((6, shape[1]))
+        spectrum = pce.skinny_svd(d, right=False).spectrum
+        for lam in (0.01, 1.0, 37.5, 1e6):
+            summary = describe(spectrum, lam, shape)
+            assert summary.rank == 6
+            assert summary.k == estimate_dimension(spectrum[:6], lam)
+            assert summary.error_norm == np.sqrt(np.sum(spectrum[summary.k :] ** 2))
+            energy = np.cumsum(spectrum**2)
+            assert np.array_equal(summary.cumulative_energy, energy / energy[-1])
+            assert summary.min_lambda == (1.0 + 1e-6) / spectrum[0] ** 2
+
+
+@given(
+    sigma=st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=30),
+    zeros=st.integers(0, 3),
+    lam=st.floats(1e-3, 1e3),
+    j=st.integers(-495, 495),
+)
+@settings(max_examples=300, deadline=None)
+def test_describe_is_scale_equivariant(sigma, zeros, lam, j):
+    # c = 2^j scales sigma exactly: the decision and the shares keep their
+    # bits, ||E||_F scales by c and the least lambda by 1/c^2.  In these
+    # ranges c * sigma, lam / c^2 and every scaled field are normal floats
+    sigma = np.concatenate([np.sort(sigma)[::-1], np.zeros(zeros)])
+    shape = (len(sigma), len(sigma) + 5)
+    base = describe(sigma, lam, shape)
+    scaled = describe(np.ldexp(sigma, j), math.ldexp(lam, -2 * j), shape)
+    assert (scaled.k, scaled.rank) == (base.k, base.rank)
+    assert np.array_equal(scaled.cumulative_energy, base.cumulative_energy)
+    assert scaled.error_norm == math.ldexp(base.error_norm, j)
+    assert scaled.min_lambda == math.ldexp(base.min_lambda, -2 * j)
+
+
+@pytest.mark.parametrize("lam", [1e308, np.finfo(float).max, 5e-324, 1e-320])
+@pytest.mark.parametrize("scale", [1e-300, 1e-160, 1.0, 1e155, 1e300])
+def test_describe_at_extreme_lambda_and_scale(lam, scale):
+    # lam * 4^e may overflow or turn subnormal; k still counts lam * sigma^2 > 1
+    # (sigma^2 taken exactly in fractions here), with no warning and no nan
+    sigma = scale * np.array([4.0, 2.0, 1.0, 0.5])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        summary = describe(sigma, lam, (4, 4))
+    exact = [Fraction(lam) * Fraction(s) ** 2 > 1 for s in sigma]
+    assert summary.k == sum(exact)
+    assert np.isfinite(summary.error_norm)
+    assert not np.isnan(summary.cumulative_energy).any()
+    assert summary.cumulative_energy[-1] == 1.0
+    assert summary.min_lambda is None or np.isfinite(summary.min_lambda)
+
+
+def test_no_finite_lambda_keeps_a_dimension():
+    # 1 / sigma_1^2 overflows, so no finite lambda is large enough
+    svd = pce.skinny_svd(np.diag([1e-160, 1e-161]))
+    with pytest.raises(DegenerateDimension, match="no finite lambda keeps one"):
+        pce.principal_coefficients(svd, 1e300)
+    assert describe(svd.spectrum, 1e300, (2, 2)).min_lambda is None
+
+
+def test_sigma_is_squared_in_one_helper():
+    # every square of a singular value goes through model._squares
+    squares = []
+    for path in sorted(Path(pce.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef):
+                squares += [
+                    (path.stem, func.name) for node in ast.walk(func)
+                    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+                    and ast.unparse(node.right) == "2"
+                ]
+    assert squares == [("model", "_squares")]
 
 
 def test_principal_coefficients_2x2():
