@@ -37,7 +37,7 @@ from .model import (
     transform,
 )
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 __all__ = [
     "AffinityGraph",

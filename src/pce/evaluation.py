@@ -3,7 +3,6 @@ repeated-trial experiment runner.
 """
 
 import statistics
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -137,13 +136,11 @@ class ExperimentConfig:
 
 @dataclass
 class Report:
-    """Per-trial accuracies, estimated dimensions and phase timings."""
+    """Per-trial accuracies and estimated dimensions (None where the method
+    estimates none); a deterministic function of the experiment's config."""
 
     accuracies: list = field(default_factory=list)
     ks: list = field(default_factory=list)
-    fit_seconds: list = field(default_factory=list)
-    transform_seconds: list = field(default_factory=list)
-    classify_seconds: list = field(default_factory=list)
 
     @property
     def mean(self):
@@ -184,9 +181,9 @@ def _fit_method(cfg: ExperimentConfig, train: LabeledDataset):
 
 def run_experiment(cfg: ExperimentConfig) -> Report:
     """Run ``cfg.trials`` independent trials (seed = base_seed + trial) and
-    collect accuracies, dimensions, and per-phase wall-clock times.  A data file
-    is parsed once; a SubspaceSpec is sampled per trial from its seed.  A trial's
-    error propagates with its type unchanged and a note naming the trial."""
+    collect accuracies and dimensions.  A data file is parsed once; a
+    SubspaceSpec is sampled per trial from its seed.  A trial's error propagates
+    with its type unchanged and a note naming the trial."""
     report = Report()
     loaded = None
     if not isinstance(cfg.source, SubspaceSpec):
@@ -204,14 +201,10 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
             if cfg.noise is not None and cfg.noise_after_split:
                 train = _apply_noise(train, cfg.noise, seed)
                 test = _apply_noise(test, cfg.noise, seed + cfg.trials)
-            t0 = time.perf_counter()
             project, k = _fit_method(cfg, train)
-            t1 = time.perf_counter()
             train_z = project(train.matrix)
             test_z = project(test.matrix)
-            t2 = time.perf_counter()
             predicted = nn_classify(train_z, train.labels, test_z)
-            t3 = time.perf_counter()
         except Exception as exc:
             # add_note is Python 3.11+; __notes__ is what it appends to
             note = f"trial {trial}, seed {seed}"
@@ -219,23 +212,14 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
             raise
         report.accuracies.append(accuracy(predicted, test.labels))
         report.ks.append(k)
-        report.fit_seconds.append(t1 - t0)
-        report.transform_seconds.append(t2 - t1)
-        report.classify_seconds.append(t3 - t2)
     return report
 
 
 def write_report_csv(report: Report, path):
-    """One row per trial (trial, accuracy, k, fit_s, transform_s, classify_s)
-    plus a trailing summary row, written atomically."""
-
-    def row(trial, acc, k, *seconds):
-        k = "" if k is None else k
-        return (trial, repr(acc), k, *(f"{t:.6f}" for t in seconds))
-
-    phases = (report.fit_seconds, report.transform_seconds, report.classify_seconds)
-    trials = zip(report.accuracies, report.ks, *phases)
-    rows = [row(i, *values) for i, values in enumerate(trials)]
-    rows.append(row("summary", report.mean, report.k_mode, *map(sum, phases)))
-    header = ("trial", "accuracy", "k", "fit_s", "transform_s", "classify_s")
-    write_csv(path, header, rows)
+    """One row per trial (trial, accuracy, k) plus a trailing summary row
+    (summary, mean accuracy, k_mode), written atomically.  A k of None is
+    written empty."""
+    trials = [*enumerate(zip(report.accuracies, report.ks)),
+              ("summary", (report.mean, report.k_mode))]
+    rows = [(trial, repr(acc), "" if k is None else k) for trial, (acc, k) in trials]
+    write_csv(path, ("trial", "accuracy", "k"), rows)

@@ -139,6 +139,10 @@ def embed(d, graph: AffinityGraph, dim, svd=None):
     if svd is None:
         svd = skinny_svd(d)
     v = svd.require_v()
+    if (svd.u.shape[0], v.shape[0]) != d.shape:
+        raise DimensionMismatch(
+            f"SVD factors are {svd.u.shape[0]}x{v.shape[0]}, data is {d.shape[0]}x{n}"
+        )
 
     if graph.kind == "pce-factored":
         k = graph.vk.shape[1]

@@ -106,7 +106,7 @@ def skinny_svd(d, *, right=True):
     r = numerical_rank(s, d.shape)
     v = (vt.T if q is None else q @ vt.T) if right else None
     return SvdFactors(
-        u=np.ascontiguousarray(u[:, :r]),
+        u=u[:, :r],
         sigma=s[:r].copy(),
         v=None if v is None else np.ascontiguousarray(v[:, :r]),
         rank=r,

@@ -445,9 +445,22 @@ def test_eval_runs_and_reruns_identically(tmp_path, capsys):
     assert "mean=" in out and "std=" in out and "k_mode=" in out
     assert len(first) == 5
     assert main(["eval", str(config)]) == 0
-    second = read_csv(tmp_path / "report.csv")
-    for a, b in zip(first, second):
-        assert a[:3] == b[:3]  # identical apart from timing columns
+    assert read_csv(tmp_path / "report.csv") == first
+
+
+@pytest.mark.parametrize("method", ["pce", "pca", "lle-npe", "raw"])
+def test_eval_report_bytes_repeat(tmp_path, method):
+    # a report holds no wall-clock field, so a rerun writes the same bytes
+    config = tmp_path / "exp.cfg"
+    config.write_text(
+        f"synthetic=30:3x10,3x10,3x10\nmethod={method}\nlambda=10\ndim=3\n"
+        "neighbors=4\ntrials=3\n"
+    )
+    runs = [tmp_path / "a.csv", tmp_path / "b.csv"]
+    for out in runs:
+        assert main(["eval", str(config), "--output", str(out)]) == 0
+    assert runs[0].read_bytes() == runs[1].read_bytes()
+    assert read_csv(runs[0])[0] == ["trial", "accuracy", "k"]
 
 
 @pytest.mark.parametrize(
@@ -465,7 +478,7 @@ def test_eval_noise_paths_rerun_identically(tmp_path, noise):
         assert main(["eval", str(config), "--output", str(out)]) == 0
         rows = read_csv(out)
         assert [r[0] for r in rows[1:]] == ["0", "1", "2", "summary"]
-        reports.append([r[:3] for r in rows])  # timing columns excluded
+        reports.append(rows)
     assert reports[0] == reports[1]
 
 

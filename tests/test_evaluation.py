@@ -246,7 +246,7 @@ def test_report_csv_layout(tmp_path):
     write_report_csv(report, path)
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
-    assert rows[0] == ["trial", "accuracy", "k", "fit_s", "transform_s", "classify_s"]
+    assert rows[0] == ["trial", "accuracy", "k"]
     assert len(rows) == 5  # header + 3 trials + summary
     assert rows[-1][0] == "summary"
     accs = [float(r[1]) for r in rows[1:4]]

@@ -197,6 +197,16 @@ def test_embed_rejects_mismatched_graph_and_bad_dim():
         embed(d, graph, 2)
 
 
+@pytest.mark.parametrize("other_shape", [(12, 20), (10, 21)], ids=["rows", "columns"])
+def test_embed_rejects_svd_of_another_shape(other_shape):
+    # factors of a matrix that is not d must not be trusted, whichever side differs
+    rng = np.random.default_rng(8)
+    d = rng.standard_normal((10, 20))
+    svd = pce.skinny_svd(rng.standard_normal(other_shape))
+    with pytest.raises(DimensionMismatch, match=r"SVD factors are \d+x\d+, data is 10x20"):
+        embed(d, lle_graph(d, LleConfig(p=5)), 2, svd=svd)
+
+
 def test_eigenvalue_count_matches_k():
     rng = np.random.default_rng(3)
     d = rng.standard_normal((10, 24))

@@ -21,6 +21,7 @@ from pce.errors import (
     NotSorted,
     TooLarge,
 )
+from pce.linalg import QR_RATIO
 from pce.model import describe, estimate_dimension
 
 
@@ -128,6 +129,32 @@ def test_describe_is_scale_equivariant(sigma, zeros, lam, j):
     assert np.array_equal(scaled.cumulative_energy, base.cumulative_energy)
     assert scaled.error_norm == math.ldexp(base.error_norm, j)
     assert scaled.min_lambda == math.ldexp(base.min_lambda, -2 * j)
+
+
+@given(
+    # tall, square, at linalg.QR_RATIO (the R-SVD side) and wide
+    shape=st.integers(2, 30).flatmap(lambda m: st.tuples(
+        st.just(m), st.sampled_from([m // 2 + 1, m, math.ceil(QR_RATIO * m), 2 * m]))),
+    seed=st.integers(0, 2**16),
+    lam=st.floats(0.05, 20),
+    j=st.integers(-400, 400),
+)
+@settings(max_examples=200, deadline=None)
+def test_fit_is_scale_equivariant_bit_for_bit(shape, seed, lam, j):
+    # c = 2^j: fit(c D, lam / c^2) keeps k and gives spectrum * c and theta / c
+    # exactly; in these ranges every scaled entry and lam / c^2 are normal floats
+    d = np.random.default_rng(seed).standard_normal(shape)
+    scaled_d, scaled_lam = np.ldexp(d, j), math.ldexp(lam, -2 * j)
+    try:
+        base = pce.fit(d, lam)
+    except DegenerateDimension:
+        with pytest.raises(DegenerateDimension):
+            pce.fit(scaled_d, scaled_lam)
+        return
+    scaled = pce.fit(scaled_d, scaled_lam)
+    assert scaled.k == base.k
+    assert np.array_equal(scaled.spectrum, np.ldexp(base.spectrum, j))
+    assert np.array_equal(scaled.theta, np.ldexp(base.theta, -j))
 
 
 @pytest.mark.parametrize("lam", [1e308, np.finfo(float).max, 5e-324, 1e-320])
