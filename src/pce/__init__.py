@@ -24,7 +24,7 @@ from .evaluation import (
     pca_transform,
     run_experiment,
 )
-from .graph import AffinityGraph, LleConfig, embed, lle_graph, pce_graph
+from .graph import embed, lle_graph
 from .linalg import SvdFactors, generalized_top_eigs, skinny_svd
 from .model import (
     CoefficientFactor,
@@ -37,14 +37,12 @@ from .model import (
     transform,
 )
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
 __all__ = [
-    "AffinityGraph",
     "CoefficientFactor",
     "ExperimentConfig",
     "LabeledDataset",
-    "LleConfig",
     "NoiseSpec",
     "PcaModel",
     "PceModel",
@@ -65,7 +63,6 @@ __all__ = [
     "nn_classify",
     "pca_fit",
     "pca_transform",
-    "pce_graph",
     "principal_coefficients",
     "recover_clean",
     "run_experiment",

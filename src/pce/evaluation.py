@@ -22,7 +22,7 @@ from .data import (
     write_csv,
 )
 from .errors import BadDim, DimensionMismatch, EmptyTrainingSet, LengthMismatch
-from .linalg import _check_matrix, canonical_signs, skinny_svd
+from .linalg import _check_matrix, _unit_scale, canonical_signs, skinny_svd
 
 __all__ = [
     "nn_classify",
@@ -43,7 +43,8 @@ def nn_classify(train_z, train_labels, test_z):
     """Label each test column with its Euclidean-nearest training column's
     label.  With both sets shifted by the first training column, which keeps
     integer features exact, column a goes to the b_j minimising ||b_j||^2 - 2a'b_j;
-    exact ties go to the lowest j."""
+    exact ties go to the lowest j.  Both sets are first divided by one power of
+    two, exactly, so features scaled by 2^j keep every prediction."""
     train_z = np.atleast_2d(np.asarray(train_z, dtype=float))
     test_z = np.atleast_2d(np.asarray(test_z, dtype=float))
     train_labels = np.asarray(train_labels)
@@ -58,6 +59,7 @@ def nn_classify(train_z, train_labels, test_z):
             f"{len(train_labels)} labels for {train_z.shape[1]} training columns"
         )
     b, a = train_z - train_z[:, :1], test_z - train_z[:, :1]
+    _unit_scale(b, a)
     score = np.einsum("ij,ij->j", b, b) - 2.0 * (a.T @ b)
     return train_labels[score.argmin(axis=1)]
 
@@ -174,8 +176,8 @@ def _fit_method(cfg: ExperimentConfig, train: LabeledDataset):
         pca = pca_fit(train.matrix, cfg.dim)
         return (lambda y: pca_transform(pca, y)), None
     # lle-npe: reconstruction-weight graph embedded at a user-chosen dimension
-    g = _graph.lle_graph(train.matrix, _graph.LleConfig(p=cfg.neighbors))
-    theta = _graph.embed(train.matrix, g, cfg.dim)
+    weights = _graph.lle_graph(train.matrix, cfg.neighbors)
+    theta = _graph.embed(train.matrix, weights, cfg.dim)
     return (lambda y: _model._project(theta, y)), None
 
 

@@ -1,58 +1,28 @@
-"""Affinity graphs and the graph-embedding step.
+"""The locally-linear-reconstruction graph and its embedding.
 
-Two graph flavors: the factored principal-coefficient graph (A = vk vk') and
-a locally-linear-reconstruction baseline with explicit weights, built from one
-Gram matrix of the data shifted by its first column.  Both embed through the
-pencil D (A + A' - A A') D' theta = sigma D D' theta.  When vk is the leading
-block of D's right singular vectors the pencil has the closed-form solution
-Theta = Uk Sk^-1.  For the other graphs the SVD of D makes the right matrix
+``lle_graph`` encodes each column over its p nearest neighbours with weights
+summing to 1, all from one Gram matrix of the data shifted by its first
+column.  ``embed`` solves the pencil D (A + A' - A A') D' theta = sigma D D'
+theta of a weight matrix A: the SVD of D makes the right matrix
 diag(sigma_r^2), so Theta = U_r Sigma_r^-1 Y with Y from one symmetric
-``eigh`` of an r x r matrix; no generalized eigensolver runs.
+``eigh`` of an r x r matrix; no generalized eigensolver runs.  The
+principal-coefficient graph A = Vk Vk' is such a matrix too, but its pencil
+has the closed form ``model.closed_form_projection`` and ``fit`` takes that.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BadDim, DegenerateNeighborhood, DimensionMismatch, NotConverged
-from .linalg import _canonicalize, canonical_signs, skinny_svd
-from .model import CoefficientFactor, closed_form_projection
+from .linalg import _canonicalize, _check_matrix, _unit_scale, canonical_signs, skinny_svd
 
-__all__ = ["AffinityGraph", "LleConfig", "pce_graph", "lle_graph", "embed"]
+__all__ = ["lle_graph", "embed"]
 
 EIG_FLOOR = 1e-8
 
 
-@dataclass(frozen=True)
-class AffinityGraph:
-    """Either a factored projector graph (vk) or explicit reconstruction weights.
-
-    ``weights`` columns sum to 1 and have zero diagonal; ``vk`` implies
-    A = vk @ vk.T without storing it.
-    """
-
-    kind: str  # "pce-factored" | "lle-weights"
-    n: int
-    vk: np.ndarray | None = None
-    weights: np.ndarray | None = None
-
-
-@dataclass(frozen=True)
-class LleConfig:
-    """Neighborhood size and Gram regularizer for the reconstruction weights."""
-
-    p: int
-    reg: float = 1e-3
-
-
-def pce_graph(factor: CoefficientFactor) -> AffinityGraph:
-    """Wrap a coefficient factor as a similarity graph (no n x n copy)."""
-    return AffinityGraph(kind="pce-factored", n=factor.vk.shape[0], vk=factor.vk)
-
-
-def lle_graph(d, cfg: LleConfig) -> AffinityGraph:
-    """Reconstruction-weight graph: each column is encoded over its p nearest
-    neighbors with weights summing to 1.
+def lle_graph(d, p, reg=1e-3):
+    """n x n reconstruction weights: column i encodes d_i over its p nearest
+    neighbours with weights summing to 1, and the diagonal is zero.
 
     Neighbor ties are broken by ascending column index; the local Gram matrix
     gets reg * trace / p added to its diagonal before solving.  Distances and
@@ -62,14 +32,16 @@ def lle_graph(d, cfg: LleConfig) -> AffinityGraph:
     integer-valued data (e.g. pixels) integer, so exactly equal distances stay
     equal and their ties still go to the lower index.  All n KKT systems are
     solved in one stacked pseudo-inverse, so no per-column loop and no
-    n x p x m array is formed.
+    n x p x m array is formed.  The shifted data is divided by the power of
+    two at its largest |entry| and each local Gram by the power of two at its
+    trace; both are exact, so 2^j d has the weights of d.
     """
-    d = np.asarray(d, dtype=float)
+    d = _check_matrix(d)
     n = d.shape[1]
-    if not 1 <= cfg.p < n:
-        raise DimensionMismatch(f"need 1 <= p < n, got p={cfg.p}, n={n}")
-    p = cfg.p
+    if not 1 <= p < n:
+        raise DimensionMismatch(f"need 1 <= p < n, got p={p}, n={n}")
     x = d - d[:, :1]
+    _unit_scale(x)
     gram = x.T @ x
     sq_norms = np.diag(gram)
     dist = sq_norms[:, None] + sq_norms[None, :] - 2.0 * gram
@@ -87,9 +59,13 @@ def lle_graph(d, cfg: LleConfig) -> AffinityGraph:
         + sq_norms[:, None, None]
     )
     trace = np.trace(local, axis1=1, axis2=2)
-    if cfg.reg > 0:
+    # each Gram over the power of two at its trace, to match the KKT's border of ones
+    e = -np.frexp(trace)[1]
+    np.ldexp(local, e[:, None, None], out=local)
+    np.ldexp(trace, e, out=trace)
+    if reg > 0:
         diag = np.arange(p)
-        local[:, diag, diag] += np.where(trace > 0, cfg.reg * trace / p, 0.0)[:, None]
+        local[:, diag, diag] += np.where(trace > 0, reg * trace / p, 0.0)[:, None]
     # constrained least squares via the KKT systems; the pseudo-inverse, with
     # lstsq's default cutoff, picks the minimal-norm weights when a Gram is
     # exactly singular
@@ -107,33 +83,31 @@ def lle_graph(d, cfg: LleConfig) -> AffinityGraph:
         )
     w = np.zeros((n, n))
     w[nbrs, cols[:, None]] = coeffs / total[:, None]
-    return AffinityGraph(kind="lle-weights", n=n, weights=w)
+    return w
 
 
-def embed(d, graph: AffinityGraph, dim, svd=None):
-    """Solve the embedding pencil and return the m x dim projection.
+def embed(d, weights, dim, svd=None):
+    """Solve the embedding pencil of the n x n weight matrix ``weights`` and
+    return the m x dim projection.
 
     The pencil L theta = sigma D D' theta with L = D (A + A' - A A') D' is
     reduced to the range of D through its SVD D = U_r Sigma_r V_r': writing
     theta = U_r Sigma_r^-1 y turns it into the symmetric eigenproblem
     M0 y = sigma y with M0 = V_r' (A + A' - A A') V_r, because every retained
-    sigma is positive.  One ``eigh`` of the r x r matrix M0 gives Y, and
-    Theta = U_r Sigma_r^-1 Y satisfies Theta' D D' Theta = I even when D D'
-    itself is singular; ``canonical_signs`` then fixes each column's sign.
-
-    A factored graph whose vk is the leading k-block of D's right singular
-    vectors, as built by ``principal_coefficients``, has M0 = diag(1_k, 0):
-    the pencil's top k eigenvalues all equal 1 and its solution is the closed
-    form Theta = Uk Sk^-1.  That graph gets the first ``dim`` columns of the
-    canonical Theta, i.e. the top-sigma directions, and no eigensolve runs.
-    Any other factored graph has M0 = (V_r' vk)(V_r' vk)'; a
-    reconstruction-weight graph forms M0 from B = V_r' A as B V_r + (B V_r)' -
-    B B'.  Neither forms an n x n product of the graph with itself.
+    sigma is positive.  M0 is formed from B = V_r' A as B V_r + (B V_r)' -
+    B B', with no n x n product of A with itself.  One ``eigh`` of the r x r
+    matrix M0 gives Y, and Theta = U_r Sigma_r^-1 Y satisfies
+    Theta' D D' Theta = I even when D D' itself is singular;
+    ``canonical_signs`` then fixes each column's sign.
     """
-    d = np.asarray(d, dtype=float)
+    d = _check_matrix(d)
+    weights = _check_matrix(weights)
     n = d.shape[1]
-    if graph.n != n:
-        raise DimensionMismatch(f"graph has {graph.n} nodes, data has {n} columns")
+    rows, cols = weights.shape
+    if rows != cols:
+        raise DimensionMismatch(f"weights are {rows}x{cols}, not square")
+    if rows != n:
+        raise DimensionMismatch(f"graph has {rows} nodes, data has {n} columns")
     if dim < 1:
         raise BadDim("dim must be at least 1")
     if svd is None:
@@ -143,19 +117,9 @@ def embed(d, graph: AffinityGraph, dim, svd=None):
         raise DimensionMismatch(
             f"SVD factors are {svd.u.shape[0]}x{v.shape[0]}, data is {d.shape[0]}x{n}"
         )
-
-    if graph.kind == "pce-factored":
-        k = graph.vk.shape[1]
-        if dim > k:
-            raise BadDim(f"dim={dim} exceeds the graph rank k={k}")
-        if np.array_equal(graph.vk, v[:, :k]):
-            return closed_form_projection(svd, dim)
-        b = v.T @ graph.vk
-        core = b @ b.T
-    else:
-        b = v.T @ graph.weights
-        bv = b @ v
-        core = bv + bv.T - b @ b.T
+    b = v.T @ weights
+    bv = b @ v
+    core = bv + bv.T - b @ b.T
     try:
         evals, y = np.linalg.eigh(0.5 * (core + core.T))
     except np.linalg.LinAlgError as exc:

@@ -51,6 +51,14 @@ def _check_matrix(d):
     return d
 
 
+def _unit_scale(*arrays):
+    # divide in place by the power of two at the largest |entry|: exact, and no square overflows
+    big = max(max(a.max(initial=0.0), -a.min(initial=0.0)) for a in arrays)
+    e = -int(np.frexp(big)[1])
+    for a in arrays:
+        np.ldexp(a, e, out=a)
+
+
 @dataclass(frozen=True)
 class SvdFactors:
     """Skinny SVD of a matrix, truncated at its numerical rank.

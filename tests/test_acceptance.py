@@ -143,8 +143,8 @@ def test_criterion_6_embedding_contract():
             factor = pce.principal_coefficients(svd, lam)
         except pce.errors.DegenerateDimension:
             continue
-        k = factor.k
-        theta = pce.embed(d, pce.pce_graph(factor), k, svd=svd)
+        model = pce.fit(d, lam)
+        k, theta = model.k, model.theta
         assert np.allclose(theta.T @ d @ d.T @ theta, np.eye(k), atol=1e-8)
         w = svd.sigma[:, None] * (svd.v.T @ factor.vk)
         values, _ = pce.generalized_top_eigs(

@@ -463,6 +463,25 @@ def test_eval_report_bytes_repeat(tmp_path, method):
     assert read_csv(runs[0])[0] == ["trial", "accuracy", "k"]
 
 
+@pytest.mark.parametrize("method, dim", [("raw", 6), ("pca", 6), ("lle-npe", 3)],
+                         ids=["raw", "pca", "lle-npe"])
+def test_eval_report_is_scale_invariant(tmp_path, method, dim):
+    # the coefficients scale by a power of two, exactly; at 2^530 squared
+    # distances overflow and at 2^-560 they underflow unless scaled back
+    reports = []
+    for scale in (1.0, 2.0**530, 2.0**-560):
+        config = tmp_path / "exp.cfg"
+        config.write_text(
+            f"synthetic=30:3x10,3x10,3x10\nsynthetic_scale={scale!r}\n"
+            f"method={method}\ndim={dim}\nneighbors=4\ntrials=3\n"
+        )
+        out = tmp_path / f"{len(reports)}.csv"
+        assert main(["eval", str(config), "--output", str(out)]) == 0
+        reports.append(out.read_bytes())
+    assert reports[1] == reports[0]
+    assert reports[2] == reports[0]
+
+
 @pytest.mark.parametrize(
     "noise",
     ["noise=pixel\nnoise_rho=0.2\n",

@@ -90,6 +90,18 @@ def test_nn_matches_cdist(features):
     assert np.array_equal(nn_classify(train, labels, test), expected)
 
 
+def test_nn_predictions_keep_under_power_of_two_scaling():
+    # at 2^530 the squared distances overflow and at 2^-560 they underflow,
+    # unless the features are scaled back first
+    rng = np.random.default_rng(4)
+    train, test = rng.standard_normal((6, 50)), rng.standard_normal((6, 80))
+    labels = np.arange(50)
+    expected = nn_classify(train, labels, test)
+    for j in (-560, -500, -1, 1, 500, 530):
+        scaled = nn_classify(np.ldexp(train, j), labels, np.ldexp(test, j))
+        assert np.array_equal(scaled, expected), f"2^{j}"
+
+
 def test_accuracy_counting():
     assert pce.accuracy([1, 2, 3], [1, 2, 3]) == 1.0
     assert pce.accuracy([1, 1], [2, 2]) == 0.0

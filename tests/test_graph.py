@@ -6,8 +6,8 @@ import scipy.linalg
 from scipy.spatial.distance import cdist
 
 import pce
-from pce.errors import BadDim, DegenerateNeighborhood, DimensionMismatch
-from pce.graph import LleConfig, embed, lle_graph, pce_graph
+from pce.errors import BadDim, DegenerateNeighborhood, DimensionMismatch, NonFinite
+from pce.graph import embed, lle_graph
 
 
 def principal_angle(a, b):
@@ -18,46 +18,27 @@ def principal_angle(a, b):
     return float(np.arccos(np.clip(s.min(), -1.0, 1.0)))
 
 
-def test_pce_graph_wraps_factor():
-    factor = pce.CoefficientFactor(vk=np.eye(2)[:, :1], k=1)
-    g = pce_graph(factor)
-    assert g.kind == "pce-factored"
-    assert np.allclose(g.vk @ g.vk.T, np.diag([1.0, 0.0]))
-
-
-def test_pce_graph_full_rank_is_identity():
-    g = pce_graph(pce.CoefficientFactor(vk=np.eye(4), k=4))
-    assert np.allclose(g.vk @ g.vk.T, np.eye(4))
-
-
-def test_pce_graph_from_diag_data():
-    factor = pce.principal_coefficients(pce.skinny_svd(np.diag([2.0, 0.1])), 1.0)
-    g = pce_graph(factor)
-    assert np.allclose(g.vk @ g.vk.T, [[1.0, 0.0], [0.0, 0.0]], atol=1e-12)
-
-
 def test_lle_midpoint_weights():
     x = np.array([0.0, 0.0])
     y = np.array([4.0, 2.0])
     d = np.column_stack([x, (x + y) / 2, y])
-    g = lle_graph(d, LleConfig(p=2, reg=0.0))
-    assert np.allclose(g.weights[:, 1], [0.5, 0.0, 0.5], atol=1e-10)
+    w = lle_graph(d, 2, reg=0.0)
+    assert np.allclose(w[:, 1], [0.5, 0.0, 0.5], atol=1e-10)
 
 
 def test_lle_duplicate_neighbors_split_evenly():
     d = np.array([[0.0, 1.0, 1.0, 5.0]])
-    g = lle_graph(d, LleConfig(p=2, reg=1e-3))
-    w = g.weights[:, 0]
+    w = lle_graph(d, 2, reg=1e-3)[:, 0]
     assert w[1] == pytest.approx(w[2], abs=1e-10)
 
 
 def test_lle_columns_sum_to_one():
     rng = np.random.default_rng(0)
     d = rng.standard_normal((5, 20))
-    g = lle_graph(d, LleConfig(p=4))
-    assert np.allclose(g.weights.sum(axis=0), 1.0, atol=1e-8)
-    assert np.all(np.diag(g.weights) == 0.0)
-    assert np.all(np.count_nonzero(g.weights, axis=0) <= 4)
+    w = lle_graph(d, 4)
+    assert np.allclose(w.sum(axis=0), 1.0, atol=1e-8)
+    assert np.all(np.diag(w) == 0.0)
+    assert np.all(np.count_nonzero(w, axis=0) <= 4)
 
 
 def reference_lle_weights(d, p, reg):
@@ -123,10 +104,49 @@ def _integer_pixels(seed=13):
 )
 def test_lle_weights_match_reference_loop(make, p, reg):
     d = make()
-    w = lle_graph(d, LleConfig(p=p, reg=reg)).weights
+    w = lle_graph(d, p, reg=reg)
     ref = reference_lle_weights(d, p, reg)
     assert np.array_equal(w != 0, ref != 0)
     assert np.abs(w - ref).max() <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "d, p",
+    [(np.random.default_rng(14).standard_normal((30, 60)), 5), (_integer_pixels(), 4)],
+    ids=["gaussian", "integer"],
+)
+def test_lle_weights_are_scale_invariant(d, p):
+    # power-of-two scaling is exact, so only over- or underflow could move a weight
+    w = lle_graph(d, p)
+    for j in (-480, -300, -1, 1, 9, 300, 480):
+        assert np.array_equal(lle_graph(np.ldexp(d, j), p), w), f"2^{j}"
+
+
+def test_lle_weights_of_pixel_images_match_reference_loop():
+    # 0..255 pixels, as in face images: the raw local Grams (~1e8) would make
+    # the KKT systems look singular to the pseudo-inverse
+    d = np.random.default_rng(15).integers(0, 256, (1024, 200)).astype(float)
+    w = lle_graph(d, 5)
+    ref = reference_lle_weights(d / 256.0, 5, 1e-3)
+    assert np.array_equal(w != 0, ref != 0)
+    assert np.abs(w - ref).max() <= 1e-12
+
+
+def test_graph_inputs_are_checked():
+    d = _random_data()
+    w = lle_graph(d, 5)
+    nan_d, nan_w = d.copy(), w.copy()
+    nan_d[2, 3] = nan_w[4, 5] = np.nan
+    for call in (lambda: lle_graph(nan_d, 5), lambda: embed(nan_d, w, 2),
+                 lambda: embed(d, nan_w, 2)):
+        with pytest.raises(NonFinite):
+            call()
+    for call in (lambda: lle_graph(d[0], 5), lambda: embed(d[0], w, 2),
+                 lambda: embed(d, w[0], 2)):
+        with pytest.raises(DimensionMismatch, match="expected a 2-d matrix"):
+            call()
+    with pytest.raises(DimensionMismatch, match="weights are 30x29, not square"):
+        embed(d, w[:, :-1], 2)
 
 
 def test_lle_degenerate_neighborhood_names_first_column(monkeypatch):
@@ -140,18 +160,18 @@ def test_lle_degenerate_neighborhood_names_first_column(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "pinv", poisoned)
     with pytest.raises(DegenerateNeighborhood, match="at column 2$"):
-        lle_graph(_random_data(), LleConfig(p=3))
+        lle_graph(_random_data(), 3)
 
 
 def test_lle_bad_neighborhood_size():
     with pytest.raises(DimensionMismatch):
-        lle_graph(np.zeros((3, 4)), LleConfig(p=4))
+        lle_graph(np.zeros((3, 4)), 4)
 
 
 def test_embed_diag_pencil():
     d = np.diag([2.0, 0.1])
     factor = pce.principal_coefficients(pce.skinny_svd(d), 1.0)
-    theta = embed(d, pce_graph(factor), 1)
+    theta = embed(d, pce.materialize_affinity(factor), 1)
     assert np.allclose(np.abs(theta[:, 0]), [0.5, 0.0], atol=1e-10)
 
 
@@ -162,7 +182,7 @@ def test_embed_degenerate_spectrum_and_subspace(shape, lam):
     svd = pce.skinny_svd(d)
     factor = pce.principal_coefficients(svd, lam)
     k = factor.k
-    theta = embed(d, pce_graph(factor), k)
+    theta = embed(d, pce.materialize_affinity(factor), k)
     # metric orthonormality and the all-ones pencil spectrum
     gram = theta.T @ d @ d.T @ theta
     assert np.allclose(gram, np.eye(k), atol=1e-8)
@@ -173,7 +193,7 @@ def test_embed_degenerate_spectrum_and_subspace(shape, lam):
 def test_embed_identity_affinity_all_ones():
     rng = np.random.default_rng(2)
     d = rng.standard_normal((6, 9))
-    theta = embed(d, pce_graph(pce.CoefficientFactor(vk=np.eye(9), k=9)), 6)
+    theta = embed(d, np.eye(9), 6)
     assert np.allclose(theta.T @ d @ d.T @ theta, np.eye(6), atol=1e-8)
 
 
@@ -181,18 +201,18 @@ def test_embed_dim_exceeds_rank():
     d = np.diag([2.0, 0.1])
     factor = pce.principal_coefficients(pce.skinny_svd(d), 1.0)
     with pytest.raises(BadDim):
-        embed(d, pce_graph(factor), 2)
+        embed(d, pce.materialize_affinity(factor), 2)
 
 
 def test_embed_rejects_mismatched_graph_and_bad_dim():
     rng = np.random.default_rng(6)
     d = rng.standard_normal((6, 9))
-    graph = pce_graph(pce.CoefficientFactor(vk=np.ones((9, 2)) / 3.0, k=2))
+    graph = np.full((9, 9), 1.0 / 9.0)
     with pytest.raises(DimensionMismatch, match="graph has 9 nodes, data has 8 columns"):
         embed(d[:, :8], graph, 1)
     with pytest.raises(BadDim, match="dim must be at least 1"):
         embed(d, graph, 0)
-    # two equal columns give M0 rank 1: one usable eigenvalue for dim 2 <= k
+    # the projector onto the all-ones vector gives M0 rank 1: one usable eigenvalue
     with pytest.raises(BadDim, match="dim=2 exceeds the 1 eigenvalues above 1e-08"):
         embed(d, graph, 2)
 
@@ -204,7 +224,7 @@ def test_embed_rejects_svd_of_another_shape(other_shape):
     d = rng.standard_normal((10, 20))
     svd = pce.skinny_svd(rng.standard_normal(other_shape))
     with pytest.raises(DimensionMismatch, match=r"SVD factors are \d+x\d+, data is 10x20"):
-        embed(d, lle_graph(d, LleConfig(p=5)), 2, svd=svd)
+        embed(d, lle_graph(d, 5), 2, svd=svd)
 
 
 def test_eigenvalue_count_matches_k():
@@ -224,8 +244,7 @@ def test_lle_embed_matches_dense_generalized_solve():
     # independent oracle: scipy's dense generalized symmetric eigensolver
     rng = np.random.default_rng(7)
     d = rng.standard_normal((9, 24))
-    g = lle_graph(d, LleConfig(p=5))
-    a = g.weights
+    a = lle_graph(d, 5)
     sym = a + a.T - a @ a.T
     left = d @ sym @ d.T
     left = 0.5 * (left + left.T)
@@ -234,7 +253,7 @@ def test_lle_embed_matches_dense_generalized_solve():
     w_ref = w_ref[::-1]
     v_ref = v_ref[:, ::-1]
     dim = 4
-    theta = embed(d, g, dim)
+    theta = embed(d, a, dim)
     values, _ = pce.generalized_top_eigs(left, right, dim)
     assert np.allclose(values, w_ref[:dim], atol=1e-8)
     assert principal_angle(theta, v_ref[:, :dim]) < 1e-6
@@ -246,7 +265,7 @@ def test_lle_embed_matches_dense_generalized_solve():
 def test_lle_embed_ignores_svd_column_signs(shape):
     # flipping one pair (u_i, v_i) leaves D = U S V' as it is, so it leaves theta too
     d = np.random.default_rng(sum(shape)).standard_normal(shape)
-    g = lle_graph(d, LleConfig(p=5))
+    g = lle_graph(d, 5)
     svd = pce.skinny_svd(d)
     theta = embed(d, g, 4, svd=svd)
     for i in range(svd.rank):
@@ -264,12 +283,11 @@ def test_embed_with_ridge_matches_pencil(kind):
     d = rng.standard_normal((9, 24))
     svd = pce.skinny_svd(d)
     if kind == "lle":
-        g = lle_graph(d, LleConfig(p=5))
-        a = g.weights
+        g = a = lle_graph(d, 5)
         core = svd.v.T @ (a + a.T - a @ a.T) @ svd.v
     else:
         vk = np.linalg.qr(rng.standard_normal((24, 6)))[0]
-        g = pce_graph(pce.CoefficientFactor(vk=vk, k=6))
+        g = vk @ vk.T
         core = (svd.v.T @ vk) @ (svd.v.T @ vk).T
     dim = 4
     theta = embed(d, g, dim)

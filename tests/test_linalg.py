@@ -72,12 +72,7 @@ V_READERS = {
     "reconstruct": lambda d, svd: svd.reconstruct(),
     "recover_clean": lambda d, svd: pce.recover_clean(svd, 1),
     "principal_coefficients": lambda d, svd: pce.principal_coefficients(svd, 10.0),
-    "embed-pce-graph": lambda d, svd: pce.embed(
-        d, pce.pce_graph(pce.principal_coefficients(skinny_svd(d), 10.0)), 1, svd=svd
-    ),
-    "embed-lle-graph": lambda d, svd: pce.embed(
-        d, pce.lle_graph(d, pce.LleConfig(p=3)), 1, svd=svd
-    ),
+    "embed-lle-graph": lambda d, svd: pce.embed(d, pce.lle_graph(d, 3), 1, svd=svd),
 }
 
 

@@ -22,7 +22,7 @@ from pce.errors import (
     TooLarge,
 )
 from pce.linalg import QR_RATIO
-from pce.model import describe, estimate_dimension
+from pce.model import closed_form_projection, describe, estimate_dimension
 
 
 def argmin_oracle(sigma, lam):
@@ -369,9 +369,8 @@ def test_fit_theta_is_canonical_closed_form(ambient):
     assert model.k == 32
     assert np.abs(model.theta - canonical_closed_form(d, 32)).max() < 1e-12
     svd = pce.skinny_svd(d)
-    factor = pce.principal_coefficients(svd, 4.0)
     for dim in (1, 5, 32):
-        theta = pce.embed(d, pce.pce_graph(factor), dim, svd=svd)
+        theta = closed_form_projection(svd, dim)
         assert np.array_equal(theta, model.theta[:, :dim])
 
 
