@@ -37,7 +37,7 @@ from .model import (
     transform,
 )
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"
 
 __all__ = [
     "CoefficientFactor",

@@ -21,7 +21,7 @@ from .data import (
     split,
     write_csv,
 )
-from .errors import BadDim, DimensionMismatch, EmptyTrainingSet, LengthMismatch
+from .errors import BadDim, DimensionMismatch, EmptyTrainingSet, LengthMismatch, NonFinite
 from .linalg import _check_matrix, _unit_scale, canonical_signs, skinny_svd
 
 __all__ = [
@@ -44,7 +44,8 @@ def nn_classify(train_z, train_labels, test_z):
     label.  With both sets shifted by the first training column, which keeps
     integer features exact, column a goes to the b_j minimising ||b_j||^2 - 2a'b_j;
     exact ties go to the lowest j.  Both sets are first divided by one power of
-    two, exactly, so features scaled by 2^j keep every prediction."""
+    two, exactly, so features scaled by 2^j keep every prediction.  NaN or Inf
+    features raise NonFinite."""
     train_z = np.atleast_2d(np.asarray(train_z, dtype=float))
     test_z = np.atleast_2d(np.asarray(test_z, dtype=float))
     train_labels = np.asarray(train_labels)
@@ -58,6 +59,8 @@ def nn_classify(train_z, train_labels, test_z):
         raise LengthMismatch(
             f"{len(train_labels)} labels for {train_z.shape[1]} training columns"
         )
+    if not (np.isfinite(train_z).all() and np.isfinite(test_z).all()):
+        raise NonFinite("features contain NaN or Inf entries")
     b, a = train_z - train_z[:, :1], test_z - train_z[:, :1]
     _unit_scale(b, a)
     score = np.einsum("ij,ij->j", b, b) - 2.0 * (a.T @ b)
@@ -93,7 +96,8 @@ def pca_fit(d, dim):
     svd = skinny_svd(d - mean, right=False)
     if dim > svd.rank:
         raise BadDim(f"dim={dim} exceeds the rank {svd.rank} of the centred data")
-    return PcaModel(mean=mean[:, 0].copy(), components=canonical_signs(svd.u[:, :dim].copy()))
+    components = canonical_signs(svd.require_u()[:, :dim].copy())
+    return PcaModel(mean=mean[:, 0].copy(), components=components)
 
 
 def pca_transform(pca: PcaModel, y):

@@ -3,17 +3,18 @@
 ``lle_graph`` encodes each column over its p nearest neighbours with weights
 summing to 1, all from one Gram matrix of the data shifted by its first
 column.  ``embed`` solves the pencil D (A + A' - A A') D' theta = sigma D D'
-theta of a weight matrix A: the SVD of D makes the right matrix
-diag(sigma_r^2), so Theta = U_r Sigma_r^-1 Y with Y from one symmetric
-``eigh`` of an r x r matrix; no generalized eigensolver runs.  The
-principal-coefficient graph A = Vk Vk' is such a matrix too, but its pencil
-has the closed form ``model.closed_form_projection`` and ``fit`` takes that.
+theta of a weight matrix A with one symmetric ``eigh``: of the n x n matrix
+A + A' - A A' when D = QR has full column rank, else of an r x r matrix from
+the SVD of D; no generalized eigensolver runs.  The principal-coefficient
+graph A = Vk Vk' is such a matrix too, but its pencil has the closed form
+``model.closed_form_projection`` and ``fit`` takes that.
 """
 
 import numpy as np
 
 from .errors import BadDim, DegenerateNeighborhood, DimensionMismatch, NotConverged
-from .linalg import _canonicalize, _check_matrix, _unit_scale, canonical_signs, skinny_svd
+from .linalg import _canonicalize, _check_matrix, _unit_scale, canonical_signs
+from .linalg import numerical_rank, skinny_svd
 
 __all__ = ["lle_graph", "embed"]
 
@@ -90,19 +91,20 @@ def embed(d, weights, dim, svd=None):
     """Solve the embedding pencil of the n x n weight matrix ``weights`` and
     return the m x dim projection.
 
-    The pencil L theta = sigma D D' theta with L = D (A + A' - A A') D' is
-    reduced to the range of D through its SVD D = U_r Sigma_r V_r': writing
-    theta = U_r Sigma_r^-1 y turns it into the symmetric eigenproblem
-    M0 y = sigma y with M0 = V_r' (A + A' - A A') V_r, because every retained
-    sigma is positive.  M0 is formed from B = V_r' A as B V_r + (B V_r)' -
-    B B', with no n x n product of A with itself.  One ``eigh`` of the r x r
-    matrix M0 gives Y, and Theta = U_r Sigma_r^-1 Y satisfies
-    Theta' D D' Theta = I even when D D' itself is singular;
+    The pencil L theta = sigma D D' theta has L = D S D' with S = A + A' - A A'.
+    With ``svd`` None and D of full column rank, judged on the spectrum of R
+    from D = QR, V is square and orthogonal, so Theta = U Sigma^-1 V' Z =
+    D R^-1 R^-T Z for the top eigenvectors Z of S; neither U nor Q is formed.
+    Any other D is reduced to its range through the SVD D = U_r Sigma_r V_r':
+    theta = U_r Sigma_r^-1 y turns the pencil into M0 y = sigma y with
+    M0 = V_r' S V_r, formed from B = V_r' A as B V_r + (B V_r)' - B B' with no
+    n x n product of A with itself, and Theta = U_r Sigma_r^-1 Y.  Either way
+    Theta' D D' Theta = I, even when D D' itself is singular, and
     ``canonical_signs`` then fixes each column's sign.
     """
     d = _check_matrix(d)
     weights = _check_matrix(weights)
-    n = d.shape[1]
+    m, n = d.shape
     rows, cols = weights.shape
     if rows != cols:
         raise DimensionMismatch(f"weights are {rows}x{cols}, not square")
@@ -110,24 +112,33 @@ def embed(d, weights, dim, svd=None):
         raise DimensionMismatch(f"graph has {rows} nodes, data has {n} columns")
     if dim < 1:
         raise BadDim("dim must be at least 1")
-    if svd is None:
-        svd = skinny_svd(d)
-    v = svd.require_v()
-    if (svd.u.shape[0], v.shape[0]) != d.shape:
-        raise DimensionMismatch(
-            f"SVD factors are {svd.u.shape[0]}x{v.shape[0]}, data is {d.shape[0]}x{n}"
-        )
-    b = v.T @ weights
-    bv = b @ v
-    core = bv + bv.T - b @ b.T
+    tri = None
+    if svd is None and n <= m:  # D = QR: full column rank needs no SVD of D
+        tri = np.linalg.qr(d, mode="r")
+        if numerical_rank(skinny_svd(tri, left=False, right=False).spectrum, d.shape) < n:
+            tri = None
+    if tri is None:
+        svd = skinny_svd(d) if svd is None else svd
+        u, v = svd.require_u(), svd.require_v()
+        if (u.shape[0], v.shape[0]) != d.shape:
+            raise DimensionMismatch(
+                f"SVD factors are {u.shape[0]}x{v.shape[0]}, data is {m}x{n}"
+            )
+        b = v.T @ weights
+        bv = b @ v
+        core = bv + bv.T - b @ b.T
+    else:
+        core = weights + weights.T - weights @ weights.T
     try:
         evals, y = np.linalg.eigh(0.5 * (core + core.T))
     except np.linalg.LinAlgError as exc:
         raise NotConverged("symmetric eigensolve failed") from exc
-    values, alpha = _canonicalize(evals, y / svd.sigma[:, None])
+    values, alpha = _canonicalize(evals, y / svd.sigma[:, None] if tri is None else y)
     usable = int(np.count_nonzero(values > EIG_FLOOR))
     if dim > usable:
         raise BadDim(
             f"dim={dim} exceeds the {usable} eigenvalues above {EIG_FLOOR:g}"
         )
-    return canonical_signs(svd.u @ alpha[:, :dim])
+    if tri is None:
+        return canonical_signs(u @ alpha[:, :dim])
+    return canonical_signs(d @ np.linalg.solve(tri, np.linalg.solve(tri.T, alpha[:, :dim])))

@@ -5,10 +5,10 @@ importing this module (and ``pce``) loads numpy alone.  No library path calls
 the solver: it is the reference that the embedding is checked against.
 
 ``skinny_svd`` holds the library's one ``np.linalg.svd`` call, and every SVD
-(the centred-PCA baseline's included) goes through it.  A wide ``d`` takes
-Chan's R-SVD (see ``skinny_svd``), which agrees with the plain call to
-rounding, not to the bit.  Factors taken with ``right=False`` have
-``v = None``; ``SvdFactors.require_v`` is the one reader of V and refuses them.
+(the centred-PCA baseline's included) goes through it.  A wide ``d``, or a
+tall one without U, takes Chan's R-SVD (see ``skinny_svd``), which agrees with
+the plain call to rounding, not to the bit.  ``SvdFactors.require_u`` and
+``require_v`` are the one readers of U and V, and refuse factors taken without.
 
 Everything here is deterministic: identical inputs produce bitwise-identical
 outputs on a given platform and BLAS thread count.  Across thread counts the
@@ -66,15 +66,22 @@ class SvdFactors:
     ``u`` (m x r) and ``v`` (n x r) are column-orthonormal, ``sigma`` holds the
     r retained singular values in descending order.  ``spectrum`` keeps the full
     min(m, n) singular values so callers can reason about the discarded tail.
-    ``v`` is None when the SVD was taken without right vectors; read V
-    through ``require_v``.
+    ``u`` is None when the SVD was taken without left vectors and ``v`` when it
+    was taken without right ones; read them through ``require_u`` and
+    ``require_v``.
     """
 
-    u: np.ndarray
+    u: np.ndarray | None
     sigma: np.ndarray
     v: np.ndarray | None
     rank: int
     spectrum: np.ndarray = field(repr=False)
+
+    def require_u(self):
+        """``u``, or a ValueError when the SVD was taken with ``left=False``."""
+        if self.u is None:
+            raise ValueError("this SVD has no U; take it with skinny_svd(d, left=True)")
+        return self.u
 
     def require_v(self):
         """``v``, or a ValueError when the SVD was taken with ``right=False``."""
@@ -83,19 +90,22 @@ class SvdFactors:
         return self.v
 
     def reconstruct(self):
-        return (self.u * self.sigma) @ self.require_v().T
+        return (self.require_u() * self.sigma) @ self.require_v().T
 
 
-def skinny_svd(d, *, right=True):
+def skinny_svd(d, *, left=True, right=True):
     """SVD of ``d`` keeping only singular triplets above the rank tolerance;
-    ``right=False`` skips the right vectors (``v`` is None) and gives the
-    same ``u``, ``sigma`` and rank bits.
+    ``left=False`` skips the left vectors (``u`` is None) and ``right=False``
+    the right ones (``v`` is None).  With neither, only the spectrum is taken.
 
     For n >= QR_RATIO * m (11/6, LAPACK dgesdd's own crossover) this is
     Chan's R-SVD (ACM TOMS 8, 1982): d' = QR makes d = R'Q', so the m x m SVD
     R' = B S A' gives u = B and sigma, and v = QA.  Q is formed only for
-    ``right``; both QR modes give R the same bits.  Any other ``d`` is one
-    LAPACK ``gesdd`` call on ``d`` itself.
+    ``right``; both QR modes give R the same bits, so ``right=False`` keeps
+    the ``u``, ``sigma`` and rank bits.  Mirrored, m >= QR_RATIO * n with
+    ``left=False`` takes the n x n SVD of R from d = QR, whose right vectors
+    are v, and never forms Q.  Any other ``d`` is one LAPACK ``gesdd`` call on
+    ``d`` itself.
 
     Raises ZeroMatrix when every entry is numerically zero (the self-expression
     problem is undefined for the zero matrix) and NonFinite on NaN/Inf.
@@ -108,13 +118,16 @@ def skinny_svd(d, *, right=True):
         else:
             tri = np.linalg.qr(d.T, mode="r")
         a = tri.T
-    u, s, vt = np.linalg.svd(a, full_matrices=False)
+    elif d.shape[0] >= QR_RATIO * d.shape[1] and not left:
+        a = np.linalg.qr(d, mode="r")
+    out = np.linalg.svd(a, full_matrices=False, compute_uv=left or right)
+    u, s, vt = out if left or right else (None, out, None)
     if s[0] <= 0.0:
         raise ZeroMatrix("matrix is numerically zero")
     r = numerical_rank(s, d.shape)
     v = (vt.T if q is None else q @ vt.T) if right else None
     return SvdFactors(
-        u=u[:, :r],
+        u=u[:, :r] if left else None,
         sigma=s[:r].copy(),
         v=None if v is None else np.ascontiguousarray(v[:, :r]),
         rank=r,

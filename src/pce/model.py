@@ -21,7 +21,7 @@ from .errors import (
     NotSorted,
     TooLarge,
 )
-from .linalg import _check_matrix, canonical_signs, numerical_rank, skinny_svd
+from .linalg import QR_RATIO, _check_matrix, canonical_signs, numerical_rank, skinny_svd
 
 __all__ = [
     "PceModel",
@@ -135,9 +135,9 @@ def describe(spectrum, lam, shape):
     return SpectrumSummary(k, rank, error_norm, energy / energy[-1], min_lam)
 
 
-def _kept_dimension(svd, lam):
-    # svd.sigma holds only values above the rank, so describe keeps them all
-    summary = describe(svd.sigma, lam, svd.u.shape)
+def _kept_dimension(svd, lam, shape):
+    # svd.sigma holds only values above the rank of a shape matrix, so describe keeps them all
+    summary = describe(svd.sigma, lam, shape)
     if summary.k == 0:
         low = summary.min_lambda
         hint = "no finite lambda keeps one" if low is None else f"use lambda > {low:g}"
@@ -153,8 +153,9 @@ def principal_coefficients(svd, lam):
     The n x n matrix C = vk @ vk.T is never formed here; use
     ``materialize_affinity`` when an explicit copy is wanted.
     """
-    k = _kept_dimension(svd, lam)
-    return CoefficientFactor(vk=np.ascontiguousarray(svd.require_v()[:, :k]), k=k)
+    v = svd.require_v()
+    k = _kept_dimension(svd, lam, (len(v), len(v)))  # sigma was cut at max(m, n) >= n
+    return CoefficientFactor(vk=np.ascontiguousarray(v[:, :k]), k=k)
 
 
 def closed_form_projection(svd, k):
@@ -165,7 +166,7 @@ def closed_form_projection(svd, k):
     rotation of the k-fold eigenvalue 1 of the embedding pencil.  Its first j
     columns are the projection for dimension j.
     """
-    return canonical_signs(svd.u[:, :k] / svd.sigma[:k])
+    return canonical_signs(svd.require_u()[:, :k] / svd.sigma[:k])
 
 
 def recover_clean(svd, k):
@@ -177,9 +178,9 @@ def recover_clean(svd, k):
     """
     if not 1 <= k <= svd.rank:
         raise BadK(f"k={k} outside 1..{svd.rank}")
-    v = svd.require_v()
-    d0 = (svd.u[:, :k] * svd.sigma[:k]) @ v[:, :k].T
-    e = (svd.u[:, k:] * svd.sigma[k:]) @ v[:, k:].T
+    u, v = svd.require_u(), svd.require_v()
+    d0 = (u[:, :k] * svd.sigma[:k]) @ v[:, :k].T
+    e = (u[:, k:] * svd.sigma[k:]) @ v[:, k:].T
     return d0, e
 
 
@@ -196,19 +197,25 @@ def fit(d, lam=1.0, center=False):
     m x k projection Theta = Uk Sk^-1 (uncentred whitened PCA).
 
     This is the embedding of the principal-coefficient graph C = Vk Vk' in
-    closed form, so no eigenproblem is solved.  ``center`` subtracts the
-    per-row training mean first (off by default; the plain pipeline operates
-    on raw columns).
+    closed form, so no eigenproblem is solved.  Tall data (m >= QR_RATIO * n)
+    take the SVD of the triangular factor of D, without U, and Uk is the Q
+    of D Vk Sk^-1 = Q R.  ``center`` subtracts the per-row training mean
+    first (off by default; the plain pipeline operates on raw columns).
     """
     t0 = time.perf_counter()
     d = _check_matrix(d)  # the mean of a matrix with no columns warns
     mean = d.mean(axis=1, keepdims=True) if center else None
-    svd = skinny_svd(d if mean is None else d - mean, right=False)
-    k = _kept_dimension(svd, lam)
+    x = d if mean is None else d - mean
+    tall = x.shape[0] >= QR_RATIO * x.shape[1]
+    svd = skinny_svd(x, left=not tall, right=tall)
+    k = _kept_dimension(svd, lam, x.shape)
+    # D Vk Sk^-1 is Uk only to sigma_1 / sigma_k ulps; its thin QR is orthonormal to rounding
+    theta = closed_form_projection(svd, k) if not tall else canonical_signs(
+        np.linalg.qr(x @ svd.v[:, :k] / svd.sigma[:k])[0] / svd.sigma[:k])
     return PceModel(
         lam=float(lam),
         k=k,
-        theta=closed_form_projection(svd, k),
+        theta=theta,
         spectrum=svd.spectrum,
         train_cols=d.shape[1],
         center=None if mean is None else mean[:, 0].copy(),

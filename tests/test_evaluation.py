@@ -54,6 +54,16 @@ def test_nn_errors():
             nn_classify([[0, 1, 2]], [5, 6], test)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("side", ["train", "test"])
+def test_nn_rejects_nonfinite_features(side, bad):
+    # a NaN score made argmin stop at it: [[nan, 0, 1]] classified [[1]] as 0
+    train, test = np.array([[0.0, 0.0, 1.0]]), np.array([[1.0]])
+    (train if side == "train" else test)[0, 0] = bad
+    with pytest.raises(NonFinite, match="features contain NaN or Inf"):
+        nn_classify(train, [0, 1, 2], test)
+
+
 def test_nn_invariant_under_orthogonal_transform():
     rng = np.random.default_rng(0)
     train = rng.standard_normal((5, 30))

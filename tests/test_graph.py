@@ -297,3 +297,59 @@ def test_embed_with_ridge_matches_pencil(kind):
         0.5 * (left + left.T), np.diag(svd.sigma**2), dim
     )
     assert principal_angle(theta, svd.u @ alpha) < 1e-6
+
+
+def recorded_svds(monkeypatch):
+    """The (shape, options) of every SVD that ``embed`` asks for."""
+    calls = []
+
+    def recording(a, **options):
+        calls.append((a.shape, options))
+        return pce.skinny_svd(a, **options)
+
+    monkeypatch.setattr(pce.graph, "skinny_svd", recording)
+    return calls
+
+
+@pytest.mark.parametrize("shape", [(60, 25), (25, 25)], ids=["tall", "square"])
+def test_full_rank_embed_takes_qr_route_and_meets_criterion_6(shape, monkeypatch):
+    d = np.random.default_rng(21).standard_normal(shape)
+    a = lle_graph(d, 5)
+    n, dim = shape[1], 6
+    calls = recorded_svds(monkeypatch)
+    theta = embed(d, a, dim)
+    assert calls == [((n, n), {"left": False, "right": False})]  # R's spectrum alone
+    assert np.allclose(theta.T @ d @ d.T @ theta, np.eye(dim), atol=1e-8)
+    # the reference: the pencil reduced through the SVD, by generalized_top_eigs
+    svd = pce.skinny_svd(d)
+    sym = a + a.T - a @ a.T
+    left = svd.sigma[:, None] * (svd.v.T @ sym @ svd.v) * svd.sigma[None, :]
+    values, alpha = pce.generalized_top_eigs(
+        0.5 * (left + left.T), np.diag(svd.sigma**2), n
+    )
+    assert principal_angle(theta, svd.u @ alpha[:, :dim]) < 1e-6
+    # each column solves D S D' theta = mu D D' theta with the reference's mu
+    lhs = d @ (sym @ (d.T @ theta))
+    rhs = d @ (d.T @ theta) * values[:dim]
+    assert np.abs(lhs - rhs).max() <= 1e-8 * np.abs(lhs).max()
+
+
+@pytest.mark.parametrize("shape", [(60, 25), (25, 60)], ids=["rank-deficient-tall", "wide"])
+def test_embed_svd_route_keeps_its_bits(shape, monkeypatch):
+    rng = np.random.default_rng(22)
+    d = rng.standard_normal((shape[0], 10)) @ rng.standard_normal((10, shape[1]))
+    a = lle_graph(d, 5)
+    given = embed(d, a, 4, svd=pce.skinny_svd(d))
+    calls = recorded_svds(monkeypatch)
+    assert np.array_equal(embed(d, a, 4), given)
+    rank_check = [((25, 25), {"left": False, "right": False})] if shape[0] > shape[1] else []
+    assert calls == rank_check + [(shape, {})]
+
+
+def test_qr_route_embed_is_scale_equivariant_bit_for_bit():
+    # 2^j D has R * 2^j and the same weights, so Theta / 2^j exactly
+    d = np.random.default_rng(23).standard_normal((60, 25))
+    a = lle_graph(d, 5)
+    theta = embed(d, a, 6)
+    for j in (-400, -255, -1, 1, 37, 255, 400):
+        assert np.array_equal(embed(np.ldexp(d, j), a, 6), np.ldexp(theta, -j)), f"2^{j}"

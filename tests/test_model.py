@@ -132,9 +132,10 @@ def test_describe_is_scale_equivariant(sigma, zeros, lam, j):
 
 
 @given(
-    # tall, square, at linalg.QR_RATIO (the R-SVD side) and wide
-    shape=st.integers(2, 30).flatmap(lambda m: st.tuples(
-        st.just(m), st.sampled_from([m // 2 + 1, m, math.ceil(QR_RATIO * m), 2 * m]))),
+    # tall past linalg.QR_RATIO (the R-SVD without U), tall, square, at
+    # QR_RATIO (the R-SVD of D') and wide
+    shape=st.integers(2, 30).flatmap(lambda m: st.tuples(st.just(m), st.sampled_from(
+        [max(1, math.floor(m / QR_RATIO)), m // 2 + 1, m, math.ceil(QR_RATIO * m), 2 * m]))),
     seed=st.integers(0, 2**16),
     lam=st.floats(0.05, 20),
     j=st.integers(-400, 400),
@@ -389,6 +390,63 @@ def test_fit_on_wide_data_never_forms_q(monkeypatch):
     assert modes == ["r"]
     pce.skinny_svd(d)
     assert modes == ["r", "reduced"]
+
+
+def test_fit_on_tall_data_never_forms_u(monkeypatch):
+    # fit reads V from the SVD of R (QR mode "r"); the only other QR is the
+    # thin one of D Vk Sk^-1, whose k columns are Uk
+    spec = pce.SubspaceSpec(ambient=300, subspaces=((4, 20),) * 6)
+    ds = pce.generate_union_of_subspaces(spec, seed=4)
+    d = pce.add_gaussian_noise(ds.matrix, 0.01, seed=4)
+    modes, shapes = [], []
+    qr = np.linalg.qr
+
+    def recording_qr(a, mode="reduced"):
+        modes.append(mode)
+        shapes.append(a.shape)
+        return qr(a, mode=mode)
+
+    monkeypatch.setattr(np.linalg, "qr", recording_qr)
+    model = pce.fit(d, 4.0)
+    assert model.k == 24
+    assert (modes, shapes) == (["r", "reduced"], [(300, 120), (300, 24)])
+    assert np.abs(model.theta - canonical_closed_form(d, 24)).max() < 1e-12 * np.abs(
+        model.theta).max()
+    assert np.allclose(model.spectrum, np.linalg.svd(d, compute_uv=False), rtol=1e-13)
+
+
+@given(
+    # tall (the R-SVD without U), just either side of QR_RATIO, square and wide
+    shape=st.integers(2, 40).flatmap(lambda n: st.tuples(st.sampled_from(
+        [3 * n, math.ceil(QR_RATIO * n), math.ceil(QR_RATIO * n) - 1, n, n // 2 + 1]
+    ), st.just(n))),
+    rank=st.integers(1, 40),
+    seed=st.integers(0, 2**16),
+    skew=st.integers(0, 8),
+    cut=st.floats(0.0, 1.0),
+)
+@settings(max_examples=300, deadline=None)
+def test_fit_keeps_k_and_metric_orthonormality(shape, rank, seed, skew, cut):
+    # a rank-r product, its columns scaled by u^skew so that sigma_1 / sigma_k
+    # spans many decades; lambda sits between two singular values, away from ties
+    rng = np.random.default_rng(seed)
+    m, n = shape
+    r = min(rank, m, n)
+    d = rng.standard_normal((m, r)) @ rng.standard_normal((r, n)) * rng.uniform(0, 1, n) ** skew
+    sigma = np.linalg.svd(d, compute_uv=False)
+    rank = pce.linalg.numerical_rank(sigma, d.shape)
+    k = 1 + int(cut * (rank - 1))
+    if k < rank and sigma[k - 1] < (1 + 1e-6) * sigma[k]:
+        return  # a tie: k is not decided by the count alone
+    lam = 1.0 / (sigma[k - 1] * sigma[k]) if k < rank else 4.0 / sigma[k - 1] ** 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model = pce.fit(d, lam)
+    assert model.k == k == int(np.count_nonzero(sigma[:rank] > lam**-0.5))
+    # theta' D D' theta = I to 1e-10 relative to ||D|| ||theta|| = sigma_1 / sigma_k,
+    # the scale to which a backward-stable SVD keeps it
+    g = d.T @ model.theta
+    assert np.abs(g.T @ g - np.eye(k)).max() <= 1e-10 * sigma[0] / sigma[k - 1]
 
 
 BLAS_THREADS_FIT = """
