@@ -215,7 +215,7 @@ def cmd_sweep(args):
         train, test = split(labeled, args.train_fraction, args.split_seed)
     svd = skinny_svd(train.matrix if with_accuracy else ds.matrix, right=False)
     if with_accuracy:  # a lambda that keeps no dimension fails as fit does
-        ks = [model._kept_dimension(svd, lam, train.matrix.shape) for lam in lambdas]
+        ks = [model._kept_dimension(svd, lam) for lam in lambdas]
     else:
         ks = [model.estimate_dimension(svd.sigma, lam) for lam in lambdas]
     ascending = [k for _, k in sorted(zip(lambdas, ks))]

@@ -3,10 +3,10 @@
 ``lle_graph`` encodes each column over its p nearest neighbours with weights
 summing to 1, all from one Gram matrix of the data shifted by its first
 column.  ``embed`` solves the pencil D (A + A' - A A') D' theta = sigma D D'
-theta of a weight matrix A with one symmetric ``eigh``: of the n x n matrix
-A + A' - A A' when D = QR has full column rank, else of an r x r matrix from
-the SVD of D; no generalized eigensolver runs.  The principal-coefficient
-graph A = Vk Vk' is such a matrix too, but its pencil has the closed form
+theta of a weight matrix A with one symmetric ``eigh``: of A + A' - A A' when
+D = QR has a well-conditioned R, else of an r x r matrix from the SVD of D; no
+generalized eigensolver runs.  The principal-coefficient graph A = Vk Vk' is
+such a matrix too, but its pencil has the closed form
 ``model.closed_form_projection`` and ``fit`` takes that.
 """
 
@@ -19,6 +19,7 @@ from .linalg import numerical_rank, skinny_svd
 __all__ = ["lle_graph", "embed"]
 
 EIG_FLOOR = 1e-8
+QR_COND_MAX = np.finfo(float).eps ** (-1 / 3)  # embed's R route: eps kappa^3 <= 1
 
 
 def lle_graph(d, p, reg=1e-3):
@@ -95,11 +96,13 @@ def embed(d, weights, dim, svd=None):
     With ``svd`` None and D of full column rank, judged on the spectrum of R
     from D = QR, V is square and orthogonal, so Theta = U Sigma^-1 V' Z =
     D R^-1 R^-T Z for the top eigenvectors Z of S; neither U nor Q is formed.
-    Any other D is reduced to its range through the SVD D = U_r Sigma_r V_r':
+    This meets D' Theta = Z to eps kappa^2 (kappa = sigma_1 / sigma_n); one
+    step on the residual brings that to eps kappa while kappa <= QR_COND_MAX.
+    Any other D is reduced to its range through D = U_r Sigma_r V_r':
     theta = U_r Sigma_r^-1 y turns the pencil into M0 y = sigma y with
     M0 = V_r' S V_r, formed from B = V_r' A as B V_r + (B V_r)' - B B' with no
     n x n product of A with itself, and Theta = U_r Sigma_r^-1 Y.  Either way
-    Theta' D D' Theta = I, even when D D' itself is singular, and
+    Theta' D D' Theta = I to eps kappa, even when D D' itself is singular, and
     ``canonical_signs`` then fixes each column's sign.
     """
     d = _check_matrix(d)
@@ -115,7 +118,8 @@ def embed(d, weights, dim, svd=None):
     tri = None
     if svd is None and n <= m:  # D = QR: full column rank needs no SVD of D
         tri = np.linalg.qr(d, mode="r")
-        if numerical_rank(skinny_svd(tri, left=False, right=False).spectrum, d.shape) < n:
+        s = skinny_svd(tri, left=False, right=False).spectrum
+        if numerical_rank(s, d.shape) < n or not s[0] <= QR_COND_MAX * s[-1]:
             tri = None
     if tri is None:
         svd = skinny_svd(d) if svd is None else svd
@@ -141,4 +145,7 @@ def embed(d, weights, dim, svd=None):
         )
     if tri is None:
         return canonical_signs(u @ alpha[:, :dim])
-    return canonical_signs(d @ np.linalg.solve(tri, np.linalg.solve(tri.T, alpha[:, :dim])))
+    theta = np.zeros((m, dim))
+    for _ in range(2):  # Theta = D (R'R)^-1 Z, then the step on Z - D' Theta
+        theta += d @ np.linalg.solve(tri, np.linalg.solve(tri.T, alpha[:, :dim] - d.T @ theta))
+    return canonical_signs(theta)

@@ -66,9 +66,8 @@ class SvdFactors:
     ``u`` (m x r) and ``v`` (n x r) are column-orthonormal, ``sigma`` holds the
     r retained singular values in descending order.  ``spectrum`` keeps the full
     min(m, n) singular values so callers can reason about the discarded tail.
-    ``u`` is None when the SVD was taken without left vectors and ``v`` when it
-    was taken without right ones; read them through ``require_u`` and
-    ``require_v``.
+    ``u`` or ``v`` is None when the SVD was taken without that side's vectors;
+    read them through ``require_u`` and ``require_v``.
     """
 
     u: np.ndarray | None

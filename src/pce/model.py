@@ -135,9 +135,9 @@ def describe(spectrum, lam, shape):
     return SpectrumSummary(k, rank, error_norm, energy / energy[-1], min_lam)
 
 
-def _kept_dimension(svd, lam, shape):
-    # svd.sigma holds only values above the rank of a shape matrix, so describe keeps them all
-    summary = describe(svd.sigma, lam, shape)
+def _kept_dimension(svd, lam):
+    # svd.sigma holds only values above the rank, so describe keeps them all
+    summary = describe(svd.sigma, lam, (len(svd.sigma),) * 2)
     if summary.k == 0:
         low = summary.min_lambda
         hint = "no finite lambda keeps one" if low is None else f"use lambda > {low:g}"
@@ -153,9 +153,8 @@ def principal_coefficients(svd, lam):
     The n x n matrix C = vk @ vk.T is never formed here; use
     ``materialize_affinity`` when an explicit copy is wanted.
     """
-    v = svd.require_v()
-    k = _kept_dimension(svd, lam, (len(v), len(v)))  # sigma was cut at max(m, n) >= n
-    return CoefficientFactor(vk=np.ascontiguousarray(v[:, :k]), k=k)
+    k = _kept_dimension(svd, lam)
+    return CoefficientFactor(vk=np.ascontiguousarray(svd.require_v()[:, :k]), k=k)
 
 
 def closed_form_projection(svd, k):
@@ -208,7 +207,7 @@ def fit(d, lam=1.0, center=False):
     x = d if mean is None else d - mean
     tall = x.shape[0] >= QR_RATIO * x.shape[1]
     svd = skinny_svd(x, left=not tall, right=tall)
-    k = _kept_dimension(svd, lam, x.shape)
+    k = _kept_dimension(svd, lam)
     # D Vk Sk^-1 is Uk only to sigma_1 / sigma_k ulps; its thin QR is orthonormal to rounding
     theta = closed_form_projection(svd, k) if not tall else canonical_signs(
         np.linalg.qr(x @ svd.v[:, :k] / svd.sigma[:k])[0] / svd.sigma[:k])

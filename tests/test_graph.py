@@ -1,13 +1,16 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
 import pce
 from pce.errors import BadDim, DegenerateNeighborhood, DimensionMismatch, NonFinite
-from pce.graph import embed, lle_graph
+from pce.graph import QR_COND_MAX, embed, lle_graph
 
 
 def principal_angle(a, b):
@@ -339,9 +342,9 @@ def test_embed_svd_route_keeps_its_bits(shape, monkeypatch):
     rng = np.random.default_rng(22)
     d = rng.standard_normal((shape[0], 10)) @ rng.standard_normal((10, shape[1]))
     a = lle_graph(d, 5)
-    given = embed(d, a, 4, svd=pce.skinny_svd(d))
+    reference = embed(d, a, 4, svd=pce.skinny_svd(d))
     calls = recorded_svds(monkeypatch)
-    assert np.array_equal(embed(d, a, 4), given)
+    assert np.array_equal(embed(d, a, 4), reference)
     rank_check = [((25, 25), {"left": False, "right": False})] if shape[0] > shape[1] else []
     assert calls == rank_check + [(shape, {})]
 
@@ -353,3 +356,75 @@ def test_qr_route_embed_is_scale_equivariant_bit_for_bit():
     theta = embed(d, a, 6)
     for j in (-400, -255, -1, 1, 37, 255, 400):
         assert np.array_equal(embed(np.ldexp(d, j), a, 6), np.ldexp(theta, -j)), f"2^{j}"
+
+
+def graded(kappa, seed):
+    """A 60 x 25 matrix with singular values spaced evenly in log from 1 to 1/kappa."""
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.standard_normal((60, 25)))
+    v, _ = np.linalg.qr(rng.standard_normal((25, 25)))
+    return (u * np.logspace(0, -np.log10(kappa), 25)) @ v.T
+
+
+def test_r_route_refines_to_eps_kappa(monkeypatch):
+    # at kappa = 1e5 D (R'R)^-1 Z alone misses D' Theta = Z by about 1e-8; the
+    # step on its residual leaves the SVD route's eps kappa
+    d = graded(1e5, 25)
+    g = np.random.default_rng(25).standard_normal((25, 25))
+    a = np.eye(25) - g / (2 * np.linalg.norm(g, 2))
+    calls = recorded_svds(monkeypatch)
+    theta = embed(d, a, 8)
+    assert calls == [((25, 25), {"left": False, "right": False})]
+    f = d.T @ theta
+    assert np.abs(f.T @ f - np.eye(8)).max() <= 10 * np.finfo(float).eps * 1e5
+
+
+def test_ill_conditioned_full_rank_embed_takes_svd_route(monkeypatch):
+    # kappa = 1e8 is full rank at 1e-12 * 60 but past QR_COND_MAX: D (R'R)^-1 Z
+    # would miss D' Theta = Z by eps kappa^2, so the SVD route runs, bit for bit
+    d = graded(1e8, 24)
+    assert pce.linalg.numerical_rank(np.linalg.svd(d, compute_uv=False), d.shape) == 25
+    a = lle_graph(d, 5)
+    reference = embed(d, a, 4, svd=pce.skinny_svd(d))
+    calls = recorded_svds(monkeypatch)
+    assert np.array_equal(embed(d, a, 4), reference)
+    assert calls == [((25, 25), {"left": False, "right": False}), ((60, 25), {})]
+
+
+@given(
+    # tall and square: the R route while kappa <= QR_COND_MAX, the SVD route past it
+    shape=st.integers(2, 30).flatmap(
+        lambda n: st.tuples(st.sampled_from([n, 2 * n, 3 * n]), st.just(n))),
+    rank=st.integers(1, 30),
+    noise=st.sampled_from([0.0, 1e-9, 1e-6, 1e-3]),
+    seed=st.integers(0, 2**16),
+    skew=st.integers(0, 8),
+    dim=st.integers(1, 30),
+)
+@settings(max_examples=300, deadline=None)
+def test_embed_keeps_metric_orthonormality(shape, rank, noise, seed, skew, dim):
+    # a rank-r product plus noise, so D is nearly rank deficient yet of full
+    # column rank, with its columns scaled by u^skew so that kappa spans many
+    # decades; A = I - G / (2 ||G||) keeps every eigenvalue of A + A' - A A' in
+    # [3/4, 1], so any dim up to the rank is usable
+    rng = np.random.default_rng(seed)
+    m, n = shape
+    r = min(rank, n)
+    d = rng.standard_normal((m, r)) @ rng.standard_normal((r, n))
+    d = (d + noise * rng.standard_normal((m, n))) * rng.uniform(0, 1, n) ** skew
+    sigma = np.linalg.svd(d, compute_uv=False)
+    if sigma[0] == 0.0:
+        return
+    r = pce.linalg.numerical_rank(sigma, d.shape)
+    dim = min(dim, r)
+    g = rng.standard_normal((n, n))
+    a = np.eye(n) - g / (2 * np.linalg.norm(g, 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        theta = embed(d, a, dim)
+    # theta' D D' theta = I to 1e-10 relative to ||D|| ||theta|| = sigma_1 / sigma_r,
+    # the scale to which a backward-stable SVD keeps it
+    f = d.T @ theta
+    assert np.abs(f.T @ f - np.eye(dim)).max() <= 1e-10 * sigma[0] / sigma[r - 1]
+    if r == n and sigma[0] <= 0.5 * QR_COND_MAX * sigma[-1]:  # the R route, clear of the bound
+        assert np.abs(f.T @ f - np.eye(dim)).max() <= 1e-12 * sigma[0] / sigma[-1]
