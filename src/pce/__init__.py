@@ -25,7 +25,7 @@ from .evaluation import (
     run_experiment,
 )
 from .graph import embed, lle_graph
-from .linalg import SvdFactors, generalized_top_eigs, skinny_svd
+from .linalg import SvdFactors, skinny_svd
 from .model import (
     CoefficientFactor,
     PceModel,
@@ -37,7 +37,7 @@ from .model import (
     transform,
 )
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"
 
 __all__ = [
     "CoefficientFactor",
@@ -55,7 +55,6 @@ __all__ = [
     "embed",
     "estimate_dimension",
     "fit",
-    "generalized_top_eigs",
     "generate_union_of_subspaces",
     "lle_graph",
     "load_matrix",

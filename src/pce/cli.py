@@ -260,7 +260,12 @@ def cmd_bench(args):
         raise ParseError(f"--repeats must be >= 1, got {args.repeats}")
     rows = []
     for m_dim, n in sizes:
-        d = _rng(args.seed, m_dim, n).standard_normal((m_dim, n))
+        try:
+            d = _rng(args.seed, m_dim, n).standard_normal((m_dim, n))
+        except (MemoryError, ValueError):  # numpy refuses a size past memory or its index range
+            raise ParseError(
+                f"--sizes {m_dim}x{n}: {m_dim} x {n} floats do not fit in memory"
+            ) from None
         best = min(model.fit(d, args.lam).fit_seconds for _ in range(args.repeats))
         rows.append((m_dim, n, f"{best:.6f}"))
         print(f"m={m_dim} n={n} fit_s={best:.6f}")

@@ -1,8 +1,5 @@
-"""Dense linear-algebra kernels: skinny SVD and a generalized symmetric
-eigensolver, which is one LAPACK ``sygvd`` call through ``scipy.linalg.eigh``.
-Only that solver needs scipy, and it imports scipy on its first call, so
-importing this module (and ``pce``) loads numpy alone.  No library path calls
-the solver: it is the reference that the embedding is checked against.
+"""Dense linear-algebra kernels on numpy alone: the skinny SVD, the rank
+tolerance, and canonical column signs and eigenvalue order.
 
 ``skinny_svd`` holds the library's one ``np.linalg.svd`` call, and every SVD
 (the centred-PCA baseline's included) goes through it.  A wide ``d``, or a
@@ -12,25 +9,25 @@ the plain call to rounding, not to the bit.  ``SvdFactors.require_u`` and
 
 Everything here is deterministic: identical inputs produce bitwise-identical
 outputs on a given platform and BLAS thread count.  Across thread counts the
-bits may differ; canonical signs and tie order keep the results equal to
-rounding (1e-10), not to the bit.
+bits may differ.  Canonical signs and tie order keep ``fit``'s theta and the
+PCA baseline's components equal to rounding (1e-10); ``embed``'s theta moves
+within its eigenvector sensitivity, which is larger where the top eigenvalues
+of its pencil lie close together.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonFinite, NotConverged, ZeroMatrix
+from .errors import DimensionMismatch, NonFinite, ZeroMatrix
 
 __all__ = [
     "SvdFactors",
     "skinny_svd",
-    "generalized_top_eigs",
     "canonical_signs",
     "numerical_rank",
 ]
 
-SYMMETRY_TOL = 1e-10
 # n >= QR_RATIO * m takes the QR of d' first; LAPACK dgesdd's own crossover
 QR_RATIO = 11 / 6
 
@@ -164,31 +161,3 @@ def _canonicalize(values, vectors):
     order = np.lexsort((key, neg))
     return values[order], canonical_signs(vectors[:, order])
 
-
-def generalized_top_eigs(l, r, count):
-    """Top ``count`` eigenpairs of the pencil (l, r).
-
-    ``l`` must be symmetric and ``r`` symmetric positive definite.  Solved by
-    one LAPACK ``sygvd`` call (``scipy.linalg.eigh(l, r)``), which whitens by
-    Cholesky itself, so the returned vectors satisfy ``vectors.T @ r @ vectors = I``.
-    Raises NonFinite on NaN/Inf and NotConverged when ``r`` is not positive
-    definite.
-    """
-    l, r = _check_matrix(l), _check_matrix(r)
-    if l.shape != r.shape or l.shape[0] != l.shape[1]:
-        raise DimensionMismatch(f"pencil shapes differ: {l.shape} vs {r.shape}")
-    n = l.shape[0]
-    if count > n:
-        raise DimensionMismatch(f"requested {count} eigenpairs from a {n}x{n} pencil")
-    for side, a in (("left", l), ("right", r)):
-        if np.abs(a - a.T).max() > SYMMETRY_TOL * max(np.abs(a).max(), 1.0):
-            raise DimensionMismatch(f"{side} matrix is not symmetric")
-    import scipy.linalg  # imported here so that only this solver loads scipy
-    try:
-        w, vectors = scipy.linalg.eigh(0.5 * (l + l.T), r)
-    except np.linalg.LinAlgError as exc:
-        raise NotConverged(
-            "right matrix is not positive definite; pass r + ridge * I instead"
-        ) from exc
-    values, vectors = _canonicalize(w, vectors)
-    return values[:count].copy(), np.ascontiguousarray(vectors[:, :count])

@@ -210,7 +210,7 @@ def fit(d, lam=1.0, center=False):
     k = _kept_dimension(svd, lam)
     # D Vk Sk^-1 is Uk only to sigma_1 / sigma_k ulps; its thin QR is orthonormal to rounding
     theta = closed_form_projection(svd, k) if not tall else canonical_signs(
-        np.linalg.qr(x @ svd.v[:, :k] / svd.sigma[:k])[0] / svd.sigma[:k])
+        np.linalg.qr(x @ svd.require_v()[:, :k] / svd.sigma[:k])[0] / svd.sigma[:k])
     return PceModel(
         lam=float(lam),
         k=k,

@@ -13,6 +13,7 @@ import pce
 from pce.cli import load_model, main
 from pce.evaluation import nn_classify, pca_fit, pca_transform
 from pce.model import estimate_dimension
+from reference import generalized_top_eigs
 
 BENCH_SPEC = pce.SubspaceSpec(ambient=50, subspaces=((4, 20),) * 5)
 
@@ -147,7 +148,7 @@ def test_criterion_6_embedding_contract():
         k, theta = model.k, model.theta
         assert np.allclose(theta.T @ d @ d.T @ theta, np.eye(k), atol=1e-8)
         w = svd.sigma[:, None] * (svd.v.T @ factor.vk)
-        values, _ = pce.generalized_top_eigs(
+        values, _ = generalized_top_eigs(
             w @ w.T, np.diag(svd.sigma**2), svd.rank
         )
         assert np.all(np.abs(values[:k] - 1.0) < 1e-6)

@@ -817,6 +817,19 @@ def test_bench_rows(tmp_path):
     assert all(float(r[2]) > 0 for r in rows[1:])
 
 
+@pytest.mark.parametrize("side", [10**9, 10**10, 10**20],
+                         ids=["past-memory", "past-byte-count", "past-dimension"])
+def test_bench_size_past_memory_is_input_error(side, tmp_path, capsys):
+    # numpy refuses each of these at once: MemoryError, or a ValueError on the size
+    out = tmp_path / "bench.csv"
+    size = f"{side}x{side}"
+    code = main(["bench", "--sizes", f"8x8,{size}", "--repeats", "1", "--output", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == f"error: --sizes {size}: {side} x {side} floats do not fit in memory\n"
+    assert not out.exists()
+
+
 def test_missing_file_is_input_error(capsys):
     assert main(["fit", "/no/such/file", "--output", "x"]) == 1
 
@@ -894,8 +907,14 @@ def test_cli_outputs_across_blas_threads_qr_first(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_cli_outputs_across_blas_threads_tall(tmp_path):
+    # the same contract when fit takes the SVD of R from D = QR and forms no U
+    cli_outputs_at_one_and_all_threads(tmp_path, 800)
+
+
 SCIPY_GUARD = """
 import sys
+sys.modules["scipy"] = None  # any scipy import now raises ImportError
 import pce
 from pce.cli import main
 commands = [
@@ -911,7 +930,7 @@ commands += [["eval", f"{method}.cfg", "--output", f"{method}.csv"]
 for argv in commands:
     if main(argv) != 0:
         sys.exit(f"{argv} failed")
-    if "scipy" in sys.modules:
+    if sys.modules["scipy"] is not None:
         sys.exit(f"{argv} loaded scipy")
 """
 

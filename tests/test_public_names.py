@@ -1,10 +1,22 @@
 import ast
 import importlib
+import re
+import sys
 from pathlib import Path
 
 import pce
 
 MODULES = ("data", "evaluation", "graph", "linalg", "model")
+ROOT = Path(__file__).resolve().parents[1]
+PYPROJECT = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+
+
+def pyproject_value(key):
+    """The raw right-hand side of ``key = ...`` in pyproject.toml's text
+    (Python 3.10 has no tomllib), a bracketed list taken up to its ``]``."""
+    found = re.search(rf"^{key} = (\[[^\]]*\]|.*)$", PYPROJECT, re.MULTILINE)
+    assert found, f"pyproject.toml has no {key} line"
+    return found.group(1)
 
 
 def test_public_name_lists_resolve_and_agree():
@@ -48,3 +60,26 @@ def test_one_svd_call_in_the_library():
     assert {name: n for name, n in calls.items() if n} == {"linalg": 1}
     assert private == []
     assert not hasattr(importlib.import_module("pce.linalg"), "_svd")
+
+
+def test_library_imports_numpy_and_the_standard_library_alone():
+    # pce runs on numpy alone: scipy and every other package stay in the tests
+    foreign = []
+    for path in sorted(Path(pce.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            foreign += [
+                f"{path.name}: {name}" for name in names
+                if name.split(".")[0] not in {*sys.stdlib_module_names, "numpy", "pce"}
+            ]
+    assert foreign == []
+    assert re.findall(r'"([^"]*)"', pyproject_value("dependencies")) == ["numpy>=1.24"]
+
+
+def test_pyproject_version_is_the_package_version():
+    assert pyproject_value("version") == f'"{pce.__version__}"'
