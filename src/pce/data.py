@@ -5,7 +5,9 @@ dataset, matrix and model files, experiment configs and CSV tables.
 All randomness flows through numpy's PCG64 generator seeded from explicit
 integers, so every operation is a pure function of (inputs, seed).  Per-column
 noise uses a (seed, column) seed sequence, making results independent of any
-internal parallelization order.
+internal parallelization order.  Samples are columns, and the generator and
+both corruption models store them column-major (Fortran order), so each
+per-column loop reads and writes contiguous memory; ``split`` keeps that order.
 """
 
 import os
@@ -16,7 +18,13 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import InfeasibleSpec, ParseError, ShapeError, TooFewSamples
+from .errors import (
+    DimensionMismatch,
+    InfeasibleSpec,
+    ParseError,
+    ShapeError,
+    TooFewSamples,
+)
 from .model import PceModel, describe
 
 __all__ = [
@@ -124,16 +132,24 @@ def generate_union_of_subspaces(spec: SubspaceSpec, seed: int) -> LabeledDataset
         bases = [
             np.linalg.qr(rng.standard_normal((spec.ambient, d)))[0] for d in dims
         ]
-    blocks, labels = [], []
-    for cls, (basis, d, c) in enumerate(zip(bases, dims, counts)):
+    matrix = np.empty((spec.ambient, sum(counts)), order="F")
+    starts = np.cumsum([0] + counts)
+    for basis, d, c, start in zip(bases, dims, counts, starts):
         coeffs = rng.uniform(-spec.coeff_scale, spec.coeff_scale, size=(d, c))
-        blocks.append(basis @ coeffs)
-        labels.extend([cls] * c)
+        matrix[:, start : start + c] = basis @ coeffs
     return LabeledDataset(
-        matrix=np.hstack(blocks),
-        labels=np.array(labels),
+        matrix=matrix,
+        labels=np.repeat(np.arange(len(counts)), counts),
         meta={"source": "union-of-subspaces", "seed": str(seed)},
     )
+
+
+def _samples(d):
+    """``d`` as a float matrix whose columns are samples."""
+    d = np.asarray(d, dtype=float)
+    if d.ndim != 2:
+        raise DimensionMismatch(f"expected a 2-d matrix, got shape {d.shape}")
+    return d
 
 
 def add_gaussian_noise(d, rho, clip=None, seed=0):
@@ -141,8 +157,8 @@ def add_gaussian_noise(d, rho, clip=None, seed=0):
     _check_gaussian_rho(rho)
     if clip is not None:
         _check_clip(clip)
-    d = np.asarray(d, dtype=float)
-    out = np.empty_like(d)
+    d = _samples(d)
+    out = np.empty(d.shape, order="F")
     for j in range(d.shape[1]):
         g = _rng(seed, j).standard_normal(d.shape[0])
         out[:, j] = d[:, j] + rho * g
@@ -170,16 +186,17 @@ def _check_pixel_fraction(rho):
 
 def add_pixel_corruption(d, rho, seed=0):
     """Replace a rho fraction of each column's entries (round half up) with
-    uniform draws over [0, column max]."""
+    uniform draws between 0 and the column max: over [0, max] when the max
+    is >= 0, and over [max, 0] when every entry is negative."""
     _check_pixel_fraction(rho)
-    d = np.asarray(d, dtype=float).copy()
+    d = _samples(np.array(d, dtype=float, order="F"))
     m = d.shape[0]
     count = int(np.floor(rho * m + 0.5))
     for j in range(d.shape[1]):
         rng = _rng(seed, j)
         rows = rng.choice(m, size=count, replace=False)
         pmax = d[:, j].max()
-        d[rows, j] = rng.uniform(0.0, pmax, size=count)
+        d[rows, j] = rng.uniform(min(0.0, pmax), max(0.0, pmax), size=count)
     return d
 
 

@@ -32,11 +32,15 @@ __all__ = [
 QR_RATIO = 11 / 6
 
 
+def _rank_tol(shape):
+    # sigma_i <= _rank_tol(shape) * sigma_1 counts as zero
+    return 1e-12 * max(shape)
+
+
 def numerical_rank(spectrum, shape):
     """Count of the descending singular values ``spectrum`` of a matrix of
     ``shape`` above 1e-12 * max(shape) * sigma_1; the rest count as zero."""
-    tol = 1e-12 * max(shape)
-    return int(np.count_nonzero(spectrum > tol * spectrum[0]))
+    return int(np.count_nonzero(spectrum > _rank_tol(shape) * spectrum[0]))
 
 
 def _check_matrix(d):

@@ -501,6 +501,19 @@ def test_eval_noise_paths_rerun_identically(tmp_path, noise):
     assert reports[0] == reports[1]
 
 
+def test_eval_pixel_corruption_of_negative_columns(tmp_path, capsys):
+    # one-dimensional subspaces in 2-d: some columns have no entry >= 0, and
+    # their pixels are redrawn between the column max and 0
+    config = tmp_path / "exp.cfg"
+    config.write_text(
+        "synthetic=2:1x6,1x6\nmethod=raw\nnoise=pixel\nnoise_rho=1\ntrials=3\n"
+    )
+    out = tmp_path / "r.csv"
+    assert main(["eval", str(config), "--output", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert [row[0] for row in read_csv(out)[1:]] == ["0", "1", "2", "summary"]
+
+
 @pytest.mark.parametrize("meta", ["", "# meta unlabeled=false\n"],
                          ids=["plain", "meta-says-labeled"])
 def test_eval_and_sweep_refuse_unlabeled_matrix(tmp_path, capsys, meta):
@@ -910,6 +923,40 @@ def test_cli_outputs_across_blas_threads_qr_first(tmp_path):
 def test_cli_outputs_across_blas_threads_tall(tmp_path):
     # the same contract when fit takes the SVD of R from D = QR and forms no U
     cli_outputs_at_one_and_all_threads(tmp_path, 800)
+
+
+EVAL_COMMANDS = """
+import sys
+from pce.cli import main
+for method in ("pce", "pca", "lle-npe", "raw"):
+    if main(["eval", f"{method}.cfg", "--output", f"{method}.csv"]) != 0:
+        sys.exit(f"eval {method} failed")
+"""
+
+
+def test_eval_reports_across_blas_threads(tmp_path):
+    # 120 x 40 train halves: lle-npe's embed takes the R route, and each
+    # report is a byte-for-byte function of its config at any thread count
+    nproc = len(os.sched_getaffinity(0))
+    reports = []
+    for i, threads in enumerate(("1", str(max(nproc, 2)))):
+        cwd = tmp_path / f"run{i}"
+        cwd.mkdir()
+        for method in ("pce", "pca", "lle-npe", "raw"):
+            (cwd / f"{method}.cfg").write_text(
+                "synthetic=120:3x20,3x20,3x20,3x20\nnoise=gaussian\nnoise_rho=0.05\n"
+                f"method={method}\ndim=10\ntrials=2\n"
+            )
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads)
+        done = subprocess.run([sys.executable, "-c", EVAL_COMMANDS], cwd=cwd, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        reports.append({method: (cwd / f"{method}.csv").read_bytes()
+                        for method in ("pce", "pca", "lle-npe", "raw")})
+    one, many = reports
+    assert one == many
+    assert read_csv(tmp_path / "run0" / "pce.csv")[-1] == ["summary", "0.9375", "12"]
 
 
 SCIPY_GUARD = """

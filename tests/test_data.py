@@ -9,7 +9,13 @@ import pytest
 
 import pce
 from pce import data
-from pce.errors import InfeasibleSpec, ParseError, ShapeError, TooFewSamples
+from pce.errors import (
+    DimensionMismatch,
+    InfeasibleSpec,
+    ParseError,
+    ShapeError,
+    TooFewSamples,
+)
 
 
 def test_orthogonal_lines():
@@ -148,6 +154,88 @@ def test_pixel_corruption_zero_column_unchanged():
     d = np.zeros((10, 3))
     out = pce.add_pixel_corruption(d, rho=0.5, seed=4)
     assert np.array_equal(out, d)
+
+
+def test_pixel_corruption_of_negative_columns():
+    # a column whose max is negative draws over [max, 0]; one whose max is
+    # >= 0 keeps the draw over [0, max], stream and bits
+    d = -np.random.default_rng(5).uniform(1.0, 9.0, size=(30, 4))
+    d[0, 0] = 2.0
+    out = pce.add_pixel_corruption(d, rho=1.0, seed=6)
+    pmax = d.max(axis=0)
+    assert np.all((out[:, 1:] >= pmax[1:]) & (out[:, 1:] <= 0.0))
+    rng = data._rng(6, 0)
+    rows = rng.choice(30, size=30, replace=False)
+    expected = np.empty(30)
+    expected[rows] = rng.uniform(0.0, 2.0, size=30)
+    assert np.array_equal(out[:, 0], expected)
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda d: pce.add_gaussian_noise(d, 0.1, seed=1),
+    lambda d: pce.add_pixel_corruption(d, 0.5, seed=1),
+], ids=["gaussian", "pixel"])
+def test_noise_of_a_vector_is_dimension_mismatch(corrupt):
+    with pytest.raises(DimensionMismatch, match="2-d matrix"):
+        corrupt(np.ones(5))
+
+
+def reference_union(spec, seed):
+    """The generator as a C-order stack of per-class blocks."""
+    rng = data._rng(seed)
+    dims = [d for d, _ in spec.subspaces]
+    if spec.basis_rule == "independent-orthogonal":
+        frame, _ = np.linalg.qr(rng.standard_normal((spec.ambient, sum(dims))))
+        starts = np.cumsum([0] + dims)
+        bases = [frame[:, a:b] for a, b in zip(starts, starts[1:])]
+    else:
+        bases = [np.linalg.qr(rng.standard_normal((spec.ambient, d)))[0] for d in dims]
+    scale = spec.coeff_scale
+    blocks = [basis @ rng.uniform(-scale, scale, size=(d, c))
+              for basis, (d, c) in zip(bases, spec.subspaces)]
+    return np.ascontiguousarray(np.hstack(blocks))
+
+
+@pytest.mark.parametrize("rule", ["independent-orthogonal", "random-gaussian"])
+def test_samples_are_column_major_with_the_reference_bits(rule):
+    spec = pce.SubspaceSpec(ambient=30, subspaces=((2, 7), (3, 5), (1, 4)),
+                            coeff_scale=3.0, basis_rule=rule)
+    ds = pce.generate_union_of_subspaces(spec, seed=8)
+    assert ds.matrix.flags.f_contiguous
+    assert np.array_equal(ds.matrix, reference_union(spec, 8))
+    assert np.array_equal(ds.labels, np.repeat([0, 1, 2], [7, 5, 4]))
+    c_order = np.ascontiguousarray(ds.matrix)
+    m, n = c_order.shape
+    # per-column reference loops, written into C-order arrays
+    noisy = np.empty((m, n))
+    for j in range(n):
+        noisy[:, j] = c_order[:, j] + 0.2 * data._rng(9, j).standard_normal(m)
+    np.clip(noisy, -1.0, 1.0, out=noisy)
+    corrupted = c_order.copy()
+    for j in range(n):
+        rng = data._rng(9, j)
+        rows = rng.choice(m, size=6, replace=False)
+        pmax = c_order[:, j].max()
+        corrupted[rows, j] = rng.uniform(min(0.0, pmax), max(0.0, pmax), size=6)
+    for out, expected in [
+        (pce.add_gaussian_noise(c_order, 0.2, clip=(-1.0, 1.0), seed=9), noisy),
+        (pce.add_pixel_corruption(c_order, 0.2, seed=9), corrupted),
+    ]:
+        assert out.flags.f_contiguous
+        assert np.array_equal(out, expected)
+
+
+def test_split_keeps_its_bits_in_either_order():
+    ds = pce.generate_union_of_subspaces(
+        pce.SubspaceSpec(ambient=12, subspaces=((2, 9), (3, 11))), seed=10)
+    halves = {}
+    for order in "CF":
+        copy = pce.LabeledDataset(np.array(ds.matrix, order=order), ds.labels)
+        halves[order] = pce.split(copy, 0.5, seed=10)
+    for c_half, f_half in zip(halves["C"], halves["F"]):
+        assert np.array_equal(c_half.matrix, f_half.matrix)
+        assert np.array_equal(c_half.labels, f_half.labels)
+        assert f_half.matrix.flags.f_contiguous
 
 
 def test_split_even():

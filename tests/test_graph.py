@@ -10,7 +10,7 @@ from scipy.spatial.distance import cdist
 
 import pce
 from pce.errors import BadDim, DegenerateNeighborhood, DimensionMismatch, NonFinite
-from pce.graph import QR_COND_MAX, embed, lle_graph
+from pce.graph import QR_COND_MAX, _nearest, embed, lle_graph
 from reference import generalized_top_eigs
 
 
@@ -134,6 +134,29 @@ def test_lle_weights_of_pixel_images_match_reference_loop():
     ref = reference_lle_weights(d / 256.0, 5, 1e-3)
     assert np.array_equal(w != 0, ref != 0)
     assert np.abs(w - ref).max() <= 1e-12
+
+
+def _tied_integers(seed=16):
+    # 0..2 entries in 4 rows: squared distances 0..16 between 60 columns, so
+    # every column has runs of equal distances
+    return np.random.default_rng(seed).integers(0, 3, (4, 60)).astype(float)
+
+
+@pytest.mark.parametrize("p", [1, 2, 5, 59], ids=["p1", "p2", "p5", "n-1"])
+def test_lle_neighbours_match_stable_argsort(p):
+    d = _tied_integers()
+    diff = d[:, :, None] - d[:, None, :]
+    dist = (diff**2).sum(axis=0)  # exact: integers
+    np.fill_diagonal(dist, np.inf)
+    reference = np.argsort(dist, axis=0, kind="stable")[:p]
+    if p < 59:  # ties cross the p-th position, so the index rule decides
+        ranked = np.sort(dist, axis=0)
+        assert (ranked[p - 1] == ranked[p]).sum() >= 10
+    assert np.array_equal(_nearest(dist, p), reference.T)
+    # lle_graph's neighbour lists: its nonzero weights sit on the same rows
+    mask = np.zeros(dist.shape, dtype=bool)
+    mask[reference, np.arange(60)] = True
+    assert np.array_equal(lle_graph(d, p) != 0, mask)
 
 
 def test_graph_inputs_are_checked():
@@ -322,7 +345,7 @@ def test_full_rank_embed_takes_qr_route_and_meets_criterion_6(shape, monkeypatch
     n, dim = shape[1], 6
     calls = recorded_svds(monkeypatch)
     theta = embed(d, a, dim)
-    assert calls == [((n, n), {"left": False, "right": False})]  # R's spectrum alone
+    assert calls == []  # R's norm bound alone
     assert np.allclose(theta.T @ d @ d.T @ theta, np.eye(dim), atol=1e-8)
     # the reference: the pencil reduced through the SVD, by generalized_top_eigs
     svd = pce.skinny_svd(d)
@@ -346,8 +369,40 @@ def test_embed_svd_route_keeps_its_bits(shape, monkeypatch):
     reference = embed(d, a, 4, svd=pce.skinny_svd(d))
     calls = recorded_svds(monkeypatch)
     assert np.array_equal(embed(d, a, 4), reference)
-    rank_check = [((25, 25), {"left": False, "right": False})] if shape[0] > shape[1] else []
-    assert calls == rank_check + [(shape, {})]
+    assert calls == [(shape, {})]
+
+
+def test_well_conditioned_embed_takes_no_svd_and_no_solve(monkeypatch):
+    # the R route forms R^-1 once; neither an SVD nor an LU solve runs
+    d = np.random.default_rng(26).standard_normal((80, 30))
+    a = lle_graph(d, 5)
+    calls = recorded_svds(monkeypatch)
+    solves, real_solve = [], np.linalg.solve
+
+    def solve(a, b):
+        solves.append(a.shape)
+        return real_solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", solve)
+    theta = embed(d, a, 6)
+    assert calls == [] and solves == []
+    f = d.T @ theta
+    assert np.abs(f.T @ f - np.eye(6)).max() <= 1e-12
+
+
+def test_embed_of_equal_columns_takes_svd_route_without_warning(monkeypatch):
+    # R's last pivot is zero or rounding, so R^-1 is singular, non-finite or
+    # far past the bound: the SVD route runs on the rank-deficient D
+    d = np.random.default_rng(27).standard_normal((40, 20))
+    d[:, 7] = d[:, 3]
+    a = lle_graph(d, 5)
+    reference = embed(d, a, 4, svd=pce.skinny_svd(d))
+    calls = recorded_svds(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        theta = embed(d, a, 4)
+    assert calls == [((40, 20), {})]
+    assert np.array_equal(theta, reference)
 
 
 def test_qr_route_embed_is_scale_equivariant_bit_for_bit():
@@ -368,16 +423,17 @@ def graded(kappa, seed):
 
 
 def test_r_route_refines_to_eps_kappa(monkeypatch):
-    # at kappa = 1e5 D (R'R)^-1 Z alone misses D' Theta = Z by about 1e-8; the
+    # at kappa = 3e4 D (R'R)^-1 Z alone misses D' Theta = Z by about 1e-8; the
     # step on its residual leaves the SVD route's eps kappa
-    d = graded(1e5, 25)
+    kappa = 3e4
+    d = graded(kappa, 25)
     g = np.random.default_rng(25).standard_normal((25, 25))
     a = np.eye(25) - g / (2 * np.linalg.norm(g, 2))
     calls = recorded_svds(monkeypatch)
     theta = embed(d, a, 8)
-    assert calls == [((25, 25), {"left": False, "right": False})]
+    assert calls == []
     f = d.T @ theta
-    assert np.abs(f.T @ f - np.eye(8)).max() <= 10 * np.finfo(float).eps * 1e5
+    assert np.abs(f.T @ f - np.eye(8)).max() <= 10 * np.finfo(float).eps * kappa
 
 
 def test_ill_conditioned_full_rank_embed_takes_svd_route(monkeypatch):
@@ -389,7 +445,7 @@ def test_ill_conditioned_full_rank_embed_takes_svd_route(monkeypatch):
     reference = embed(d, a, 4, svd=pce.skinny_svd(d))
     calls = recorded_svds(monkeypatch)
     assert np.array_equal(embed(d, a, 4), reference)
-    assert calls == [((25, 25), {"left": False, "right": False}), ((60, 25), {})]
+    assert calls == [((60, 25), {})]
 
 
 @given(
