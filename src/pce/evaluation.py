@@ -22,7 +22,8 @@ from .data import (
     write_csv,
 )
 from .errors import BadDim, DimensionMismatch, EmptyTrainingSet, LengthMismatch, NonFinite
-from .linalg import _check_matrix, _unit_scale, canonical_signs, skinny_svd
+from .errors import ZeroMatrix
+from .linalg import SvdFactors, _check_matrix, _unit_scale, canonical_signs, skinny_svd
 
 __all__ = [
     "nn_classify",
@@ -37,6 +38,7 @@ __all__ = [
 ]
 
 METHODS = ("pce", "pca", "lle-npe", "raw")
+NPE_ENERGY = 0.98  # share of the energy NPE's PCA step keeps, as Laplacianfaces does
 
 
 def nn_classify(train_z, train_labels, test_z):
@@ -180,9 +182,44 @@ def _fit_method(cfg: ExperimentConfig, train: LabeledDataset):
         pca = pca_fit(train.matrix, cfg.dim)
         return (lambda y: pca_transform(pca, y)), None
     # lle-npe: reconstruction-weight graph embedded at a user-chosen dimension
+    # in the PCA subspace that holds NPE_ENERGY of the train half's energy
     weights = _graph.lle_graph(train.matrix, cfg.neighbors)
-    theta = _graph.embed(train.matrix, weights, cfg.dim)
+    x, svd, e = _npe_pca(train.matrix)
+    if cfg.dim > svd.rank:
+        raise BadDim(
+            f"dim={cfg.dim} exceeds the r={svd.rank} PCA directions that hold "
+            f"{NPE_ENERGY:g} of the energy"
+        )
+    theta = np.ldexp(_graph.embed(x, weights, cfg.dim, svd=svd), e)
     return (lambda y: _model._project(theta, y)), None
+
+
+def _npe_pca(d):
+    """NPE's PCA step: (x, svd, e) with x = 2^e d, exactly, and ``svd`` the
+    leading r singular triplets of x for the least r whose sigma_i^2 hold
+    NPE_ENERGY of sum sigma_i^2.  An all-zero ``d`` raises ZeroMatrix.
+
+    The triplets come from one ``eigh`` of the n x n Gram x'x = V Sigma^2 V',
+    with U_r = x V_r Sigma_r^-1, which is not re-orthonormalised.  The cut
+    bounds their conditioning: as r - 1 values fall short of NPE_ENERGY, the
+    n - r + 1 values from sigma_r on hold more than 2% of the energy, and
+    none exceeds sigma_r, so (n - r + 1) sigma_r^2 > 0.02 sigma_1^2 and
+    sigma_1^2 / sigma_r^2 < 50 n.  The Gram's eigenvalues are exact to about
+    eps sigma_1^2, so each kept one to about 50 n ulps of itself, and
+    U_r' U_r = I to a few times 50 n eps; no QR or refinement step is needed.
+    Scaling x so its largest |entry| lies in [1/2, 1) keeps the Gram finite
+    and 2^j d's theta exactly 2^-j times d's.
+    """
+    x = np.array(d, dtype=float)
+    e = _unit_scale(x)
+    evals, vecs = np.linalg.eigh(x.T @ x)
+    energy = np.cumsum(evals[::-1])
+    if not energy[-1] > 0.0:
+        raise ZeroMatrix("matrix is numerically zero")
+    r = int(np.argmax(energy >= NPE_ENERGY * energy[-1])) + 1
+    sigma = np.sqrt(evals[:-r - 1:-1])
+    v = vecs[:, :-r - 1:-1]
+    return x, SvdFactors(u=x @ v / sigma, sigma=sigma, v=v, rank=r, spectrum=sigma), e
 
 
 def run_experiment(cfg: ExperimentConfig) -> Report:

@@ -2,25 +2,22 @@
 
 ``lle_graph`` encodes each column over its p nearest neighbours with weights
 summing to 1, all from one Gram matrix of the data shifted by its first
-column.  ``embed`` solves the pencil D (A + A' - A A') D' theta = sigma D D'
-theta of a weight matrix A with one symmetric ``eigh``: of A + A' - A A' when
-D = QR has an R whose condition number is bounded through R^-1 by norms alone
-(no SVD of R is taken), else of an r x r matrix from the SVD of D; no
-generalized eigensolver runs.  The principal-coefficient graph A = Vk Vk' is
-such a matrix too, but its pencil has the closed form
-``model.closed_form_projection`` and ``fit`` takes that.
+column.  ``embed`` has one route: it solves the pencil D (A + A' - A A') D'
+theta = sigma D D' theta of a weight matrix A through the SVD
+D = U_r Sigma_r V_r', with one symmetric r x r ``eigh``; no generalized
+eigensolver runs.  Passed a truncated SVD, it embeds in span U_r.  The
+principal-coefficient graph A = Vk Vk' is such a matrix too, but its pencil
+has the closed form ``model.closed_form_projection`` and ``fit`` takes that.
 """
 
 import numpy as np
 
 from .errors import BadDim, DegenerateNeighborhood, DimensionMismatch, NotConverged
-from .linalg import _canonicalize, _check_matrix, _unit_scale, canonical_signs
-from .linalg import _rank_tol, skinny_svd
+from .linalg import _canonicalize, _check_matrix, _unit_scale, canonical_signs, skinny_svd
 
 __all__ = ["lle_graph", "embed"]
 
 EIG_FLOOR = 1e-8
-QR_COND_MAX = np.finfo(float).eps ** (-1 / 3)  # embed's R route: eps kappa^3 <= 1
 
 
 def lle_graph(d, p, reg=1e-3):
@@ -106,21 +103,14 @@ def embed(d, weights, dim, svd=None):
     return the m x dim projection.
 
     The pencil L theta = sigma D D' theta has L = D S D' with S = A + A' - A A'.
-    With ``svd`` None and n <= m, D = QR and R^-1 is formed once; no SVD of R
-    is taken.  When the norm bound sqrt(kappa_1 kappa_inf) on kappa =
-    sigma_1 / sigma_n, with kappa_p = ||R||_p ||R^-1||_p, is at most
-    QR_COND_MAX and 1 / (1e-12 max(m, n)), D has full numerical column rank,
-    V is square and orthogonal, and Theta = U Sigma^-1 V' Z = D R^-1 R^-T Z
-    for the top eigenvectors Z of S, by products with R^-1 and R^-T; neither
-    U nor Q is formed.  This meets D' Theta = Z to eps kappa^2; one step on
-    the residual brings that to eps kappa.  A singular R, a non-finite R^-1
-    or a larger bound takes the SVD route.
-    Any other D is reduced to its range through D = U_r Sigma_r V_r':
-    theta = U_r Sigma_r^-1 y turns the pencil into M0 y = sigma y with
-    M0 = V_r' S V_r, formed from B = V_r' A as B V_r + (B V_r)' - B B' with no
-    n x n product of A with itself, and Theta = U_r Sigma_r^-1 Y.  Either way
-    Theta' D D' Theta = I to eps kappa, even when D D' itself is singular, and
-    ``canonical_signs`` then fixes each column's sign.
+    D is reduced to its range through D = U_r Sigma_r V_r', the skinny SVD of
+    D or the ``svd`` passed: theta = U_r Sigma_r^-1 y turns the pencil into
+    M0 y = sigma y with M0 = V_r' S V_r, formed from B = V_r' A as
+    B V_r + (B V_r)' - B B' with no n x n product of A with itself, and
+    Theta = U_r Sigma_r^-1 Y.  Theta' D D' Theta = I to eps kappa, even when
+    D D' itself is singular, and ``canonical_signs`` then fixes each column's
+    sign.  A passed ``svd`` truncated below the rank embeds in span U_r: this
+    solves the pencil of U_r' D, as NPE's PCA step asks.
     """
     d = _check_matrix(d)
     weights = _check_matrix(weights)
@@ -132,53 +122,23 @@ def embed(d, weights, dim, svd=None):
         raise DimensionMismatch(f"graph has {rows} nodes, data has {n} columns")
     if dim < 1:
         raise BadDim("dim must be at least 1")
-    inv = None
-    if svd is None and n <= m:  # D = QR: full column rank needs no SVD of D
-        inv = _well_conditioned_inverse(np.linalg.qr(d, mode="r"), d.shape)
-    if inv is None:
-        svd = skinny_svd(d) if svd is None else svd
-        u, v = svd.require_u(), svd.require_v()
-        if (u.shape[0], v.shape[0]) != d.shape:
-            raise DimensionMismatch(
-                f"SVD factors are {u.shape[0]}x{v.shape[0]}, data is {m}x{n}"
-            )
-        b = v.T @ weights
-        bv = b @ v
-        core = bv + bv.T - b @ b.T
-    else:
-        core = weights + weights.T - weights @ weights.T
+    svd = skinny_svd(d) if svd is None else svd
+    u, v = svd.require_u(), svd.require_v()
+    if (u.shape[0], v.shape[0]) != d.shape:
+        raise DimensionMismatch(
+            f"SVD factors are {u.shape[0]}x{v.shape[0]}, data is {m}x{n}"
+        )
+    b = v.T @ weights
+    bv = b @ v
+    core = bv + bv.T - b @ b.T
     try:
         evals, y = np.linalg.eigh(0.5 * (core + core.T))
     except np.linalg.LinAlgError as exc:
         raise NotConverged("symmetric eigensolve failed") from exc
-    values, alpha = _canonicalize(evals, y / svd.sigma[:, None] if inv is None else y)
+    values, alpha = _canonicalize(evals, y / svd.sigma[:, None])
     usable = int(np.count_nonzero(values > EIG_FLOOR))
     if dim > usable:
         raise BadDim(
             f"dim={dim} exceeds the {usable} eigenvalues above {EIG_FLOOR:g}"
         )
-    if inv is None:
-        return canonical_signs(u @ alpha[:, :dim])
-    theta = np.zeros((m, dim))
-    for _ in range(2):  # Theta = D R^-1 R^-T Z, then the step on Z - D' Theta
-        theta += d @ (inv @ (inv.T @ (alpha[:, :dim] - d.T @ theta)))
-    return canonical_signs(theta)
-
-
-def _well_conditioned_inverse(tri, shape):
-    """R^-1 of the triangular factor ``tri`` of a matrix of ``shape`` when
-    kappa_2(R) <= sqrt(kappa_1 kappa_inf) is at most QR_COND_MAX and below the
-    rank cutoff 1 / (1e-12 max(shape)), else None.  Each kappa_p pairs a norm
-    of R with the same norm of R^-1, so it is exact under 2^j scaling and
-    finite at any scale; an overflow only makes the bound infinite."""
-    try:
-        inv = np.linalg.inv(tri)
-    except np.linalg.LinAlgError:  # exactly singular
-        return None
-    if not np.isfinite(inv).all():
-        return None
-    with np.errstate(over="ignore"):
-        kappa_1 = np.linalg.norm(tri, 1) * np.linalg.norm(inv, 1)
-        kappa_inf = np.linalg.norm(tri, np.inf) * np.linalg.norm(inv, np.inf)
-        bound = np.sqrt(kappa_1 * kappa_inf)
-    return inv if bound <= min(QR_COND_MAX, 1 / _rank_tol(shape)) else None
+    return canonical_signs(u @ alpha[:, :dim])

@@ -2,10 +2,12 @@
 tolerance, and canonical column signs and eigenvalue order.
 
 ``skinny_svd`` holds the library's one ``np.linalg.svd`` call, and every SVD
-(the centred-PCA baseline's included) goes through it.  A wide ``d``, or a
-tall one without U, takes Chan's R-SVD (see ``skinny_svd``), which agrees with
-the plain call to rounding, not to the bit.  ``SvdFactors.require_u`` and
-``require_v`` are the one readers of U and V, and refuse factors taken without.
+but NPE's PCA step (``evaluation._npe_pca``) goes through it: that step keeps
+triplets with sigma_1^2 / sigma_r^2 < 50 n, so one ``eigh`` of the n x n Gram
+loses about 50 n ulps.  A wide ``d``, or a tall one without U, takes Chan's
+R-SVD (see ``skinny_svd``), which agrees with the plain call to rounding, not
+to the bit.  ``SvdFactors.require_u`` and ``require_v`` are the one readers of
+U and V, and refuse factors taken without.
 
 Everything here is deterministic: identical inputs produce bitwise-identical
 outputs on a given platform and BLAS thread count.  Across thread counts the
@@ -32,15 +34,10 @@ __all__ = [
 QR_RATIO = 11 / 6
 
 
-def _rank_tol(shape):
-    # sigma_i <= _rank_tol(shape) * sigma_1 counts as zero
-    return 1e-12 * max(shape)
-
-
 def numerical_rank(spectrum, shape):
     """Count of the descending singular values ``spectrum`` of a matrix of
     ``shape`` above 1e-12 * max(shape) * sigma_1; the rest count as zero."""
-    return int(np.count_nonzero(spectrum > _rank_tol(shape) * spectrum[0]))
+    return int(np.count_nonzero(spectrum > 1e-12 * max(shape) * spectrum[0]))
 
 
 def _check_matrix(d):
@@ -53,11 +50,13 @@ def _check_matrix(d):
 
 
 def _unit_scale(*arrays):
-    # divide in place by the power of two at the largest |entry|: exact, and no square overflows
+    # divide in place by the power of two at the largest |entry|: exact, and no
+    # square overflows; returns e, each array now being its old self times 2^e
     big = max(max(a.max(initial=0.0), -a.min(initial=0.0)) for a in arrays)
     e = -int(np.frexp(big)[1])
     for a in arrays:
         np.ldexp(a, e, out=a)
+    return e
 
 
 @dataclass(frozen=True)

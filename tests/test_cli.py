@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -422,6 +423,18 @@ def test_pca_on_constant_rows_exits_2(tmp_path, capsys):
     config.write_text(f"data={data}\nmethod=pca\ndim=1\n")
     assert main(["eval", str(config), "--output", str(tmp_path / "r.csv")]) == 2
     assert "matrix is numerically zero" in capsys.readouterr().err
+
+
+def test_lle_npe_on_all_zero_data_exits_2(tmp_path, capsys):
+    # NPE's PCA step finds no energy to keep: ZeroMatrix, not a division by zero
+    data, config = tmp_path / "data.txt", tmp_path / "exp.cfg"
+    pce.save_matrix(pce.LabeledDataset(np.zeros((6, 20)), np.repeat([0, 1], 10)), data)
+    config.write_text(f"data={data}\nmethod=lle-npe\ndim=1\nneighbors=3\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["eval", str(config), "--output", str(tmp_path / "r.csv")]) == 2
+    assert "matrix is numerically zero (trial 0, seed 0)" in capsys.readouterr().err
+    assert not (tmp_path / "r.csv").exists()
 
 
 def test_transform_dimension_mismatch(dataset_file, tmp_path, capsys):
@@ -935,7 +948,7 @@ for method in ("pce", "pca", "lle-npe", "raw"):
 
 
 def test_eval_reports_across_blas_threads(tmp_path):
-    # 120 x 40 train halves: lle-npe's embed takes the R route, and each
+    # 120 x 40 train halves: lle-npe embeds in its PCA subspace, and each
     # report is a byte-for-byte function of its config at any thread count
     nproc = len(os.sched_getaffinity(0))
     reports = []

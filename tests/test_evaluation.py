@@ -1,8 +1,11 @@
 import csv
+import re
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
 import pce
@@ -24,6 +27,9 @@ from pce.evaluation import (
     run_experiment,
     write_report_csv,
 )
+from pce.graph import lle_graph
+from reference import generalized_top_eigs
+from test_graph import principal_angle
 
 
 def test_nn_exact_match():
@@ -294,3 +300,116 @@ def test_data_file_parsed_once(tmp_path, monkeypatch):
     singles = [run_experiment(synthetic_config(base_seed=t, **cfg)) for t in range(5)]
     assert report.accuracies == [r.accuracies[0] for r in singles]
     assert report.ks == [r.ks[0] for r in singles]
+
+
+def test_lle_npe_classifies_the_subspace_eval_spec():
+    # perfbench's subspace_eval trial: on its 1024 x 500 train halves a pencil
+    # without NPE's PCA step constrains all of R^n, so the training features
+    # are just the weights' eigenvectors, and accuracy is about 0.7
+    spec = pce.SubspaceSpec(ambient=1024, subspaces=((4, 100),) * 10)
+    cfg = ExperimentConfig(source=spec, method="lle-npe", dim=40, neighbors=5,
+                           noise=pce.NoiseSpec("gaussian", 0.01), trials=3, base_seed=1)
+    assert run_experiment(cfg).mean >= 0.95
+
+
+@pytest.mark.parametrize("shape", [(60, 25), (25, 25), (25, 60)],
+                         ids=["tall", "square", "wide"])
+def test_lle_npe_solves_the_pencil_of_its_pca_coordinates(shape):
+    # columns of falling scale, so the 98% cut drops part of the rank; theta is
+    # U_r a for the top eigenvectors a of the pencil of Y = U_r' D
+    rng = np.random.default_rng(sum(shape))
+    d = rng.standard_normal(shape) * np.logspace(0, -1.5, shape[1])
+    dim = 4
+    cfg = ExperimentConfig(source="unused", method="lle-npe", dim=dim, neighbors=5)
+    project, _ = evaluation._fit_method(cfg, pce.LabeledDataset(d, np.zeros(shape[1], int)))
+    theta = project(np.eye(shape[0])).T
+    r = evaluation._npe_pca(d)[1].rank
+    assert dim < r < min(shape)
+    u_r = np.linalg.svd(d)[0][:, :r]
+    y = u_r.T @ d
+    a = lle_graph(d, 5)
+    left = y @ (a + a.T - a @ a.T) @ y.T
+    _, alpha = generalized_top_eigs(0.5 * (left + left.T), y @ y.T, dim)
+    assert principal_angle(theta, u_r @ alpha) < 1e-6
+    f = d.T @ theta
+    assert np.abs(f.T @ f - np.eye(dim)).max() <= 1e-10
+
+
+def flat_tail(shape, lead, tail_square, seed):
+    """A matrix of ``shape`` with ``lead`` singular values 1 and the rest
+    sqrt(tail_square), and those singular values."""
+    rng = np.random.default_rng(seed)
+    (m, n), k = shape, min(shape)
+    u = np.linalg.qr(rng.standard_normal((m, k)))[0]
+    v = np.linalg.qr(rng.standard_normal((n, k)))[0]
+    sigma = np.full(k, np.sqrt(tail_square))
+    sigma[:lead] = 1.0
+    return (u * sigma) @ v.T, sigma
+
+
+def check_pca_step(d, sigma, j):
+    """``_npe_pca`` keeps the least r whose sigma^2 hold 98% of the energy of
+    the known ``sigma``, within the 50 (n - r + 1) bound, and 2^j d gives
+    the same bits with e - j; returns r and sigma_1^2 / sigma_r^2."""
+    n = d.shape[1]
+    x, svd, e = evaluation._npe_pca(d)
+    r = svd.rank
+    energy = np.cumsum(sigma**2)
+    assert r == 1 + int(np.argmax(energy >= 0.98 * energy[-1]))
+    ratio = (svd.sigma[0] / svd.sigma[-1]) ** 2
+    assert ratio < 50 * (n - r + 1) <= 50 * n
+    assert np.abs(np.ldexp(svd.sigma, -e) - sigma[:r]).max() <= 1e-12 * sigma[0]
+    # U_r = x V_r Sigma_r^-1 is orthonormal to a few times 50 n ulps
+    assert np.abs(svd.u.T @ svd.u - np.eye(r)).max() <= 5 * 50 * n * np.finfo(float).eps
+    x_j, svd_j, e_j = evaluation._npe_pca(np.ldexp(d, j))
+    assert e_j == e - j and np.array_equal(x_j, x)
+    for got, want in ((svd_j.u, svd.u), (svd_j.sigma, svd.sigma), (svd_j.v, svd.v)):
+        assert np.array_equal(got, want)
+    return r, ratio
+
+
+SHAPES = [(120, 50), (50, 50), (50, 120)]
+
+
+@pytest.mark.parametrize("shape", SHAPES, ids=["tall", "square", "wide"])
+@pytest.mark.parametrize("j", [-500, -1, 0, 1, 255, 500])
+def test_pca_step_bound_is_nearly_met_by_a_flat_tail(shape, j):
+    # sigma = (1, t, ..., t) with its tail just past 2% of the energy: r = 2 and
+    # sigma_1^2 / sigma_r^2 = 1 / t^2 = 49 k - 99 over 0.999, near the bound
+    k = min(shape)
+    d, sigma = flat_tail(shape, 1, 0.999 * 0.02 / (0.98 * k - 1.98), seed=k)
+    r, ratio = check_pca_step(d, sigma, j)
+    assert r == 2 and ratio > 0.9 * 50 * (k - 1)
+
+
+@given(
+    shape=st.sampled_from([(30, 12), (12, 12), (12, 30), (40, 40), (60, 25)]),
+    lead=st.integers(1, 6),
+    log_tail=st.floats(-6.0, 0.0),
+    seed=st.integers(0, 2**16),
+    j=st.integers(-500, 500),
+)
+@settings(max_examples=200, deadline=None)
+def test_pca_step_keeps_the_least_r_for_98_percent(shape, lead, log_tail, seed, j):
+    d, sigma = flat_tail(shape, lead, 10.0**log_tail, seed)
+    energy = np.cumsum(sigma**2)
+    # a cumulative energy within rounding of the cut could go either way
+    assume(np.abs(energy / energy[-1] - 0.98).min() > 1e-9)
+    check_pca_step(d, sigma, j)
+
+
+@pytest.mark.parametrize("noise", [None, pce.NoiseSpec("gaussian", 0.05)],
+                         ids=["rank-4", "full-rank"])
+def test_lle_npe_dim_above_r_is_bad_dim_naming_r(noise):
+    # 20 x 10 train halves of two 2-d subspaces; with noise they have full rank,
+    # but the 98% cut keeps fewer directions than dim = 8
+    cfg = synthetic_config(method="lle-npe", dim=8, neighbors=3, noise=noise)
+    ds = pce.generate_union_of_subspaces(cfg.source, 0)
+    if noise is not None:
+        ds = evaluation._apply_noise(ds, noise, 0)
+    train, _ = pce.split(ds, 0.5, 0)
+    r = evaluation._npe_pca(train.matrix)[1].rank
+    assert r < 8
+    message = f"dim=8 exceeds the r={r} PCA directions that hold 0.98 of the energy"
+    with pytest.raises(BadDim, match=re.escape(message)):
+        run_experiment(cfg)

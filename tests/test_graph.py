@@ -10,7 +10,7 @@ from scipy.spatial.distance import cdist
 
 import pce
 from pce.errors import BadDim, DegenerateNeighborhood, DimensionMismatch, NonFinite
-from pce.graph import QR_COND_MAX, _nearest, embed, lle_graph
+from pce.graph import _nearest, embed, lle_graph
 from reference import generalized_top_eigs
 
 
@@ -345,7 +345,7 @@ def test_full_rank_embed_takes_qr_route_and_meets_criterion_6(shape, monkeypatch
     n, dim = shape[1], 6
     calls = recorded_svds(monkeypatch)
     theta = embed(d, a, dim)
-    assert calls == []  # R's norm bound alone
+    assert calls == [(shape, {})]
     assert np.allclose(theta.T @ d @ d.T @ theta, np.eye(dim), atol=1e-8)
     # the reference: the pencil reduced through the SVD, by generalized_top_eigs
     svd = pce.skinny_svd(d)
@@ -372,27 +372,8 @@ def test_embed_svd_route_keeps_its_bits(shape, monkeypatch):
     assert calls == [(shape, {})]
 
 
-def test_well_conditioned_embed_takes_no_svd_and_no_solve(monkeypatch):
-    # the R route forms R^-1 once; neither an SVD nor an LU solve runs
-    d = np.random.default_rng(26).standard_normal((80, 30))
-    a = lle_graph(d, 5)
-    calls = recorded_svds(monkeypatch)
-    solves, real_solve = [], np.linalg.solve
-
-    def solve(a, b):
-        solves.append(a.shape)
-        return real_solve(a, b)
-
-    monkeypatch.setattr(np.linalg, "solve", solve)
-    theta = embed(d, a, 6)
-    assert calls == [] and solves == []
-    f = d.T @ theta
-    assert np.abs(f.T @ f - np.eye(6)).max() <= 1e-12
-
-
 def test_embed_of_equal_columns_takes_svd_route_without_warning(monkeypatch):
-    # R's last pivot is zero or rounding, so R^-1 is singular, non-finite or
-    # far past the bound: the SVD route runs on the rank-deficient D
+    # the SVD of the rank-deficient D drops its zero singular value
     d = np.random.default_rng(27).standard_normal((40, 20))
     d[:, 7] = d[:, 3]
     a = lle_graph(d, 5)
@@ -405,8 +386,9 @@ def test_embed_of_equal_columns_takes_svd_route_without_warning(monkeypatch):
     assert np.array_equal(theta, reference)
 
 
-def test_qr_route_embed_is_scale_equivariant_bit_for_bit():
-    # 2^j D has R * 2^j and the same weights, so Theta / 2^j exactly
+def test_embed_is_scale_equivariant_bit_for_bit():
+    # 2^j D has Sigma * 2^j, the same U and V and the same weights, so Theta / 2^j
+    # exactly
     d = np.random.default_rng(23).standard_normal((60, 25))
     a = lle_graph(d, 5)
     theta = embed(d, a, 6)
@@ -423,22 +405,20 @@ def graded(kappa, seed):
 
 
 def test_r_route_refines_to_eps_kappa(monkeypatch):
-    # at kappa = 3e4 D (R'R)^-1 Z alone misses D' Theta = Z by about 1e-8; the
-    # step on its residual leaves the SVD route's eps kappa
+    # at kappa = 3e4 the one SVD of D meets D' Theta = Z to eps kappa
     kappa = 3e4
     d = graded(kappa, 25)
     g = np.random.default_rng(25).standard_normal((25, 25))
     a = np.eye(25) - g / (2 * np.linalg.norm(g, 2))
     calls = recorded_svds(monkeypatch)
     theta = embed(d, a, 8)
-    assert calls == []
+    assert calls == [((60, 25), {})]
     f = d.T @ theta
     assert np.abs(f.T @ f - np.eye(8)).max() <= 10 * np.finfo(float).eps * kappa
 
 
 def test_ill_conditioned_full_rank_embed_takes_svd_route(monkeypatch):
-    # kappa = 1e8 is full rank at 1e-12 * 60 but past QR_COND_MAX: D (R'R)^-1 Z
-    # would miss D' Theta = Z by eps kappa^2, so the SVD route runs, bit for bit
+    # kappa = 1e8 is full rank at 1e-12 * 60: the SVD of D runs, bit for bit
     d = graded(1e8, 24)
     assert pce.linalg.numerical_rank(np.linalg.svd(d, compute_uv=False), d.shape) == 25
     a = lle_graph(d, 5)
@@ -449,7 +429,7 @@ def test_ill_conditioned_full_rank_embed_takes_svd_route(monkeypatch):
 
 
 @given(
-    # tall and square: the R route while kappa <= QR_COND_MAX, the SVD route past it
+    # tall and square, with kappa over many decades
     shape=st.integers(2, 30).flatmap(
         lambda n: st.tuples(st.sampled_from([n, 2 * n, 3 * n]), st.just(n))),
     rank=st.integers(1, 30),
@@ -483,5 +463,5 @@ def test_embed_keeps_metric_orthonormality(shape, rank, noise, seed, skew, dim):
     # the scale to which a backward-stable SVD keeps it
     f = d.T @ theta
     assert np.abs(f.T @ f - np.eye(dim)).max() <= 1e-10 * sigma[0] / sigma[r - 1]
-    if r == n and sigma[0] <= 0.5 * QR_COND_MAX * sigma[-1]:  # the R route, clear of the bound
+    if r == n:
         assert np.abs(f.T @ f - np.eye(dim)).max() <= 1e-12 * sigma[0] / sigma[-1]
