@@ -15,7 +15,6 @@ from . import evaluation, model
 from .data import (
     NoiseSpec,
     SubspaceSpec,
-    _rng,
     atomic_write,
     load_config,
     load_matrix,
@@ -261,7 +260,7 @@ def cmd_bench(args):
     rows = []
     for m_dim, n in sizes:
         try:
-            d = _rng(args.seed, m_dim, n).standard_normal((m_dim, n))
+            d = np.random.default_rng([args.seed, m_dim, n]).standard_normal((m_dim, n))
         except (MemoryError, ValueError):  # numpy refuses a size past memory or its index range
             raise ParseError(
                 f"--sizes {m_dim}x{n}: {m_dim} x {n} floats do not fit in memory"

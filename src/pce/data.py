@@ -2,12 +2,15 @@
 splitting, and every v1 text format: this module alone reads and writes
 dataset, matrix and model files, experiment configs and CSV tables.
 
-All randomness flows through numpy's PCG64 generator seeded from explicit
-integers, so every operation is a pure function of (inputs, seed).  Per-column
-noise uses a (seed, column) seed sequence, making results independent of any
-internal parallelization order.  Samples are columns, and the generator and
-both corruption models store them column-major (Fortran order), so each
-per-column loop reads and writes contiguous memory; ``split`` keeps that order.
+All randomness flows through numpy's default generator (PCG64) seeded from
+explicit integers, so every operation is a pure function of (inputs, seed).
+Each noise call draws one stream from ``[seed, 1]``, column by column: the
+generator and ``split`` seed ``[seed]``, which numpy pads to ``[seed, 0]``, so
+noise never repeats the draws that built its data, and the noise of
+``d[:, :p]`` is the first p columns of the noise of ``d``.  Samples are
+columns, and the generator and both corruption models store them column-major
+(Fortran order), so each per-column loop reads and writes contiguous memory;
+``split`` keeps that order.
 """
 
 import os
@@ -38,10 +41,6 @@ __all__ = [
     "save_matrix",
     "load_matrix",
 ]
-
-
-def _rng(*entropy):
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(list(entropy))))
 
 
 @dataclass(frozen=True)
@@ -123,7 +122,7 @@ def generate_union_of_subspaces(spec: SubspaceSpec, seed: int) -> LabeledDataset
     """Sample each class from its own linear subspace; deterministic in seed."""
     dims = [int(d) for d, _ in spec.subspaces]
     counts = [int(c) for _, c in spec.subspaces]
-    rng = _rng(seed)
+    rng = np.random.default_rng([seed])
     if spec.basis_rule == "independent-orthogonal":
         frame, _ = np.linalg.qr(rng.standard_normal((spec.ambient, sum(dims))))
         offsets = np.cumsum([0] + dims)
@@ -158,10 +157,10 @@ def add_gaussian_noise(d, rho, clip=None, seed=0):
     if clip is not None:
         _check_clip(clip)
     d = _samples(d)
-    out = np.empty(d.shape, order="F")
-    for j in range(d.shape[1]):
-        g = _rng(seed, j).standard_normal(d.shape[0])
-        out[:, j] = d[:, j] + rho * g
+    # row j of the draw is column j's noise, so its transpose is column-major
+    out = np.random.default_rng([seed, 1]).standard_normal(d.shape[::-1]).T
+    out *= rho
+    out += d
     if clip is not None:
         np.clip(out, clip[0], clip[1], out=out)
     return out
@@ -192,8 +191,8 @@ def add_pixel_corruption(d, rho, seed=0):
     d = _samples(np.array(d, dtype=float, order="F"))
     m = d.shape[0]
     count = int(np.floor(rho * m + 0.5))
+    rng = np.random.default_rng([seed, 1])
     for j in range(d.shape[1]):
-        rng = _rng(seed, j)
         rows = rng.choice(m, size=count, replace=False)
         pmax = d[:, j].max()
         d[rows, j] = rng.uniform(min(0.0, pmax), max(0.0, pmax), size=count)
@@ -214,7 +213,7 @@ def split(ds: LabeledDataset, train_fraction, seed: int):
     require_labels(ds, "split")
     if not 0 < train_fraction < 1:
         raise ValueError("train_fraction must lie in (0, 1)")
-    rng = _rng(seed)
+    rng = np.random.default_rng([seed])
     train_idx, test_idx = [], []
     for cls in np.unique(ds.labels):
         members = np.nonzero(ds.labels == cls)[0]

@@ -164,7 +164,7 @@ def test_pixel_corruption_of_negative_columns():
     out = pce.add_pixel_corruption(d, rho=1.0, seed=6)
     pmax = d.max(axis=0)
     assert np.all((out[:, 1:] >= pmax[1:]) & (out[:, 1:] <= 0.0))
-    rng = data._rng(6, 0)
+    rng = np.random.default_rng([6, 1])
     rows = rng.choice(30, size=30, replace=False)
     expected = np.empty(30)
     expected[rows] = rng.uniform(0.0, 2.0, size=30)
@@ -180,9 +180,42 @@ def test_noise_of_a_vector_is_dimension_mismatch(corrupt):
         corrupt(np.ones(5))
 
 
+@pytest.mark.parametrize("seed", [0, 3, 8])
+def test_noise_does_not_reuse_the_generators_draws(seed):
+    # the generator and split draw from default_rng(seed); noise must not
+    m = 40
+    rng = np.random.default_rng(seed)
+    assert not np.array_equal(
+        pce.add_gaussian_noise(np.zeros((m, 3)), 1.0, seed=seed)[:, 0],
+        rng.standard_normal(m))
+    rng = np.random.default_rng(seed)
+    rows = rng.choice(m, size=20, replace=False)
+    reused = np.ones(m)
+    reused[rows] = rng.uniform(0.0, 1.0, size=20)
+    out = pce.add_pixel_corruption(np.ones((m, 3)), 0.5, seed=seed)
+    assert not np.array_equal(out[:, 0], reused)
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda d: pce.add_gaussian_noise(d, 0.3, seed=4),
+    lambda d: pce.add_gaussian_noise(d, 2.0, clip=(-1.0, 1.0), seed=4),
+    lambda d: pce.add_pixel_corruption(d, 0.3, seed=4),
+], ids=["gaussian", "gaussian-clipped", "pixel"])
+def test_noise_of_leading_columns_is_leading_columns_of_noise(corrupt):
+    # column j's noise depends only on (seed, j, m), in either memory order
+    d = np.random.default_rng(11).uniform(-2.0, 3.0, size=(25, 12))
+    d[:, 4] = -np.abs(d[:, 4]) - 1.0
+    d[:, 7] = 0.0
+    full = corrupt(d)
+    for order in "CF":
+        copy = np.array(d, order=order)
+        for p in (1, 5, 12):
+            assert np.array_equal(corrupt(copy[:, :p]), full[:, :p])
+
+
 def reference_union(spec, seed):
     """The generator as a C-order stack of per-class blocks."""
-    rng = data._rng(seed)
+    rng = np.random.default_rng(seed)
     dims = [d for d, _ in spec.subspaces]
     if spec.basis_rule == "independent-orthogonal":
         frame, _ = np.linalg.qr(rng.standard_normal((spec.ambient, sum(dims))))
@@ -206,14 +239,15 @@ def test_samples_are_column_major_with_the_reference_bits(rule):
     assert np.array_equal(ds.labels, np.repeat([0, 1, 2], [7, 5, 4]))
     c_order = np.ascontiguousarray(ds.matrix)
     m, n = c_order.shape
-    # per-column reference loops, written into C-order arrays
+    # per-column reference loops over one stream, written into C-order arrays
     noisy = np.empty((m, n))
+    rng = np.random.default_rng([9, 1])
     for j in range(n):
-        noisy[:, j] = c_order[:, j] + 0.2 * data._rng(9, j).standard_normal(m)
+        noisy[:, j] = c_order[:, j] + 0.2 * rng.standard_normal(m)
     np.clip(noisy, -1.0, 1.0, out=noisy)
     corrupted = c_order.copy()
+    rng = np.random.default_rng([9, 1])
     for j in range(n):
-        rng = data._rng(9, j)
         rows = rng.choice(m, size=6, replace=False)
         pmax = c_order[:, j].max()
         corrupted[rows, j] = rng.uniform(min(0.0, pmax), max(0.0, pmax), size=6)
@@ -236,6 +270,18 @@ def test_split_keeps_its_bits_in_either_order():
         assert np.array_equal(c_half.matrix, f_half.matrix)
         assert np.array_equal(c_half.labels, f_half.labels)
         assert f_half.matrix.flags.f_contiguous
+
+
+def test_a_missing_seed_is_refused():
+    # seeds are explicit integers: None does not fall back to fresh entropy
+    spec = pce.SubspaceSpec(ambient=4, subspaces=((1, 3), (1, 3)))
+    ds = pce.generate_union_of_subspaces(spec, seed=1)
+    for call in (lambda: pce.generate_union_of_subspaces(spec, seed=None),
+                 lambda: pce.split(ds, 0.5, seed=None),
+                 lambda: pce.add_gaussian_noise(ds.matrix, 0.1, seed=None),
+                 lambda: pce.add_pixel_corruption(ds.matrix, 0.5, seed=None)):
+        with pytest.raises(TypeError):
+            call()
 
 
 def test_split_even():

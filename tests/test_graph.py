@@ -339,7 +339,7 @@ def recorded_svds(monkeypatch):
 
 
 @pytest.mark.parametrize("shape", [(60, 25), (25, 25)], ids=["tall", "square"])
-def test_full_rank_embed_takes_qr_route_and_meets_criterion_6(shape, monkeypatch):
+def test_full_rank_embed_takes_one_svd_and_meets_criterion_6(shape, monkeypatch):
     d = np.random.default_rng(21).standard_normal(shape)
     a = lle_graph(d, 5)
     n, dim = shape[1], 6
@@ -404,8 +404,9 @@ def graded(kappa, seed):
     return (u * np.logspace(0, -np.log10(kappa), 25)) @ v.T
 
 
-def test_r_route_refines_to_eps_kappa(monkeypatch):
-    # at kappa = 3e4 the one SVD of D meets D' Theta = Z to eps kappa
+def test_graded_embed_meets_eps_kappa(monkeypatch):
+    # at kappa = 3e4 the one SVD of D gives D' Theta orthonormal columns to
+    # eps kappa
     kappa = 3e4
     d = graded(kappa, 25)
     g = np.random.default_rng(25).standard_normal((25, 25))
