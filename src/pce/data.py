@@ -21,13 +21,8 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    InfeasibleSpec,
-    ParseError,
-    ShapeError,
-    TooFewSamples,
-)
+from .errors import InfeasibleSpec, ParseError, ShapeError, TooFewSamples
+from .linalg import _check_matrix
 from .model import PceModel, describe
 
 __all__ = [
@@ -143,20 +138,12 @@ def generate_union_of_subspaces(spec: SubspaceSpec, seed: int) -> LabeledDataset
     )
 
 
-def _samples(d):
-    """``d`` as a float matrix whose columns are samples."""
-    d = np.asarray(d, dtype=float)
-    if d.ndim != 2:
-        raise DimensionMismatch(f"expected a 2-d matrix, got shape {d.shape}")
-    return d
-
-
 def add_gaussian_noise(d, rho, clip=None, seed=0):
     """Add rho-scaled standard-normal noise entrywise, clamping to ``clip``."""
     _check_gaussian_rho(rho)
     if clip is not None:
         _check_clip(clip)
-    d = _samples(d)
+    d = _check_matrix(d)
     # row j of the draw is column j's noise, so its transpose is column-major
     out = np.random.default_rng([seed, 1]).standard_normal(d.shape[::-1]).T
     out *= rho
@@ -188,7 +175,7 @@ def add_pixel_corruption(d, rho, seed=0):
     uniform draws between 0 and the column max: over [0, max] when the max
     is >= 0, and over [max, 0] when every entry is negative."""
     _check_pixel_fraction(rho)
-    d = _samples(np.array(d, dtype=float, order="F"))
+    d = np.array(_check_matrix(d), order="F")  # a copy: the caller's d is kept
     m = d.shape[0]
     count = int(np.floor(rho * m + 0.5))
     rng = np.random.default_rng([seed, 1])

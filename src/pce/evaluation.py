@@ -197,7 +197,8 @@ def _fit_method(cfg: ExperimentConfig, train: LabeledDataset):
 def _npe_pca(d):
     """NPE's PCA step: (x, svd, e) with x = 2^e d, exactly, and ``svd`` the
     leading r singular triplets of x for the least r whose sigma_i^2 hold
-    NPE_ENERGY of sum sigma_i^2.  An all-zero ``d`` raises ZeroMatrix.
+    NPE_ENERGY of sum sigma_i^2, and all min(m, n) values in its spectrum.
+    An all-zero ``d`` raises ZeroMatrix.
 
     The triplets come from one ``eigh`` of the n x n Gram x'x = V Sigma^2 V',
     with U_r = x V_r Sigma_r^-1, which is not re-orthonormalised.  The cut
@@ -217,9 +218,10 @@ def _npe_pca(d):
     if not energy[-1] > 0.0:
         raise ZeroMatrix("matrix is numerically zero")
     r = int(np.argmax(energy >= NPE_ENERGY * energy[-1])) + 1
-    sigma = np.sqrt(evals[:-r - 1:-1])
-    v = vecs[:, :-r - 1:-1]
-    return x, SvdFactors(u=x @ v / sigma, sigma=sigma, v=v, rank=r, spectrum=sigma), e
+    # a rank-deficient Gram can have eigenvalues of -eps
+    spectrum = np.sqrt(np.maximum(evals[::-1], 0.0))[: min(x.shape)]
+    sigma, v = spectrum[:r], vecs[:, :-r - 1:-1]
+    return x, SvdFactors(u=x @ v / sigma, sigma=sigma, v=v, rank=r, spectrum=spectrum), e
 
 
 def run_experiment(cfg: ExperimentConfig) -> Report:

@@ -1,5 +1,10 @@
 """Dense linear-algebra kernels on numpy alone: the skinny SVD, the rank
-tolerance, and canonical column signs and eigenvalue order.
+tolerance, canonical column signs and eigenvalue order, and ``_check_matrix``,
+the one check of a sample matrix.  Every public function that takes one
+(``fit``, ``transform``, ``pca_fit``, ``pca_transform``, ``skinny_svd``,
+``lle_graph``, ``embed`` and both noise models) passes it through
+``_check_matrix``: an input that is not 2-d or has no rows or columns is a
+DimensionMismatch, and one holding NaN or Inf is NonFinite.
 
 ``skinny_svd`` holds the library's one ``np.linalg.svd`` call, and every SVD
 but NPE's PCA step (``evaluation._npe_pca``) goes through it: that step keeps
@@ -41,6 +46,7 @@ def numerical_rank(spectrum, shape):
 
 
 def _check_matrix(d):
+    """``d`` as a float array, checked to be a finite, non-empty matrix."""
     d = np.asarray(d, dtype=float)
     if d.ndim != 2 or d.shape[0] < 1 or d.shape[1] < 1:
         raise DimensionMismatch(f"expected a 2-d matrix, got shape {d.shape}")

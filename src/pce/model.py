@@ -224,10 +224,10 @@ def fit(d, lam=1.0, center=False):
 
 def _project(theta, y, center=None, owner="model"):
     """theta' (y - center) for the columns of ``y`` (a vector is one column);
-    a row count other than theta's is a DimensionMismatch naming ``owner``."""
+    ``y`` is checked as ``fit`` checks its data, and a row count other than
+    theta's is a DimensionMismatch naming ``owner``."""
     y = np.asarray(y, dtype=float)
-    if y.ndim == 1:
-        y = y[:, None]
+    y = _check_matrix(y[:, None] if y.ndim == 1 else y)
     if y.shape[0] != theta.shape[0]:
         raise DimensionMismatch(
             f"data has {y.shape[0]} rows, {owner} expects {theta.shape[0]}"

@@ -396,6 +396,10 @@ def test_pca_step_keeps_the_least_r_for_98_percent(shape, lead, log_tail, seed, 
     # a cumulative energy within rounding of the cut could go either way
     assume(np.abs(energy / energy[-1] - 0.98).min() > 1e-9)
     check_pca_step(d, sigma, j)
+    # the factors keep SvdFactors' contract: all min(m, n) values, sigma leading
+    svd = evaluation._npe_pca(d)[1]
+    assert len(svd.spectrum) == min(shape)
+    assert np.array_equal(svd.sigma, svd.spectrum[: svd.rank])
 
 
 @pytest.mark.parametrize("noise", [None, pce.NoiseSpec("gaussian", 0.05)],

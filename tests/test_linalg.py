@@ -1,3 +1,4 @@
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -40,6 +41,49 @@ def test_zero_matrix_rejected():
 def test_nonfinite_rejected():
     with pytest.raises(NonFinite):
         skinny_svd(np.array([[1.0, np.nan]]))
+
+
+TRAIN = np.random.default_rng(4).standard_normal((6, 8))
+# every public entry point that takes a sample matrix, called on it
+SAMPLE_ENTRY_POINTS = {
+    "fit": lambda d: pce.fit(d),
+    "transform": lambda d: pce.transform(pce.fit(TRAIN), d),
+    "pca_fit": lambda d: pce.pca_fit(d, 1),
+    "pca_transform": lambda d: pce.pca_transform(pce.pca_fit(TRAIN, 2), d),
+    "skinny_svd": lambda d: skinny_svd(d),
+    "lle_graph": lambda d: pce.lle_graph(d, 1),
+    "embed": lambda d: pce.embed(d, np.eye(8), 1),
+    "add_gaussian_noise": lambda d: pce.add_gaussian_noise(d, 0.1),
+    "add_pixel_corruption": lambda d: pce.add_pixel_corruption(d, 0.5),
+}
+
+
+def _bad_samples(kind):
+    d = np.random.default_rng(5).standard_normal((6, 8))
+    if kind == "m x 0":
+        return d[:, :0], DimensionMismatch
+    if kind == "1-d":
+        return d[:, 0], DimensionMismatch
+    d[2, 3] = np.nan if kind == "nan" else -np.inf
+    return d, NonFinite
+
+
+@pytest.mark.parametrize("kind", ["nan", "inf", "m x 0", "1-d"])
+@pytest.mark.parametrize("entry", list(SAMPLE_ENTRY_POINTS))
+def test_every_sample_matrix_is_checked_alike(entry, kind):
+    # one contract, linalg._check_matrix's: NaN or Inf is NonFinite, and a
+    # matrix without rows or columns, or no matrix at all, is DimensionMismatch.
+    # A projection takes a vector as one column
+    d, error = _bad_samples(kind)
+    call = SAMPLE_ENTRY_POINTS[entry]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if kind == "1-d" and entry in ("transform", "pca_transform"):
+            assert np.array_equal(call(d), call(d[:, None]))
+            d[3] = np.nan
+            error = NonFinite
+        with pytest.raises(error):
+            call(d)
 
 
 @pytest.mark.parametrize("shape", [(5, 9), (9, 5), (16, 16), (64, 33), (8, 20)])

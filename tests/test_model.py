@@ -449,6 +449,85 @@ def test_fit_keeps_k_and_metric_orthonormality(shape, rank, seed, skew, cut):
     assert np.abs(g.T @ g - np.eye(k)).max() <= 1e-10 * sigma[0] / sigma[k - 1]
 
 
+def noisy_low_rank(shape, r, log_spread, eta, tight, seed):
+    """(D0, E): D0 = U S V' of rank r with sigma_r(D0) = 1 and sigma_1 up to
+    10^log_spread, and E with ||E||_2 = eta.  A ``tight`` E is
+    eta (u_{r+1} v_{r+1}' - u_r v_r'), which meets both of Weyl's bounds:
+    sigma_r(D0 + E) = 1 - eta and sigma_{r+1}(D0 + E) = eta.  Any other E is
+    a gaussian matrix scaled to that norm."""
+    rng = np.random.default_rng(seed)
+    m, n = shape
+    u = np.linalg.qr(rng.standard_normal((m, r + 1)))[0]
+    v = np.linalg.qr(rng.standard_normal((n, r + 1)))[0]
+    s = np.sort(10.0 ** rng.uniform(0.0, log_spread, r))[::-1]
+    s[-1] = 1.0
+    d0 = (u[:, :r] * s) @ v[:, :r].T
+    if tight:
+        e = eta * (np.outer(u[:, r], v[:, r]) - np.outer(u[:, r - 1], v[:, r - 1]))
+    else:
+        g = rng.standard_normal(shape)
+        e = g * (eta / np.linalg.norm(g, 2))
+    return d0, e
+
+
+# tall (fit takes the SVD of R, without U), square, and wide (the SVD of R')
+WEYL_SHAPES = st.integers(2, 30).flatmap(lambda n: st.sampled_from(
+    [(math.ceil(QR_RATIO * n), n), (n, n), (n, math.ceil(QR_RATIO * n))]))
+WEYL_CASES = dict(
+    shape=WEYL_SHAPES,
+    cut=st.floats(0.0, 1.0, exclude_max=True),
+    log_spread=st.floats(0.0, 3.0),
+    eta=st.floats(1e-3, 0.499),
+    tight=st.booleans(),
+    seed=st.integers(0, 2**16),
+    j=st.integers(-400, 400),
+)
+
+
+@given(**WEYL_CASES, at=st.floats(0.0, 1.0))
+@settings(max_examples=300, deadline=None)
+def test_weyl_interval_keeps_the_true_dimension(shape, cut, log_spread, eta, tight, seed, j,
+                                                at):
+    # D = D0 + E with rank(D0) = r and ||E||_2 < sigma_r(D0) / 2.  By Weyl,
+    # sigma_{r+1}(D) <= ||E||_2 and sigma_r(D) >= sigma_r(D0) - ||E||_2, so every
+    # lam in (1 / (sigma_r(D0) - ||E||_2)^2, 1 / ||E||_2^2] keeps k = r; lam stays
+    # a relative 1e-6 inside, far from estimate_dimension's 1e-12 ties.  Scaling
+    # D by 2^j scales the interval by 4^-j
+    r = 1 + int(cut * (min(shape) - 1))
+    d0, e = noisy_low_rank(shape, r, log_spread, eta, tight, seed)
+    norm_e = np.linalg.norm(e, 2)
+    lo, hi = 1.0 / (1.0 - norm_e) ** 2, 1.0 / norm_e**2
+    lam = lo * (1 + 1e-6) * (hi * (1 - 1e-6) / (lo * (1 + 1e-6))) ** at
+    d = np.ldexp(d0 + e, j)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert pce.fit(d, math.ldexp(lam, -2 * j)).k == r
+        if not tight:
+            return
+        # both bounds are met, so a lam just outside either end changes k
+        assert pce.fit(d, math.ldexp(hi * (1 + 1e-6), -2 * j)).k == r + 1
+        if r == 1:
+            with pytest.raises(DegenerateDimension):
+                pce.fit(d, math.ldexp(lo * (1 - 1e-6), -2 * j))
+        else:
+            assert pce.fit(d, math.ldexp(lo * (1 - 1e-6), -2 * j)).k == r - 1
+
+
+@given(**WEYL_CASES)
+@settings(max_examples=300, deadline=None)
+def test_recover_clean_is_within_twice_the_noise(shape, cut, log_spread, eta, tight, seed, j):
+    # ||D0^ - D0||_2 <= ||D0^ - D||_2 + ||D - D0||_2 = sigma_{r+1}(D) + ||E||_2
+    # <= 2 ||E||_2, plus the rounding of a backward-stable SVD and its product,
+    # a small multiple of eps sigma_1 (max(m, n) is generous)
+    r = 1 + int(cut * (min(shape) - 1))
+    d0, e = noisy_low_rank(shape, r, log_spread, eta, tight, seed)
+    svd = pce.skinny_svd(np.ldexp(d0 + e, j))
+    clean, _ = pce.recover_clean(svd, r)
+    eps_sigma = np.finfo(float).eps * math.ldexp(svd.sigma[0], -j)
+    bound = 2 * np.linalg.norm(e, 2) + max(shape) * eps_sigma
+    assert np.linalg.norm(np.ldexp(clean, -j) - d0, 2) <= bound
+
+
 BLAS_THREADS_FIT = """
 import sys
 import numpy as np
