@@ -37,7 +37,7 @@ from .model import (
     transform,
 )
 
-__version__ = "0.13.0"
+__version__ = "0.14.0"
 
 __all__ = [
     "CoefficientFactor",

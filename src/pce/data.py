@@ -21,7 +21,7 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import InfeasibleSpec, ParseError, ShapeError, TooFewSamples
+from .errors import InfeasibleSpec, ParseError, PceError, ShapeError, TooFewSamples
 from .linalg import _check_matrix
 from .model import PceModel, describe
 
@@ -381,7 +381,7 @@ def save_matrix(obj, path):
     """
     if not isinstance(obj, LabeledDataset):
         obj = LabeledDataset(np.asarray(obj, dtype=float), None)
-    m, n = obj.matrix.shape
+    m, n = _check_matrix(obj.matrix).shape  # a matrix load_matrix refuses is never written
     lines = _with_meta(f"pce-matrix v1 m={m} n={n}", obj.meta)
     if obj.labels is not None:
         lines[0] = f"pce-dataset v1 m={m} n={n} classes={obj.n_classes}"
@@ -489,13 +489,12 @@ def load_model(path) -> PceModel:
         raise ParseError(f"model file missing field {exc}") from None
     except ValueError as exc:
         raise ParseError(f"bad model field: {exc}") from None
-    if not (np.isfinite(lam) and lam > 0):
-        raise ParseError(f"lambda={lam!r} must be finite and > 0")
     if not 1 <= k <= min(m, n):
         raise ParseError(f"k={k} must lie in [1, min(m, n)] = [1, {min(m, n)}]")
-    if not (spectrum[0] > 0 and np.all(np.diff(spectrum) <= 0)):
-        raise ParseError("spectrum must be nonincreasing with sigma_1 > 0")
-    kept = describe(spectrum, lam, (m, n)).k
+    try:  # estimate_dimension's one check of the spectrum and lambda
+        kept = describe(spectrum, lam, (m, n)).k
+    except (PceError, ValueError) as exc:
+        raise ParseError(f"bad model spectrum or lambda: {exc}") from None
     if k != kept:
         raise ParseError(f"k={k} disagrees with lambda={lam!r}, which keeps k={kept}")
     center = None

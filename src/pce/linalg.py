@@ -113,7 +113,8 @@ def skinny_svd(d, *, left=True, right=True):
     ``d`` itself.
 
     Raises ZeroMatrix when every entry is numerically zero (the self-expression
-    problem is undefined for the zero matrix) and NonFinite on NaN/Inf.
+    problem is undefined for the zero matrix) and NonFinite on NaN/Inf or
+    when sigma_1 overflows.
     """
     d = _check_matrix(d)
     q, a = None, d
@@ -129,6 +130,8 @@ def skinny_svd(d, *, left=True, right=True):
     u, s, vt = out if left or right else (None, out, None)
     if s[0] <= 0.0:
         raise ZeroMatrix("matrix is numerically zero")
+    if s[0] == np.inf:
+        raise NonFinite("sigma_1 overflows: the matrix norm exceeds the float range")
     r = numerical_rank(s, d.shape)
     v = (vt.T if q is None else q @ vt.T) if right else None
     return SvdFactors(

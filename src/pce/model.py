@@ -86,26 +86,25 @@ def _times_2e(x, e, lam=1.0):
 
 
 def estimate_dimension(sigma, lam):
-    """Feature dimension minimizing r + lam * sum of the squared trailing values.
+    """k = #{lam * sigma_i^2 > 1 + 1e-12}: the r minimizing r + lam * sum_{i>r}
+    sigma_i^2, as that cost changes by 1 - lam * sigma_r^2 from r - 1 to r.
+    Equal values share a side of the threshold, so k never splits them.
 
-    Ties within 1e-12 absolute go to the smallest r.  Away from ties this
-    equals the count of i with lam * sigma_i^2 > 1.
-    """
+    The one check of a spectrum: empty, not 1-d or sigma_1 <= 0 is EmptySpectrum;
+    NaN, Inf or an increase is NotSorted; lambda not finite and > 0 a ValueError."""
     sigma = np.asarray(sigma, dtype=float)
     if sigma.ndim != 1 or len(sigma) == 0:
         raise EmptySpectrum("need at least one singular value")
     if not np.all(np.isfinite(sigma)):
         raise NotSorted("spectrum contains non-finite values")
-    if np.any(np.diff(sigma) > TIE_TOL):
+    if not sigma[0] > 0:
+        raise EmptySpectrum(f"sigma_1={sigma[0]!r} must be > 0")
+    if np.any(np.diff(sigma) > 0):
         raise NotSorted("singular values must be nonincreasing")
     if not (np.isfinite(lam) and lam > 0):
         raise ValueError(f"lambda must be positive and finite, got {lam:g}")
-    # cost(r) = r + lam * sum_{i>r} sigma_i^2, r = 0..len(sigma)
     squares, e = _squares(sigma)
-    tail = np.concatenate([np.cumsum(squares[::-1])[::-1], [0.0]])
-    cost = np.arange(len(sigma) + 1) + _times_2e(tail, 2 * e, lam)
-    best = cost.min()
-    return int(np.nonzero(cost <= best + TIE_TOL)[0][0])
+    return int(np.count_nonzero(_times_2e(squares, 2 * e, lam) > 1 + TIE_TOL))
 
 
 @dataclass(frozen=True)
@@ -125,8 +124,9 @@ def describe(spectrum, lam, shape):
     finite at any scale; k is chosen among the values within the numerical
     rank, as ``fit`` chooses it."""
     spectrum = np.asarray(spectrum, dtype=float)
+    k = estimate_dimension(spectrum, lam)  # the spectrum's check, before it is read
     rank = numerical_rank(spectrum, shape)
-    k = estimate_dimension(spectrum[:rank], lam)
+    k = min(k, rank)
     squares, e = _squares(spectrum)
     energy = np.cumsum(squares)
     min_lam = float(_times_2e((1.0 + 1e-6) / squares[0], -2 * e))  # past 1/sigma_1^2
@@ -232,9 +232,8 @@ def _project(theta, y, center=None, owner="model"):
         raise DimensionMismatch(
             f"data has {y.shape[0]} rows, {owner} expects {theta.shape[0]}"
         )
-    if center is not None:
-        y = y - center[:, None]
-    return theta.T @ y
+    with np.errstate(over="ignore", invalid="ignore"):  # save_matrix refuses inf and nan
+        return theta.T @ (y if center is None else y - center[:, None])
 
 
 def transform(model, y):

@@ -1,8 +1,12 @@
-"""The reference generalized symmetric eigensolver that the tests check the
-library against.  No library path solves a generalized eigenproblem: PCE is
-one SVD, and ``pce.embed`` reduces its pencil to one symmetric ``eigh``.  This
-solver is the independent oracle for both, so it, and its scipy import, live
-with the tests.
+"""The references that the tests check the library against.
+
+``argmin_oracle`` enumerates the paper's objective r + lam * sum_{i>r} sigma_i^2
+for every r, the independent check of ``estimate_dimension``'s closed-form count.
+
+``generalized_top_eigs`` is the reference generalized symmetric eigensolver.
+No library path solves a generalized eigenproblem: PCE is one SVD, and
+``pce.embed`` reduces its pencil to one symmetric ``eigh``.  This solver is the
+independent oracle for both, so it, and its scipy import, live with the tests.
 """
 
 import numpy as np
@@ -12,6 +16,16 @@ from pce.errors import DimensionMismatch, NotConverged
 from pce.linalg import _canonicalize, _check_matrix
 
 SYMMETRY_TOL = 1e-10
+
+
+def argmin_oracle(sigma, lam):
+    """Exhaustive cost enumeration; the independent check for the estimator."""
+    sigma = np.asarray(sigma, dtype=float)
+    costs = [
+        r + lam * float(np.sum(sigma[r:] ** 2)) for r in range(len(sigma) + 1)
+    ]
+    best = min(costs)
+    return next(r for r, c in enumerate(costs) if c <= best + 1e-12)
 
 
 def generalized_top_eigs(l, r, count):

@@ -13,19 +13,13 @@ import pce
 from pce.cli import load_model, main
 from pce.evaluation import nn_classify, pca_fit, pca_transform
 from pce.model import estimate_dimension
-from reference import generalized_top_eigs
+from reference import argmin_oracle, generalized_top_eigs
 
 BENCH_SPEC = pce.SubspaceSpec(ambient=50, subspaces=((4, 20),) * 5)
 
 
 def _passed(name):
     print(f"acceptance[{name}]: PASS")
-
-
-def argmin_oracle(sigma, lam):
-    costs = [r + lam * float(np.sum(sigma[r:] ** 2)) for r in range(len(sigma) + 1)]
-    best = min(costs)
-    return next(r for r, c in enumerate(costs) if c <= best + 1e-12)
 
 
 def principal_angle(a, b):

@@ -130,11 +130,15 @@ def test_transform_roundtrip(dataset_file, tmp_path):
         (r"spectrum=.*", "spectrum=" + " ".join(["-1.0"] * 12)),
         (r"spectrum=(\S+) (\S+)", r"spectrum=\2 \1"),
         (r"lambda=\S+", "lambda=1e-300"),
+        (r"spectrum=.*", "spectrum=1e-20 2e-20" + " 0.0" * 10),
+        (r"spectrum=.*", "spectrum=" + " ".join(["0.0"] * 12)),
+        (r"lambda=\S+", "lambda=0.0"),
     ],
     ids=["nan-theta", "negative-lambda", "short-center", "extra-spectrum",
          "bad-literal", "negative-k", "inf-spectrum", "overflow-center",
          "repeated-lambda", "negative-spectrum", "increasing-spectrum",
-         "k-disagrees-with-lambda"],
+         "k-disagrees-with-lambda", "increasing-tiny-spectrum", "zero-sigma-1",
+         "zero-lambda"],
 )
 def test_transform_rejects_invalid_model(dataset_file, tmp_path, pattern, replacement):
     model_path = tmp_path / "model.txt"
@@ -146,6 +150,46 @@ def test_transform_rejects_invalid_model(dataset_file, tmp_path, pattern, replac
     model_path.write_text(mutated)
     out = tmp_path / "z.txt"
     assert main(["transform", str(model_path), dataset_file, "--output", str(out)]) == 1
+    assert not out.exists()
+
+
+def overflowing_matrix():
+    """6 x 8 standard gaussian (seed 0) whose first column holds two 1.7e308:
+    every entry is finite, and sigma_1 >= 1.7e308 * sqrt(2) is not."""
+    d = np.random.default_rng(0).standard_normal((6, 8))
+    d[0, 0] = d[1, 0] = 1.7e308
+    return d
+
+
+@pytest.mark.parametrize("argv", [["fit"], ["spectrum"], ["sweep", "--lambdas", "1,10"]],
+                         ids=["fit", "spectrum", "sweep"])
+def test_overflowing_sigma_1_is_a_numerical_error(tmp_path, capsys, argv):
+    data, out = tmp_path / "d.txt", tmp_path / "out"
+    pce.save_matrix(overflowing_matrix(), data)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([argv[0], str(data), *argv[1:], "--output", str(out)])
+    assert code == 2
+    err = "error: sigma_1 overflows: the matrix norm exceeds the float range\n"
+    assert capsys.readouterr().err == err
+    assert not out.exists()
+
+
+def test_transform_whose_features_overflow_writes_nothing(tmp_path, capsys):
+    # theta ~ 1e3 times an entry of 1.7e308 overflows: save_matrix refuses the
+    # inf (exit 2), and numpy's overflow warning does not escape
+    train, data, model_path = tmp_path / "t.txt", tmp_path / "y.txt", tmp_path / "m.txt"
+    pce.save_matrix(np.random.default_rng(0).standard_normal((6, 8)) * 1e-3, train)
+    y = np.random.default_rng(0).standard_normal((6, 8))
+    y[0, 0] = 1.7e308
+    pce.save_matrix(y, data)
+    out = tmp_path / "z.txt"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["fit", str(train), "--lambda", "1e8", "--output", str(model_path)]) == 0
+        code = main(["transform", str(model_path), str(data), "--output", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.endswith("error: matrix contains NaN or Inf entries\n")
     assert not out.exists()
 
 

@@ -12,6 +12,7 @@ from pce import data
 from pce.errors import (
     DimensionMismatch,
     InfeasibleSpec,
+    NonFinite,
     ParseError,
     ShapeError,
     TooFewSamples,
@@ -371,6 +372,21 @@ def test_matrix_file_saves_back_to_its_bytes(tmp_path, text):
     path.write_text(text)
     pce.save_matrix(pce.load_matrix(path), again)
     assert again.read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "matrix, error",
+    [(np.array([[1.0, np.nan], [1.0, 1.0]]), NonFinite), (np.ones((2, 0)), DimensionMismatch)],
+    ids=["nan", "m-by-0"],
+)
+@pytest.mark.parametrize("labeled", [False, True])
+def test_save_matrix_writes_only_what_load_matrix_reads(tmp_path, matrix, error, labeled):
+    # the matrix goes through load_matrix's own rules before a byte is written
+    obj = pce.LabeledDataset(matrix, np.zeros(matrix.shape[1], dtype=int)) if labeled else matrix
+    path = tmp_path / "m.txt"
+    with pytest.raises(error):
+        pce.save_matrix(obj, path)
+    assert not path.exists()
 
 
 def test_ragged_row_named(tmp_path):

@@ -19,6 +19,7 @@ TOKENS = [
     "", "0", "1", "-1", "-40", "2", "0.5", "nan", "inf", "-inf", "1e400", "abc",
     "x", "=", "#", ":", ",", "theta:", "k=", "lambda=0", "2x", "x3", "3x2", "v2",
     "pce-model", "pce-matrix", "pce-dataset", "pca", "lle-npe", "raw", "pixel",
+    "1.7e308",
 ]
 CHARS = "0123456789.-+xe:,=# naif"
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
@@ -160,6 +161,8 @@ def run(argv):
 
 
 @SETTINGS
+# two finite entries of one column whose norm, sigma_1, overflows
+@example(edits=[("token", 4, 0, "1.7e308"), ("token", 5, 0, "1.7e308")], command="fit")
 @given(edits=mutations, command=st.sampled_from(["fit", "spectrum", "sweep"]))
 def test_fuzz_data_file(files, edits, command):
     path = files["root"] / "mutated_data.txt"

@@ -23,16 +23,7 @@ from pce.errors import (
 )
 from pce.linalg import QR_RATIO
 from pce.model import closed_form_projection, describe, estimate_dimension
-
-
-def argmin_oracle(sigma, lam):
-    """Exhaustive cost enumeration; the independent check for the estimator."""
-    sigma = np.asarray(sigma, dtype=float)
-    costs = [
-        r + lam * float(np.sum(sigma[r:] ** 2)) for r in range(len(sigma) + 1)
-    ]
-    best = min(costs)
-    return next(r for r, c in enumerate(costs) if c <= best + 1e-12)
+from reference import argmin_oracle
 
 
 def test_costs_enumerated_by_hand():
@@ -49,16 +40,6 @@ def test_monotone_in_lambda_single_spike():
     sigma = [1.0, 0.0, 0.0, 0.0]
     ks = [estimate_dimension(sigma, lam) for lam in (0.5, 1.5, 10.0, 1e6)]
     assert ks == sorted(ks)
-
-
-def test_empty_spectrum():
-    with pytest.raises(EmptySpectrum):
-        estimate_dimension([], 1.0)
-
-
-def test_increasing_spectrum_rejected():
-    with pytest.raises(NotSorted):
-        estimate_dimension([1.0, 2.0], 1.0)
 
 
 @given(
@@ -92,6 +73,73 @@ def test_threshold_closed_form():
             assert estimate_dimension(sigma, lam) == int(
                 np.count_nonzero(lam * sigma**2 > 1.0)
             )
+
+
+@pytest.mark.parametrize("check", ["estimate_dimension", "describe"])
+@pytest.mark.parametrize(
+    "spectrum, lam, error",
+    [
+        ([], 1.0, EmptySpectrum),
+        (np.ones((2, 2)), 1.0, EmptySpectrum),
+        ([np.nan, 1.0], 1.0, NotSorted),
+        ([np.inf, 1.0], 1.0, NotSorted),
+        ([0.0, 0.0], 1.0, EmptySpectrum),
+        ([1.0, 2.0], 1.0, NotSorted),
+        ([1e-20, 2e-20], 1e41, NotSorted),
+        ([2.0, 1.0], 0.0, ValueError),
+        ([2.0, 1.0], np.nan, ValueError),
+        ([2.0, 1.0], np.inf, ValueError),
+    ],
+    ids=["empty", "2-d", "nan", "inf", "zero", "increasing", "increasing-tiny",
+         "zero-lambda", "nan-lambda", "inf-lambda"],
+)
+def test_one_rule_refuses_a_bad_spectrum(check, spectrum, lam, error):
+    # describe runs estimate_dimension's check before it reads the spectrum,
+    # and an increase is refused at every scale
+    call = {"estimate_dimension": estimate_dimension,
+            "describe": lambda s, lam: describe(s, lam, (2, 2))}[check]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error):
+            call(spectrum, lam)
+
+
+@pytest.mark.parametrize("lam, k", [(1 - 5e-13, 1), (1 + 5e-13, 1), (1 + 5e-12, 4)])
+def test_equal_values_are_never_split(lam, k):
+    # lam * 1^2 lies inside the 1e-12 tie band or past it: the three equal
+    # values are kept or dropped together, never one of them alone
+    sigma = np.array([10.0, 1.0, 1.0, 1.0, 0.1])
+    assert estimate_dimension(sigma, lam) == k
+    assert pce.fit(np.diag(sigma), lam).k == k
+
+
+@given(
+    sigma=st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=30),
+    zeros=st.integers(0, 3),
+    j=st.integers(-500, 500),
+    lam=st.floats(5e-324, 1.7e308),
+    near=st.none() | st.tuples(st.integers(0, 29),
+                               st.floats(-1e-11, 1e-11) | st.floats(0.0, 2e-12)),
+)
+@settings(max_examples=300, deadline=None)
+def test_count_is_exact_at_every_scale(sigma, zeros, j, lam, near):
+    # k is the exact count of lam * sigma_i^2 > 1 + 1e-12 for a spectrum scaled
+    # by 2^j and any positive finite lambda; ``near`` puts lam * sigma_i^2
+    # within 1e-11 of 1, often inside the tie band.  A product within a
+    # relative 1e-14 of the threshold, where one rounding decides, may count
+    # either way
+    sigma = np.concatenate([np.ldexp(np.sort(sigma)[::-1], j), np.zeros(zeros)])
+    threshold = 1 + Fraction(1e-12)
+    if near is not None:
+        s = Fraction(sigma[near[0] % (len(sigma) - zeros)])
+        lam = float((1 + Fraction(near[1])) / s**2)
+    products = [Fraction(lam) * Fraction(s) ** 2 for s in sigma]
+    band = threshold * Fraction(1e-14)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        k = estimate_dimension(sigma, lam)
+    assert sum(p > threshold + band for p in products) <= k
+    assert k <= sum(p > threshold - band for p in products)
 
 
 def test_describe_keeps_the_bits_of_direct_squares():
@@ -491,7 +539,7 @@ def test_weyl_interval_keeps_the_true_dimension(shape, cut, log_spread, eta, tig
     # D = D0 + E with rank(D0) = r and ||E||_2 < sigma_r(D0) / 2.  By Weyl,
     # sigma_{r+1}(D) <= ||E||_2 and sigma_r(D) >= sigma_r(D0) - ||E||_2, so every
     # lam in (1 / (sigma_r(D0) - ||E||_2)^2, 1 / ||E||_2^2] keeps k = r; lam stays
-    # a relative 1e-6 inside, far from estimate_dimension's 1e-12 ties.  Scaling
+    # a relative 1e-6 inside, far from the 1e-12 tie band of k's count.  Scaling
     # D by 2^j scales the interval by 4^-j
     r = 1 + int(cut * (min(shape) - 1))
     d0, e = noisy_low_rank(shape, r, log_spread, eta, tight, seed)
