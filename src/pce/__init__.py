@@ -27,7 +27,6 @@ from .evaluation import (
 from .graph import embed, lle_graph
 from .linalg import SvdFactors, skinny_svd
 from .model import (
-    CoefficientFactor,
     PceModel,
     estimate_dimension,
     fit,
@@ -37,10 +36,9 @@ from .model import (
     transform,
 )
 
-__version__ = "0.14.0"
+__version__ = "0.15.0"
 
 __all__ = [
-    "CoefficientFactor",
     "ExperimentConfig",
     "LabeledDataset",
     "NoiseSpec",

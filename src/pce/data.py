@@ -21,7 +21,7 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import InfeasibleSpec, ParseError, PceError, ShapeError, TooFewSamples
+from .errors import InfeasibleSpec, NonFinite, ParseError, PceError, ShapeError, TooFewSamples
 from .linalg import _check_matrix
 from .model import PceModel, describe
 
@@ -139,15 +139,20 @@ def generate_union_of_subspaces(spec: SubspaceSpec, seed: int) -> LabeledDataset
 
 
 def add_gaussian_noise(d, rho, clip=None, seed=0):
-    """Add rho-scaled standard-normal noise entrywise, clamping to ``clip``."""
+    """Add rho-scaled standard-normal noise entrywise, clamping to ``clip``; an
+    entry that overflows lands on a bound, or without ``clip`` is NonFinite."""
     _check_gaussian_rho(rho)
     if clip is not None:
         _check_clip(clip)
     d = _check_matrix(d)
     # row j of the draw is column j's noise, so its transpose is column-major
     out = np.random.default_rng([seed, 1]).standard_normal(d.shape[::-1]).T
-    out *= rho
-    out += d
+    try:
+        with np.errstate(over="raise" if clip is None else "ignore"):
+            out *= rho
+            out += d
+    except FloatingPointError:
+        raise NonFinite(f"gaussian noise at rho={rho!r} overflows the float range") from None
     if clip is not None:
         np.clip(out, clip[0], clip[1], out=out)
     return out
@@ -503,9 +508,7 @@ def load_model(path) -> PceModel:
     if len(theta_rows) != m:
         raise ShapeError(f"expected {m} theta rows, found {len(theta_rows)}")
     theta = _parse_rows(theta_rows, k, "theta row {i}")
-    return PceModel(
-        lam=lam, k=k, theta=theta, spectrum=spectrum, train_cols=n, center=center
-    )
+    return PceModel(lam=lam, theta=theta, spectrum=spectrum, train_cols=n, center=center)
 
 
 def load_config(path):

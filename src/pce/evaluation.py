@@ -23,7 +23,8 @@ from .data import (
 )
 from .errors import BadDim, DimensionMismatch, EmptyTrainingSet, LengthMismatch, NonFinite
 from .errors import ZeroMatrix
-from .linalg import SvdFactors, _check_matrix, _unit_scale, canonical_signs, skinny_svd
+from .linalg import SvdFactors, _check_matrix, _row_mean, _unit_scale, canonical_signs
+from .linalg import skinny_svd
 
 __all__ = [
     "nn_classify",
@@ -93,9 +94,11 @@ def pca_fit(d, dim):
     NonFinite) before centring; constant rows raise ZeroMatrix."""
     if dim < 1:
         raise BadDim(f"dim={dim} must be >= 1")
-    d = _check_matrix(d)  # the mean of a matrix with no columns warns
-    mean = d.mean(axis=1, keepdims=True)
-    svd = skinny_svd(d - mean, right=False)
+    d = _check_matrix(d)  # first: a matrix with no columns has no row mean
+    mean = _row_mean(d)
+    with np.errstate(over="ignore"):  # an overflowing difference is skinny_svd's NonFinite
+        x = d - mean
+    svd = skinny_svd(x, right=False)
     if dim > svd.rank:
         raise BadDim(f"dim={dim} exceeds the rank {svd.rank} of the centred data")
     components = canonical_signs(svd.require_u()[:, :dim].copy())
@@ -220,8 +223,8 @@ def _npe_pca(d):
     r = int(np.argmax(energy >= NPE_ENERGY * energy[-1])) + 1
     # a rank-deficient Gram can have eigenvalues of -eps
     spectrum = np.sqrt(np.maximum(evals[::-1], 0.0))[: min(x.shape)]
-    sigma, v = spectrum[:r], vecs[:, :-r - 1:-1]
-    return x, SvdFactors(u=x @ v / sigma, sigma=sigma, v=v, rank=r, spectrum=spectrum), e
+    v = vecs[:, :-r - 1:-1]
+    return x, SvdFactors(u=x @ v / spectrum[:r], v=v, rank=r, spectrum=spectrum), e
 
 
 def run_experiment(cfg: ExperimentConfig) -> Report:

@@ -12,7 +12,8 @@ triplets with sigma_1^2 / sigma_r^2 < 50 n, so one ``eigh`` of the n x n Gram
 loses about 50 n ulps.  A wide ``d``, or a tall one without U, takes Chan's
 R-SVD (see ``skinny_svd``), which agrees with the plain call to rounding, not
 to the bit.  ``SvdFactors.require_u`` and ``require_v`` are the one readers of
-U and V, and refuse factors taken without.
+U and V, and refuse factors taken without.  ``SvdFactors.sigma`` is
+``spectrum[:rank]``, not a copy, so the truncation is stored once.
 
 Everything here is deterministic: identical inputs produce bitwise-identical
 outputs on a given platform and BLAS thread count.  Across thread counts the
@@ -55,6 +56,14 @@ def _check_matrix(d):
     return d
 
 
+def _row_mean(d):
+    # each row's mean (a column) after dividing it by the power of two at its largest
+    # |entry|: no sum overflows, and unless an entry is 2^1022 smaller the bits are d.mean's
+    big = np.maximum(d.max(axis=1, keepdims=True), -d.min(axis=1, keepdims=True))
+    e = np.frexp(big)[1]
+    return np.ldexp(np.ldexp(d, -e).mean(axis=1, keepdims=True), e)
+
+
 def _unit_scale(*arrays):
     # divide in place by the power of two at the largest |entry|: exact, and no
     # square overflows; returns e, each array now being its old self times 2^e
@@ -69,18 +78,21 @@ def _unit_scale(*arrays):
 class SvdFactors:
     """Skinny SVD of a matrix, truncated at its numerical rank.
 
-    ``u`` (m x r) and ``v`` (n x r) are column-orthonormal, ``sigma`` holds the
-    r retained singular values in descending order.  ``spectrum`` keeps the full
-    min(m, n) singular values so callers can reason about the discarded tail.
+    ``u`` (m x r) and ``v`` (n x r) are column-orthonormal.  ``spectrum`` keeps
+    all min(m, n) singular values in descending order, so callers can reason
+    about the discarded tail, and ``sigma`` is its head, the r retained ones.
     ``u`` or ``v`` is None when the SVD was taken without that side's vectors;
     read them through ``require_u`` and ``require_v``.
     """
 
     u: np.ndarray | None
-    sigma: np.ndarray
     v: np.ndarray | None
     rank: int
     spectrum: np.ndarray = field(repr=False)
+
+    @property
+    def sigma(self):
+        return self.spectrum[: self.rank]
 
     def require_u(self):
         """``u``, or a ValueError when the SVD was taken with ``left=False``."""
@@ -133,21 +145,13 @@ def skinny_svd(d, *, left=True, right=True):
     if s[0] == np.inf:
         raise NonFinite("sigma_1 overflows: the matrix norm exceeds the float range")
     r = numerical_rank(s, d.shape)
-    v = (vt.T if q is None else q @ vt.T) if right else None
-    return SvdFactors(
-        u=u[:, :r] if left else None,
-        sigma=s[:r].copy(),
-        v=None if v is None else np.ascontiguousarray(v[:, :r]),
-        rank=r,
-        spectrum=s,
-    )
+    u = u[:, :r] if left else None
+    v = np.ascontiguousarray((vt.T if q is None else q @ vt.T)[:, :r]) if right else None
+    return SvdFactors(u=u, v=v, rank=r, spectrum=s)
 
 
 def _first_nonzero_index(vec):
-    big = np.abs(vec).max()
-    if big == 0.0:
-        return len(vec)
-    nz = np.nonzero(np.abs(vec) > 1e-10 * big)[0]
+    nz = np.nonzero(np.abs(vec) > 1e-10 * np.abs(vec).max())[0]
     return int(nz[0]) if len(nz) else len(vec)
 
 

@@ -6,6 +6,9 @@ dimension is k = #{lam * sigma_i^2 > 1}; the self-expression matrix is
 C = Vk Vk'; and the embedding pencil of C collapses in closed form, because
 D (C + C' - C C') D' = Uk Sk^2 Uk', to the projection Theta = Uk Sk^-1.  PCE
 is therefore uncentred whitened PCA that keeps k directions.
+
+k is stored once, as the width of theta (``PceModel.k``) and of the factor Vk
+that ``principal_coefficients`` returns, so no copy of it can disagree.
 """
 
 import time
@@ -21,11 +24,11 @@ from .errors import (
     NotSorted,
     TooLarge,
 )
-from .linalg import QR_RATIO, _check_matrix, canonical_signs, numerical_rank, skinny_svd
+from .linalg import QR_RATIO, _check_matrix, _row_mean, canonical_signs, numerical_rank
+from .linalg import skinny_svd
 
 __all__ = [
     "PceModel",
-    "CoefficientFactor",
     "SpectrumSummary",
     "estimate_dimension",
     "describe",
@@ -42,29 +45,24 @@ TIE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
-class CoefficientFactor:
-    """Factored self-expression matrix: C = vk @ vk.T with vk column-orthonormal."""
-
-    vk: np.ndarray
-    k: int
-
-
-@dataclass(frozen=True)
 class PceModel:
     """Fitted projection.
 
-    ``theta`` is m x k with theta.T @ D @ D.T @ theta = I for the training D.
-    ``spectrum`` keeps the full training singular values so the dimension
-    choice can be audited after the fact.
+    ``theta`` is m x k with theta.T @ D @ D.T @ theta = I for the training D,
+    so k is its width.  ``spectrum`` keeps the full training singular values so
+    the dimension choice can be audited after the fact.
     """
 
     lam: float
-    k: int
     theta: np.ndarray
     spectrum: np.ndarray
     train_cols: int
     center: np.ndarray | None = field(default=None)
     fit_seconds: float = field(default=0.0, compare=False)
+
+    @property
+    def k(self):
+        return self.theta.shape[1]
 
     @property
     def ambient_dim(self):
@@ -148,13 +146,10 @@ def _kept_dimension(svd, lam):
 
 
 def principal_coefficients(svd, lam):
-    """First k right singular vectors, k chosen by ``estimate_dimension``.
-
-    The n x n matrix C = vk @ vk.T is never formed here; use
-    ``materialize_affinity`` when an explicit copy is wanted.
-    """
+    """Vk, the n x k first right singular vectors, k chosen by ``estimate_dimension``:
+    the factor of C = Vk @ Vk.T, which ``materialize_affinity`` forms explicitly."""
     k = _kept_dimension(svd, lam)
-    return CoefficientFactor(vk=np.ascontiguousarray(svd.require_v()[:, :k]), k=k)
+    return np.ascontiguousarray(svd.require_v()[:, :k])
 
 
 def closed_form_projection(svd, k):
@@ -183,12 +178,12 @@ def recover_clean(svd, k):
     return d0, e
 
 
-def materialize_affinity(factor, cap=AFFINITY_CAP):
-    """Explicit n x n affinity C = vk @ vk.T; guarded by a size cap."""
-    n = factor.vk.shape[0]
+def materialize_affinity(vk, cap=AFFINITY_CAP):
+    """Explicit n x n affinity C = vk @ vk.T of the n x k ``vk``; guarded by a size cap."""
+    n = vk.shape[0]
     if n > cap:
         raise TooLarge(f"materializing {n}x{n} exceeds the cap of {cap}")
-    return factor.vk @ factor.vk.T
+    return vk @ vk.T
 
 
 def fit(d, lam=1.0, center=False):
@@ -202,9 +197,10 @@ def fit(d, lam=1.0, center=False):
     first (off by default; the plain pipeline operates on raw columns).
     """
     t0 = time.perf_counter()
-    d = _check_matrix(d)  # the mean of a matrix with no columns warns
-    mean = d.mean(axis=1, keepdims=True) if center else None
-    x = d if mean is None else d - mean
+    d = _check_matrix(d)  # first: a matrix with no columns has no row mean
+    mean = _row_mean(d) if center else None
+    with np.errstate(over="ignore"):  # an overflowing difference is skinny_svd's NonFinite
+        x = d if mean is None else d - mean
     tall = x.shape[0] >= QR_RATIO * x.shape[1]
     svd = skinny_svd(x, left=not tall, right=tall)
     k = _kept_dimension(svd, lam)
@@ -212,13 +208,8 @@ def fit(d, lam=1.0, center=False):
     theta = closed_form_projection(svd, k) if not tall else canonical_signs(
         np.linalg.qr(x @ svd.require_v()[:, :k] / svd.sigma[:k])[0] / svd.sigma[:k])
     return PceModel(
-        lam=float(lam),
-        k=k,
-        theta=theta,
-        spectrum=svd.spectrum,
-        train_cols=d.shape[1],
-        center=None if mean is None else mean[:, 0].copy(),
-        fit_seconds=time.perf_counter() - t0,
+        lam=float(lam), theta=theta, spectrum=svd.spectrum, train_cols=d.shape[1],
+        center=None if mean is None else mean[:, 0].copy(), fit_seconds=time.perf_counter() - t0
     )
 
 

@@ -83,14 +83,14 @@ def test_criterion_3_recovery_correctness():
         lam = 10 ** rng.uniform(-1, 2)
         svd = pce.skinny_svd(d)
         try:
-            factor = pce.principal_coefficients(svd, lam)
+            vk = pce.principal_coefficients(svd, lam)
         except pce.errors.DegenerateDimension:
             continue
-        d0, _ = pce.recover_clean(svd, factor.k)
-        tail = np.sqrt(np.sum(svd.spectrum[factor.k :] ** 2))
+        d0, _ = pce.recover_clean(svd, vk.shape[1])
+        tail = np.sqrt(np.sum(svd.spectrum[vk.shape[1] :] ** 2))
         residual = np.linalg.norm(d - d0)
         assert residual == pytest.approx(tail, rel=1e-8, abs=1e-8)
-        c = pce.materialize_affinity(factor)
+        c = pce.materialize_affinity(vk)
         assert np.linalg.norm(d0 @ c - d0) < 1e-8
         checked += 1
     assert time.perf_counter() - start < 10.0
@@ -135,13 +135,13 @@ def test_criterion_6_embedding_contract():
         lam = 10 ** rng.uniform(-0.5, 1.5)
         svd = pce.skinny_svd(d)
         try:
-            factor = pce.principal_coefficients(svd, lam)
+            vk = pce.principal_coefficients(svd, lam)
         except pce.errors.DegenerateDimension:
             continue
         model = pce.fit(d, lam)
         k, theta = model.k, model.theta
         assert np.allclose(theta.T @ d @ d.T @ theta, np.eye(k), atol=1e-8)
-        w = svd.sigma[:, None] * (svd.v.T @ factor.vk)
+        w = svd.sigma[:, None] * (svd.v.T @ vk)
         values, _ = generalized_top_eigs(
             w @ w.T, np.diag(svd.sigma**2), svd.rank
         )

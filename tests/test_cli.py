@@ -92,16 +92,21 @@ def test_fit_deterministic_bytes(dataset_file, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_model_roundtrip_exact(dataset_file, tmp_path):
-    ds = pce.load_matrix(dataset_file)
-    model = pce.fit(ds.matrix, 3.0)
+@pytest.mark.parametrize("center", [False, True], ids=["raw", "centered"])
+@pytest.mark.parametrize("shape", [(40, 10), (12, 12), (10, 40)], ids=["tall", "square", "wide"])
+def test_model_roundtrip_exact(tmp_path, shape, center):
+    d = np.random.default_rng(sum(shape)).standard_normal(shape)
+    model = pce.fit(d, 3.0, center=center)
     path = tmp_path / "model.txt"
     save_model(model, path)
     loaded = load_model(path)
-    assert loaded.lam == model.lam
-    assert loaded.k == model.k
-    assert np.array_equal(loaded.theta, model.theta)
-    assert np.array_equal(loaded.spectrum, model.spectrum)
+    assert (loaded.lam, loaded.k, loaded.train_cols) == (model.lam, model.k, shape[1])
+    assert loaded.theta.tobytes() == model.theta.tobytes()
+    assert loaded.spectrum.tobytes() == model.spectrum.tobytes()
+    if center:
+        assert loaded.center.tobytes() == model.center.tobytes()
+    else:
+        assert loaded.center is None and model.center is None
 
 
 def test_transform_roundtrip(dataset_file, tmp_path):
@@ -172,6 +177,37 @@ def test_overflowing_sigma_1_is_a_numerical_error(tmp_path, capsys, argv):
     assert code == 2
     err = "error: sigma_1 overflows: the matrix norm exceeds the float range\n"
     assert capsys.readouterr().err == err
+    assert not out.exists()
+
+
+def test_centred_fit_of_an_overflowing_row_is_a_numerical_error(tmp_path, capsys):
+    # the row mean of two 1.7e308 is taken scale-safely, so the centred
+    # matrix is finite and its sigma_1 is what overflows
+    d = np.random.default_rng(0).standard_normal((6, 8))
+    d[0, 0] = d[0, 1] = 1.7e308
+    data, out = tmp_path / "d.txt", tmp_path / "m.txt"
+    pce.save_matrix(d, data)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["fit", str(data), "--center", "--output", str(out)])
+    assert code == 2
+    err = "error: sigma_1 overflows: the matrix norm exceeds the float range\n"
+    assert capsys.readouterr().err == err
+    assert not out.exists()
+
+
+def test_eval_whose_gaussian_noise_overflows_names_rho(tmp_path, capsys):
+    config, out = tmp_path / "e.cfg", tmp_path / "r.csv"
+    config.write_text(
+        "synthetic=12:2x6,2x6\nmethod=pce\nlambda=10\ntrials=2\n"
+        "noise=gaussian\nnoise_rho=1.7e308\n"
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["eval", str(config), "--output", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "error: gaussian noise at rho=1.7e+308 overflows the float range" in err
     assert not out.exists()
 
 

@@ -2,6 +2,7 @@ import os
 import re
 import stat
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -127,6 +128,26 @@ def test_gaussian_noise_infinite_clip_bound():
     pce.NoiseSpec("gaussian", 0.1, clip=clip)
     noisy = pce.add_gaussian_noise(np.zeros((30, 20)), 1.0, clip=clip, seed=4)
     assert noisy.min() == 0.0 and noisy.max() > 0.0
+
+
+def test_gaussian_noise_overflow_without_clip_is_non_finite():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFinite, match=r"rho=1\.7e\+308 overflows"):
+            pce.add_gaussian_noise(np.ones((4, 5)), 1.7e308, seed=3)
+
+
+def test_gaussian_noise_overflow_with_clip_lands_on_the_bounds():
+    # the bits of clip(rho * z + d) with each overflow taken as +-inf
+    d = np.ones((4, 5))
+    z = np.random.default_rng([3, 1]).standard_normal((5, 4)).T
+    with np.errstate(over="ignore"):
+        expected = np.clip(z * 1.7e308 + d, -5.0, 5.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        noisy = pce.add_gaussian_noise(d, 1.7e308, clip=(-5.0, 5.0), seed=3)
+    assert noisy.tobytes() == expected.tobytes()
+    assert set(np.unique(noisy)) == {-5.0, 5.0}
 
 
 def test_gaussian_noise_deterministic():
@@ -480,7 +501,7 @@ def test_failed_write_keeps_target(tmp_path, monkeypatch, writer):
         if writer == "save_matrix":
             data.save_matrix(d, target)
         elif writer == "save_model":
-            data.save_model(pce.PceModel(1.0, 4, d, np.ones(4), 4), target)
+            data.save_model(pce.PceModel(1.0, d, np.ones(4), 4), target)
         else:
             data.write_csv(target, ("a", "b"), (data._format_floats(row) for row in d))
     assert target.read_bytes() == b"old bytes\n"

@@ -183,6 +183,17 @@ def test_pca_matrix_without_columns_rejected_before_centring():
             pca_fit(np.ones((5, 0)), 1)
 
 
+def test_pca_takes_the_row_mean_without_overflow():
+    # fit's scale-safe mean: a row of 1e308 neither warns nor becomes inf
+    d = np.random.default_rng(0).standard_normal((6, 8))
+    d[0] = 1e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pca = pca_fit(d, 2)
+    assert pca.mean[0] == 1e308
+    assert pca.mean[1:].tobytes() == d[1:].mean(axis=1).tobytes()
+
+
 def test_pca_dim_above_centred_rank():
     # 30 points in a 3-d affine subspace of R^8: the centred data has rank 2,
     # although min(m, n - 1) = 8

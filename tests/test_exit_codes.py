@@ -163,12 +163,16 @@ def run(argv):
 @SETTINGS
 # two finite entries of one column whose norm, sigma_1, overflows
 @example(edits=[("token", 4, 0, "1.7e308"), ("token", 5, 0, "1.7e308")], command="fit")
-@given(edits=mutations, command=st.sampled_from(["fit", "spectrum", "sweep"]))
+# two of one row, whose mean must be taken without overflow
+@example(edits=[("token", 4, 0, "1.7e308"), ("token", 4, 1, "1.7e308")],
+         command="fit --center")
+@given(edits=mutations,
+       command=st.sampled_from(["fit", "fit --center", "spectrum", "sweep"]))
 def test_fuzz_data_file(files, edits, command):
     path = files["root"] / "mutated_data.txt"
     path.write_text(mutate(files["data_text"], edits))
     extra = ["--lambdas", "1,10,100"] if command == "sweep" else []
-    run([command, str(path), *extra, "--output", str(files["root"] / "out")])
+    run([*command.split(), str(path), *extra, "--output", str(files["root"] / "out")])
 
 
 @SETTINGS
@@ -181,6 +185,9 @@ def test_fuzz_model_file(files, edits):
 
 
 @SETTINGS
+# gaussian noise that overflows, with its clip and without
+@example(edits=[("token", 7, 0, "noise_rho=1.7e308")])
+@example(edits=[("token", 7, 0, "noise_rho=1.7e308"), ("delete", 8)])
 @given(edits=mutations)
 def test_fuzz_eval_config(files, edits):
     path = files["root"] / "mutated.cfg"

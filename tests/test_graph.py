@@ -197,8 +197,8 @@ def test_lle_bad_neighborhood_size():
 
 def test_embed_diag_pencil():
     d = np.diag([2.0, 0.1])
-    factor = pce.principal_coefficients(pce.skinny_svd(d), 1.0)
-    theta = embed(d, pce.materialize_affinity(factor), 1)
+    vk = pce.principal_coefficients(pce.skinny_svd(d), 1.0)
+    theta = embed(d, pce.materialize_affinity(vk), 1)
     assert np.allclose(np.abs(theta[:, 0]), [0.5, 0.0], atol=1e-10)
 
 
@@ -207,9 +207,9 @@ def test_embed_degenerate_spectrum_and_subspace(shape, lam):
     rng = np.random.default_rng(sum(shape))
     d = rng.standard_normal(shape)
     svd = pce.skinny_svd(d)
-    factor = pce.principal_coefficients(svd, lam)
-    k = factor.k
-    theta = embed(d, pce.materialize_affinity(factor), k)
+    vk = pce.principal_coefficients(svd, lam)
+    k = vk.shape[1]
+    theta = embed(d, pce.materialize_affinity(vk), k)
     # metric orthonormality and the all-ones pencil spectrum
     gram = theta.T @ d @ d.T @ theta
     assert np.allclose(gram, np.eye(k), atol=1e-8)
@@ -226,9 +226,9 @@ def test_embed_identity_affinity_all_ones():
 
 def test_embed_dim_exceeds_rank():
     d = np.diag([2.0, 0.1])
-    factor = pce.principal_coefficients(pce.skinny_svd(d), 1.0)
+    vk = pce.principal_coefficients(pce.skinny_svd(d), 1.0)
     with pytest.raises(BadDim):
-        embed(d, pce.materialize_affinity(factor), 2)
+        embed(d, pce.materialize_affinity(vk), 2)
 
 
 def test_embed_rejects_mismatched_graph_and_bad_dim():
@@ -258,9 +258,9 @@ def test_eigenvalue_count_matches_k():
     rng = np.random.default_rng(3)
     d = rng.standard_normal((10, 24))
     svd = pce.skinny_svd(d)
-    factor = pce.principal_coefficients(svd, 0.5 / svd.sigma[4] ** 2 * 2)
-    k = factor.k
-    dv = d @ factor.vk
+    vk = pce.principal_coefficients(svd, 0.5 / svd.sigma[4] ** 2 * 2)
+    k = vk.shape[1]
+    dv = d @ vk
     left = dv @ dv.T
     right = d @ d.T
     values, _ = generalized_top_eigs(left, right, 10)

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import math
 import os
 import subprocess
@@ -18,6 +19,7 @@ from pce.errors import (
     DegenerateDimension,
     DimensionMismatch,
     EmptySpectrum,
+    NonFinite,
     NotSorted,
     TooLarge,
 )
@@ -248,17 +250,17 @@ def test_sigma_is_squared_in_one_helper():
 
 def test_principal_coefficients_2x2():
     svd = pce.skinny_svd(np.diag([2.0, 0.1]))
-    factor = pce.principal_coefficients(svd, 1.0)
-    assert factor.k == 1
-    c = pce.materialize_affinity(factor)
+    vk = pce.principal_coefficients(svd, 1.0)
+    assert vk.shape == (2, 1)
+    c = pce.materialize_affinity(vk)
     assert np.allclose(c, [[1.0, 0.0], [0.0, 0.0]])
 
 
 def test_orthonormal_columns_identity_affinity():
     q, _ = np.linalg.qr(np.random.default_rng(1).standard_normal((8, 4)))
-    factor = pce.principal_coefficients(pce.skinny_svd(q), 2.0)
-    assert factor.k == 4
-    assert np.allclose(pce.materialize_affinity(factor), np.eye(4), atol=1e-10)
+    vk = pce.principal_coefficients(pce.skinny_svd(q), 2.0)
+    assert vk.shape == (4, 4)
+    assert np.allclose(pce.materialize_affinity(vk), np.eye(4), atol=1e-10)
 
 
 def test_degenerate_dimension_reports_min_lambda():
@@ -273,7 +275,7 @@ def test_degenerate_dimension_reports_min_lambda():
 def test_affinity_properties():
     rng = np.random.default_rng(5)
     vk, _ = np.linalg.qr(rng.standard_normal((8, 3)))
-    c = pce.materialize_affinity(pce.CoefficientFactor(vk=vk, k=3))
+    c = pce.materialize_affinity(vk)
     assert np.allclose(c, c.T, atol=1e-10)
     assert np.allclose(c @ c, c, atol=1e-8)
     assert np.trace(c) == pytest.approx(3.0, abs=1e-8)
@@ -283,7 +285,7 @@ def test_affinity_properties():
 def test_affinity_cap():
     vk = np.eye(5)[:, :2]
     with pytest.raises(TooLarge):
-        pce.materialize_affinity(pce.CoefficientFactor(vk=vk, k=2), cap=4)
+        pce.materialize_affinity(vk, cap=4)
 
 
 def test_recover_clean_truncation():
@@ -317,13 +319,13 @@ def test_eckart_young_and_self_expression():
         lam = 10 ** rng.uniform(-1, 1)
         svd = pce.skinny_svd(d)
         try:
-            factor = pce.principal_coefficients(svd, lam)
+            vk = pce.principal_coefficients(svd, lam)
         except DegenerateDimension:
             continue
-        d0, e = pce.recover_clean(svd, factor.k)
-        tail = np.sqrt(np.sum(svd.spectrum[factor.k :] ** 2))
+        d0, e = pce.recover_clean(svd, vk.shape[1])
+        tail = np.sqrt(np.sum(svd.spectrum[vk.shape[1] :] ** 2))
         assert np.linalg.norm(d - d0) == pytest.approx(tail, rel=1e-8)
-        c = pce.materialize_affinity(factor)
+        c = pce.materialize_affinity(vk)
         assert np.linalg.norm(d0 @ c - d0) < 1e-8
 
 
@@ -358,6 +360,36 @@ def test_fit_matrix_without_columns_rejected_before_centring():
         warnings.simplefilter("error")
         with pytest.raises(DimensionMismatch, match=r"shape \(5, 0\)"):
             pce.fit(np.ones((5, 0)), center=True)
+
+
+def test_fit_center_takes_the_row_mean_without_overflow():
+    d = np.random.default_rng(0).standard_normal((6, 8))
+    d[0] = 1e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model = pce.fit(d, center=True)
+    assert model.center[0] == 1e308
+    # below overflow the scaled mean keeps d.mean's bits
+    assert model.center[1:].tobytes() == d[1:].mean(axis=1).tobytes()
+    d[0] = -1.7e308
+    d[0, 0] = 1.7e308  # minus the row mean -1.275e308, this entry overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFinite, match="NaN or Inf"):
+            pce.fit(d, center=True)
+
+
+def test_derived_fields_are_not_stored():
+    # k is theta's width and sigma the spectrum's head, so neither can disagree
+    assert [f.name for f in dataclasses.fields(pce.PceModel)] == [
+        "lam", "theta", "spectrum", "train_cols", "center", "fit_seconds"
+    ]
+    assert [f.name for f in dataclasses.fields(pce.SvdFactors)] == [
+        "u", "v", "rank", "spectrum"
+    ]
+    model = pce.PceModel(1.0, np.ones((4, 3)), np.array([2.0, 2.0, 0.5, 0.5]), 4)
+    assert model.k == model.theta.shape[1] == 3
+    assert not hasattr(pce, "CoefficientFactor")
 
 
 def test_fit_independent_subspaces_recovers_total_dim():
