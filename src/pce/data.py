@@ -452,14 +452,34 @@ def load_matrix(path):
     return LabeledDataset(matrix=matrix, labels=labels, meta=meta)
 
 
+def _check_model(model: PceModel):
+    """``model``, if it keeps the rules of a model file that writer and reader share:
+    shapes and finite values as parsing checks them, and 1 <= k == describe's k."""
+    (m, k), n = model.theta.shape, model.train_cols
+    for name, values, shape in (("spectrum", model.spectrum, (min(m, n),)),
+                                ("center", model.center, (m,)), ("theta", model.theta, (m, k))):
+        if values is not None and np.shape(values) != shape:
+            raise ShapeError(f"{name} has shape {np.shape(values)}, expected {shape}")
+        if values is not None and not np.isfinite(values).all():
+            raise ParseError(f"{name} holds a non-finite value")
+    try:  # estimate_dimension's one check of the spectrum and lambda
+        kept = describe(model.spectrum, model.lam, (m, n)).k
+    except (PceError, ValueError) as exc:
+        raise ParseError(f"bad model spectrum or lambda: {exc}") from None
+    if not 1 <= k == kept:
+        raise ParseError(f"k={k} must be >= 1 and the k={kept} lambda={model.lam!r} keeps")
+    return model
+
+
 def save_model(model: PceModel, path, meta=None):
-    """Serialize a fitted model; the file is byte-reproducible for a given fit."""
+    """Serialize a model byte-reproducibly; one that ``load_model`` refuses raises first."""
+    _check_model(model)
     lines = _with_meta(MODEL_HEADER, meta or {})
     lines += [
-        f"lambda={model.lam!r}",
+        f"lambda={float(model.lam)!r}",
         f"k={model.k}",
         f"m={model.ambient_dim}",
-        f"n={model.train_cols}",
+        f"n={model.train_cols:d}",  # a float n raises here, as load_model reads an int
         f"spectrum={_format_floats(model.spectrum)}",
     ]
     if model.center is not None:
@@ -469,10 +489,8 @@ def save_model(model: PceModel, path, meta=None):
 
 
 def load_model(path) -> PceModel:
-    """Load a pce-model v1 file, checked as strictly as a data file: lambda is
-    finite and > 0, 1 <= k <= min(m, n), the spectrum has min(m, n) values and
-    is nonincreasing with sigma_1 > 0, k is the k that ``describe`` keeps at
-    lambda, center has m, theta is m x k, and every value is finite."""
+    """Load a pce-model v1 file.  Parsing reads the header, the fields and the
+    row counts; ``_check_model`` then applies the rules ``save_model`` applies."""
     _, lines = _read_lines(path)
     if not lines or lines[0][1] != MODEL_HEADER:
         raise ParseError(
@@ -494,21 +512,13 @@ def load_model(path) -> PceModel:
         raise ParseError(f"model file missing field {exc}") from None
     except ValueError as exc:
         raise ParseError(f"bad model field: {exc}") from None
-    if not 1 <= k <= min(m, n):
+    center = _parse_rows([fields["center"]], m, "center")[0] if "center" in fields else None
+    if not 1 <= k <= min(m, n):  # before k sizes theta's parse
         raise ParseError(f"k={k} must lie in [1, min(m, n)] = [1, {min(m, n)}]")
-    try:  # estimate_dimension's one check of the spectrum and lambda
-        kept = describe(spectrum, lam, (m, n)).k
-    except (PceError, ValueError) as exc:
-        raise ParseError(f"bad model spectrum or lambda: {exc}") from None
-    if k != kept:
-        raise ParseError(f"k={k} disagrees with lambda={lam!r}, which keeps k={kept}")
-    center = None
-    if "center" in fields:
-        center = _parse_rows([fields["center"]], m, "center")[0]
     if len(theta_rows) != m:
         raise ShapeError(f"expected {m} theta rows, found {len(theta_rows)}")
     theta = _parse_rows(theta_rows, k, "theta row {i}")
-    return PceModel(lam=lam, theta=theta, spectrum=spectrum, train_cols=n, center=center)
+    return _check_model(PceModel(lam, theta, spectrum, n, center))
 
 
 def load_config(path):

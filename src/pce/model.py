@@ -89,7 +89,7 @@ def estimate_dimension(sigma, lam):
     Equal values share a side of the threshold, so k never splits them.
 
     The one check of a spectrum: empty, not 1-d or sigma_1 <= 0 is EmptySpectrum;
-    NaN, Inf or an increase is NotSorted; lambda not finite and > 0 a ValueError."""
+    NaN, Inf, a rise or a value < 0 is NotSorted; lambda not finite and > 0 a ValueError."""
     sigma = np.asarray(sigma, dtype=float)
     if sigma.ndim != 1 or len(sigma) == 0:
         raise EmptySpectrum("need at least one singular value")
@@ -97,8 +97,8 @@ def estimate_dimension(sigma, lam):
         raise NotSorted("spectrum contains non-finite values")
     if not sigma[0] > 0:
         raise EmptySpectrum(f"sigma_1={sigma[0]!r} must be > 0")
-    if np.any(np.diff(sigma) > 0):
-        raise NotSorted("singular values must be nonincreasing")
+    if np.any(np.diff(sigma) > 0) or sigma[-1] < 0:
+        raise NotSorted("singular values must be nonincreasing and >= 0")
     if not (np.isfinite(lam) and lam > 0):
         raise ValueError(f"lambda must be positive and finite, got {lam:g}")
     squares, e = _squares(sigma)

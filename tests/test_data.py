@@ -1,12 +1,17 @@
 import os
 import re
 import stat
+import tempfile
 import tracemalloc
 import warnings
 from dataclasses import replace
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pce
 from pce import data
@@ -15,9 +20,11 @@ from pce.errors import (
     InfeasibleSpec,
     NonFinite,
     ParseError,
+    PceError,
     ShapeError,
     TooFewSamples,
 )
+from pce.model import describe
 
 
 def test_orthogonal_lines():
@@ -501,11 +508,125 @@ def test_failed_write_keeps_target(tmp_path, monkeypatch, writer):
         if writer == "save_matrix":
             data.save_matrix(d, target)
         elif writer == "save_model":
-            data.save_model(pce.PceModel(1.0, d, np.ones(4), 4), target)
+            data.save_model(pce.fit(d), target)
         else:
             data.write_csv(target, ("a", "b"), (data._format_floats(row) for row in d))
     assert target.read_bytes() == b"old bytes\n"
     assert os.listdir(tmp_path) == ["out.txt"]
+
+
+def _fitted(shape=(4, 6), **changes):
+    """A model ``pce.fit`` makes, with ``changes`` made to its fields."""
+    return replace(pce.fit(np.random.default_rng(5).standard_normal(shape)), **changes)
+
+
+def _save_unchecked(model, path):
+    # the file a writer without save_model's model check leaves
+    with mock.patch.object(data, "_check_model", lambda model: model):
+        data.save_model(model, path)
+
+
+def _inf_theta():
+    model = _fitted()
+    theta = model.theta.copy()
+    theta[1, 0] = np.inf
+    return replace(model, theta=theta)
+
+
+@pytest.mark.parametrize(
+    "model, error",
+    [
+        (pce.PceModel(1.0, np.ones((4, 3)), np.array([2, 2, 0.5, 0.5]), 4), ParseError),
+        (pce.PceModel(1.0, np.arange(20.0).reshape(5, 4), np.ones(4), 4), ParseError),
+        (_fitted(lam=float("nan")), ParseError),
+        (_inf_theta(), ParseError),
+        (_fitted(center=np.ones(3)), ShapeError),
+    ],
+    ids=["k-wider-than-lambda-keeps", "lambda-keeps-none", "nan-lambda", "inf-theta",
+         "short-center"],
+)
+def test_save_model_refuses_what_load_model_refuses(tmp_path, model, error):
+    # the error is the one load_model gives the unchecked file (both exit 1 in
+    # pce), and it comes before a temp file is made, so the target is kept
+    unchecked = tmp_path / "unchecked.txt"
+    _save_unchecked(model, unchecked)
+    with pytest.raises(error) as loaded:
+        data.load_model(unchecked)
+    assert type(loaded.value) is error
+    target = tmp_path / "out.txt"
+    target.write_bytes(b"old bytes\n")
+    with pytest.raises(error) as saved:
+        data.save_model(model, target)
+    assert type(saved.value) is error
+    assert target.read_bytes() == b"old bytes\n"
+    assert sorted(os.listdir(tmp_path)) == ["out.txt", "unchecked.txt"]
+
+
+def test_save_model_refuses_a_column_count_that_is_not_an_int(tmp_path):
+    # "n=8.0" is not an int to load_model; the writer stops before it opens a file
+    target = tmp_path / "out.txt"
+    target.write_bytes(b"old bytes\n")
+    with pytest.raises(ValueError):
+        data.save_model(_fitted(shape=(6, 8), train_cols=8.0), target)
+    assert target.read_bytes() == b"old bytes\n"
+    assert os.listdir(tmp_path) == ["out.txt"]
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def hand_built_models(draw):
+    """PceModels with drawn fields, of which a model file admits about a third:
+    each field is drawn from its valid values most of the time, and k is
+    often the k that describe keeps."""
+    def rarely():
+        return draw(st.integers(0, 4)) == 0
+
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    size = min(m, n) + (draw(st.sampled_from([1, -1])) if rarely() else 0)
+    values = st.floats() if rarely() else st.floats(0, 1e300)
+    spectrum = np.sort(draw(st.lists(values, min_size=size, max_size=size)))[::-1]
+    lam = draw(st.floats() if rarely() else st.floats(1e-300, 1e300))
+    try:
+        kept = describe(spectrum, lam, (m, n)).k
+    except (PceError, ValueError):
+        kept = 1
+    k = draw(st.integers(0, min(m, n) + 1)) if rarely() else kept
+    theta = np.array(draw(st.lists(FINITE, min_size=m * k, max_size=m * k))).reshape(m, k)
+    if m * k and rarely():
+        theta.flat[draw(st.integers(0, m * k - 1))] = draw(st.sampled_from([np.nan, np.inf]))
+    center = None
+    if draw(st.booleans()):
+        rows = m + (draw(st.sampled_from([1, -1])) if rarely() else 0)
+        center = np.array(draw(st.lists(FINITE, min_size=rows, max_size=rows)))
+    return pce.PceModel(lam, theta, spectrum, n, center)
+
+
+@given(model=hand_built_models())
+@settings(max_examples=300, deadline=None)
+def test_save_model_writes_only_files_that_load_back(model):
+    # either save_model raises the error load_model gives the unchecked file,
+    # or what it writes loads back bit for bit
+    with tempfile.TemporaryDirectory() as tmp:
+        path, unchecked = Path(tmp, "model.txt"), Path(tmp, "unchecked.txt")
+        _save_unchecked(model, unchecked)
+        try:
+            data.save_model(model, path)
+        except (ParseError, ShapeError) as exc:
+            assert not path.exists()
+            with pytest.raises(type(exc)):
+                data.load_model(unchecked)
+            return
+        loaded = data.load_model(path)
+    assert np.float64(loaded.lam).tobytes() == np.float64(model.lam).tobytes()
+    assert loaded.theta.tobytes() == model.theta.tobytes()
+    assert loaded.spectrum.tobytes() == model.spectrum.tobytes()
+    assert loaded.train_cols == model.train_cols
+    if model.center is None:
+        assert loaded.center is None
+    else:
+        assert loaded.center.tobytes() == model.center.tobytes()
 
 
 @pytest.mark.parametrize(

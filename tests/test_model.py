@@ -88,12 +88,14 @@ def test_threshold_closed_form():
         ([0.0, 0.0], 1.0, EmptySpectrum),
         ([1.0, 2.0], 1.0, NotSorted),
         ([1e-20, 2e-20], 1e41, NotSorted),
+        ([1.0, -0.5], 1.0, NotSorted),
+        ([1e-300, 0.0, -1.0], 1.0, NotSorted),
         ([2.0, 1.0], 0.0, ValueError),
         ([2.0, 1.0], np.nan, ValueError),
         ([2.0, 1.0], np.inf, ValueError),
     ],
     ids=["empty", "2-d", "nan", "inf", "zero", "increasing", "increasing-tiny",
-         "zero-lambda", "nan-lambda", "inf-lambda"],
+         "negative", "negative-past-tiny", "zero-lambda", "nan-lambda", "inf-lambda"],
 )
 def test_one_rule_refuses_a_bad_spectrum(check, spectrum, lam, error):
     # describe runs estimate_dimension's check before it reads the spectrum,

@@ -1,3 +1,4 @@
+import argparse
 import ast
 import importlib
 import re
@@ -5,6 +6,7 @@ import sys
 from pathlib import Path
 
 import pce
+from pce import cli
 
 MODULES = ("data", "evaluation", "graph", "linalg", "model")
 ROOT = Path(__file__).resolve().parents[1]
@@ -83,3 +85,39 @@ def test_library_imports_numpy_and_the_standard_library_alone():
 
 def test_pyproject_version_is_the_package_version():
     assert pyproject_value("version") == f'"{pce.__version__}"'
+
+
+README = (ROOT / "README.md").read_text(encoding="utf-8")
+
+
+def resolve(dotted):
+    """The object a dotted ``pce.`` name refers to, importing submodules on the way."""
+    obj = importlib.import_module("pce")
+    for part in dotted.split(".")[1:]:
+        if not hasattr(obj, part):
+            importlib.import_module(f"{obj.__name__}.{part}")
+        obj = getattr(obj, part)
+    return obj
+
+
+def test_readme_names_resolve():
+    # every pce.<name> and pce.<module>.<name> the README shows still exists
+    missing = []
+    for dotted in sorted(set(re.findall(r"\bpce(?:\.[A-Za-z_]\w*)+", README))):
+        try:
+            resolve(dotted)
+        except (AttributeError, ImportError):
+            missing.append(dotted)
+    assert missing == []
+
+
+def test_readme_commands_are_subcommands():
+    # every `pce <cmd>`, inline or at the start of a code line, is a subcommand
+    parser = cli.build_parser()
+    commands = next(
+        action.choices for action in parser._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    shown = set(re.findall(r"(?:^|`)pce ([a-z][\w-]*)", README, re.MULTILINE))
+    assert shown, "README shows no pce command"
+    assert sorted(shown - set(commands)) == []
