@@ -4,13 +4,13 @@ dataset, matrix and model files, experiment configs and CSV tables.
 
 All randomness flows through numpy's default generator (PCG64) seeded from
 explicit integers, so every operation is a pure function of (inputs, seed).
-Each noise call draws one stream from ``[seed, 1]``, column by column: the
-generator and ``split`` seed ``[seed]``, which numpy pads to ``[seed, 0]``, so
-noise never repeats the draws that built its data, and the noise of
-``d[:, :p]`` is the first p columns of the noise of ``d``.  Samples are
-columns, and the generator and both corruption models store them column-major
-(Fortran order), so each per-column loop reads and writes contiguous memory;
-``split`` keeps that order.
+Each noise call draws one stream from ``[seed, 1]``: the generator and
+``split`` seed ``[seed]``, which numpy pads to ``[seed, 0]``, so noise never
+repeats the draws that built its data, and the noise of ``d[:, :p]`` is the
+first p columns of the noise of ``d``.  Samples are columns, kept
+column-major (Fortran order) by the generator, ``split`` and both noise
+models; ``add_gaussian_noise`` makes one ``standard_normal`` draw, and
+``add_pixel_corruption``'s per-column loop reads contiguous memory.
 """
 
 import os
@@ -231,11 +231,13 @@ def split(ds: LabeledDataset, train_fraction, seed: int):
 # pce-matrix v1 m=<m> n=<n>: the same without the labels line.
 # pce-model v1: lambda=, k=, m=, n=, spectrum= and optional center= lines, then
 #   "theta:" and m rows of k floats.
-# Configs are key=value lines.  In all of these '#' starts a comment.  Every
-# file is UTF-8 text; one that does not decode is a ParseError, and so is a
-# float that is not finite (nan, inf, or one that overflows, such as 1e400).
+# Any other header or model field is a ParseError.  Configs are key=value
+# lines.  In all of these a line that starts with '#' is a comment.  Every file
+# is UTF-8 text; one that does not decode is a ParseError, and so is a float
+# that is not finite (nan, inf, or one that overflows, such as 1e400).
 
 MODEL_HEADER = "pce-model v1"
+MODEL_FIELDS = ("lambda", "k", "m", "n", "spectrum", "center")
 
 
 def _check_path(path):
@@ -400,9 +402,12 @@ def _parse_header(line, lineno):
         raise ParseError("expected a pce-dataset or pce-matrix header", line=lineno)
     if len(parts) < 2 or parts[1] != "v1":
         raise ParseError(f"unsupported format version {parts[1:2] or '?'}", line=lineno)
+    known = ("m", "n", "classes") if parts[0] == "pce-dataset" else ("m", "n")
     triples = []
     for tok in parts[2:]:
         key, value = _split_field(lineno, tok)
+        if key not in known:
+            raise ParseError(f"unknown header field {key}=", line=lineno)
         try:
             triples.append((lineno, key, int(value)))
         except ValueError:
@@ -502,6 +507,8 @@ def load_model(path) -> PceModel:
             theta_rows = body[i + 1 :]
             break
         key, value = _split_field(lineno, text)
+        if key not in MODEL_FIELDS:
+            raise ParseError(f"unknown model field {key}=", line=lineno)
         head.append((lineno, key, (lineno, value)))
     fields = _unique_keys(head)
     try:

@@ -187,32 +187,33 @@ def _fit_method(cfg: ExperimentConfig, train: LabeledDataset):
     # lle-npe: reconstruction-weight graph embedded at a user-chosen dimension
     # in the PCA subspace that holds NPE_ENERGY of the train half's energy
     weights = _graph.lle_graph(train.matrix, cfg.neighbors)
-    x, svd, e = _npe_pca(train.matrix)
+    svd = _npe_pca(train.matrix)
     if cfg.dim > svd.rank:
         raise BadDim(
             f"dim={cfg.dim} exceeds the r={svd.rank} PCA directions that hold "
             f"{NPE_ENERGY:g} of the energy"
         )
-    theta = np.ldexp(_graph.embed(x, weights, cfg.dim, svd=svd), e)
+    theta = _graph.embed(svd, weights, cfg.dim)
     return (lambda y: _model._project(theta, y)), None
 
 
 def _npe_pca(d):
-    """NPE's PCA step: (x, svd, e) with x = 2^e d, exactly, and ``svd`` the
-    leading r singular triplets of x for the least r whose sigma_i^2 hold
-    NPE_ENERGY of sum sigma_i^2, and all min(m, n) values in its spectrum.
-    An all-zero ``d`` raises ZeroMatrix.
+    """NPE's PCA step: the leading r singular triplets of ``d`` for the least
+    r whose sigma_i^2 hold NPE_ENERGY of sum sigma_i^2, with all min(m, n)
+    values in the spectrum.  An all-zero ``d`` raises ZeroMatrix, and one
+    whose sigma_1 overflows NonFinite, as ``skinny_svd`` does.
 
-    The triplets come from one ``eigh`` of the n x n Gram x'x = V Sigma^2 V',
-    with U_r = x V_r Sigma_r^-1, which is not re-orthonormalised.  The cut
-    bounds their conditioning: as r - 1 values fall short of NPE_ENERGY, the
-    n - r + 1 values from sigma_r on hold more than 2% of the energy, and
-    none exceeds sigma_r, so (n - r + 1) sigma_r^2 > 0.02 sigma_1^2 and
+    The triplets come from one ``eigh`` of the n x n Gram x'x = V Sigma^2 V'
+    of x = 2^e d, scaled exactly so its largest |entry| lies in [1/2, 1),
+    which keeps the Gram finite; U_r = x V_r Sigma_r^-1 is not
+    re-orthonormalised, and sigma is 2^-e times x's, exactly, so 2^j d has
+    the same U and V and 2^j times d's sigma.  The cut bounds their
+    conditioning: as r - 1 values fall short of NPE_ENERGY, the n - r + 1
+    values from sigma_r on hold more than 2% of the energy, and none exceeds
+    sigma_r, so (n - r + 1) sigma_r^2 > 0.02 sigma_1^2 and
     sigma_1^2 / sigma_r^2 < 50 n.  The Gram's eigenvalues are exact to about
     eps sigma_1^2, so each kept one to about 50 n ulps of itself, and
     U_r' U_r = I to a few times 50 n eps; no QR or refinement step is needed.
-    Scaling x so its largest |entry| lies in [1/2, 1) keeps the Gram finite
-    and 2^j d's theta exactly 2^-j times d's.
     """
     x = np.array(d, dtype=float)
     e = _unit_scale(x)
@@ -224,7 +225,12 @@ def _npe_pca(d):
     # a rank-deficient Gram can have eigenvalues of -eps
     spectrum = np.sqrt(np.maximum(evals[::-1], 0.0))[: min(x.shape)]
     v = vecs[:, :-r - 1:-1]
-    return x, SvdFactors(u=x @ v / spectrum[:r], v=v, rank=r, spectrum=spectrum), e
+    u = x @ v / spectrum[:r]
+    with np.errstate(over="ignore"):
+        spectrum = np.ldexp(spectrum, -e)
+    if spectrum[0] == np.inf:
+        raise NonFinite("sigma_1 overflows: the matrix norm exceeds the float range")
+    return SvdFactors(u=u, v=v, rank=r, spectrum=spectrum)
 
 
 def run_experiment(cfg: ExperimentConfig) -> Report:

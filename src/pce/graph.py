@@ -2,18 +2,18 @@
 
 ``lle_graph`` encodes each column over its p nearest neighbours with weights
 summing to 1, all from one Gram matrix of the data shifted by its first
-column.  ``embed`` has one route: it solves the pencil D (A + A' - A A') D'
-theta = sigma D D' theta of a weight matrix A through the SVD
-D = U_r Sigma_r V_r', with one symmetric r x r ``eigh``; no generalized
-eigensolver runs.  Passed a truncated SVD, it embeds in span U_r.  The
-principal-coefficient graph A = Vk Vk' is such a matrix too, but its pencil
-has the closed form ``model.closed_form_projection`` and ``fit`` takes that.
+column.  ``embed`` solves the pencil D (A + A' - A A') D' theta = sigma D D'
+theta of a weight matrix A in the SVD D = U_r Sigma_r V_r' it is given, with
+one symmetric r x r ``eigh``; no generalized eigensolver runs.  Given a
+truncated SVD, it embeds in span U_r.  The principal-coefficient graph
+A = Vk Vk' is such a matrix too, but its pencil has the closed form
+``model.closed_form_projection`` and ``fit`` takes that.
 """
 
 import numpy as np
 
 from .errors import BadDim, DegenerateNeighborhood, DimensionMismatch, NotConverged
-from .linalg import _canonicalize, _check_matrix, _unit_scale, canonical_signs, skinny_svd
+from .linalg import _canonicalize, _check_matrix, _unit_scale, canonical_signs
 
 __all__ = ["lle_graph", "embed"]
 
@@ -98,36 +98,27 @@ def _nearest(dist, p):
     return np.take_along_axis(nbrs, np.argsort(near, axis=1, kind="stable"), axis=1)
 
 
-def embed(d, weights, dim, svd=None):
-    """Solve the embedding pencil of the n x n weight matrix ``weights`` and
-    return the m x dim projection.
+def embed(svd, weights, dim):
+    """Solve the embedding pencil of the n x n weight matrix ``weights`` in
+    the SVD ``svd`` = (U_r, Sigma_r, V_r) of the m x n data D, and return the
+    m x dim projection.
 
     The pencil L theta = sigma D D' theta has L = D S D' with S = A + A' - A A'.
-    D is reduced to its range through D = U_r Sigma_r V_r', the skinny SVD of
-    D or the ``svd`` passed: theta = U_r Sigma_r^-1 y turns the pencil into
-    M0 y = sigma y with M0 = V_r' S V_r, formed from B = V_r' A as
-    B V_r + (B V_r)' - B B' with no n x n product of A with itself, and
-    Theta = U_r Sigma_r^-1 Y.  Theta' D D' Theta = I to eps kappa, even when
-    D D' itself is singular, and ``canonical_signs`` then fixes each column's
-    sign.  A passed ``svd`` truncated below the rank embeds in span U_r: this
-    solves the pencil of U_r' D, as NPE's PCA step asks.
+    theta = U_r Sigma_r^-1 y turns it into M0 y = sigma y with M0 = V_r' S V_r,
+    formed from B = V_r' A as B V_r + (B V_r)' - B B' with no n x n product of
+    A with itself, and Theta = U_r Sigma_r^-1 Y.  Theta' D D' Theta = I to
+    eps kappa, even when D D' itself is singular, and ``canonical_signs`` then
+    fixes each column's sign.  An ``svd`` truncated below the rank embeds in
+    span U_r: this solves the pencil of U_r' D, as NPE's PCA step asks.
     """
-    d = _check_matrix(d)
+    u, v = svd.require_u(), svd.require_v()
     weights = _check_matrix(weights)
-    m, n = d.shape
-    rows, cols = weights.shape
-    if rows != cols:
-        raise DimensionMismatch(f"weights are {rows}x{cols}, not square")
-    if rows != n:
-        raise DimensionMismatch(f"graph has {rows} nodes, data has {n} columns")
+    n = v.shape[0]
+    if weights.shape != (n, n):
+        raise DimensionMismatch(f"weights are {weights.shape[0]}x{weights.shape[1]}, "
+                                f"not {n}x{n} for data of {n} columns")
     if dim < 1:
         raise BadDim("dim must be at least 1")
-    svd = skinny_svd(d) if svd is None else svd
-    u, v = svd.require_u(), svd.require_v()
-    if (u.shape[0], v.shape[0]) != d.shape:
-        raise DimensionMismatch(
-            f"SVD factors are {u.shape[0]}x{v.shape[0]}, data is {m}x{n}"
-        )
     b = v.T @ weights
     bv = b @ v
     core = bv + bv.T - b @ b.T

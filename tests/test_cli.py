@@ -138,12 +138,13 @@ def test_transform_roundtrip(dataset_file, tmp_path):
         (r"spectrum=.*", "spectrum=1e-20 2e-20" + " 0.0" * 10),
         (r"spectrum=.*", "spectrum=" + " ".join(["0.0"] * 12)),
         (r"lambda=\S+", "lambda=0.0"),
+        (r"theta:", "bogus=1\ntheta:"),
     ],
     ids=["nan-theta", "negative-lambda", "short-center", "extra-spectrum",
          "bad-literal", "negative-k", "inf-spectrum", "overflow-center",
          "repeated-lambda", "negative-spectrum", "increasing-spectrum",
          "k-disagrees-with-lambda", "increasing-tiny-spectrum", "zero-sigma-1",
-         "zero-lambda"],
+         "zero-lambda", "unknown-field"],
 )
 def test_transform_rejects_invalid_model(dataset_file, tmp_path, pattern, replacement):
     model_path = tmp_path / "model.txt"
@@ -292,6 +293,7 @@ def test_transform_whose_features_overflow_writes_nothing(tmp_path, capsys):
         (["eval", "{config}"], "synthetic=0:1x3,1x3\nsynthetic_basis=random-gaussian\n"),
         (["eval", "{config}"], "synthetic=-5:1x3,1x3\nsynthetic_basis=random-gaussian\n"),
         (["sweep", "{data}", "--lambdas", "3:1:inf"], None),
+        (["fit", "{config}"], "pce-matrix v1 m=2 n=2 foo=7 classes=3\n1 2\n3 4\n"),
     ],
     ids=["zero-step", "zero-repeats", "negative-repeats", "bad-size", "bad-subspace",
          "one-clip-bound", "eval-not-utf8", "fit-not-utf8", "negative-split-seed",
@@ -307,7 +309,7 @@ def test_transform_whose_features_overflow_writes_nothing(tmp_path, capsys):
          "nan-lambda-stop", "nan-lambda-start", "infinite-lambda-start",
          "negative-infinite-lambda-stop", "overflowing-empty-lambda-range",
          "nan-lambda-span", "lle-npe-zero-neighbors", "zero-ambient", "negative-ambient",
-         "infinite-step-below-start"],
+         "infinite-step-below-start", "unknown-header-field"],
 )
 def test_bad_arguments_are_input_errors(dataset_file, tmp_path, capsys, argv, config):
     binary = tmp_path / "latin1.txt"
@@ -414,6 +416,24 @@ def test_config_keys_set_their_fields_and_omitted_keys_take_defaults():
         source=replace(spec, coeff_scale=2.5, basis_rule="random-gaussian"),
         method="lle-npe", lam=10.0, dim=3, neighbors=4, noise_after_split=True,
         trials=2, train_fraction=0.6, base_seed=3, center=True,
+    )
+
+
+def test_readme_config_example_builds(tmp_path):
+    # README's eval config block, its synthetic= variant (the data= line
+    # dropped), through load_config and _config_to_experiment, as pce eval reads it
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"```\n(# either a file\.\.\.\n.*?)```", readme, re.DOTALL).group(1)
+    config = tmp_path / "exp.cfg"
+    config.write_text("".join(line for line in block.splitlines(keepends=True)
+                              if not line.startswith("data=")))
+    fields = cli.load_config(config)
+    assert set(fields) == set(cli.CONFIG_KEYS) - {"data"}
+    assert cli._config_to_experiment(fields) == ExperimentConfig(
+        source=pce.SubspaceSpec(ambient=50, subspaces=((4, 20),) * 5),
+        method="pce", lam=5.0, dim=20, neighbors=5,
+        noise=pce.NoiseSpec("gaussian", 0.05, clip=(0.0, 255.0)),
+        trials=10, train_fraction=0.5, base_seed=0, center=False,
     )
 
 

@@ -444,11 +444,29 @@ def test_bad_header(tmp_path):
         ("pce-dataset v1 m=1 n=2 classes=1\n", "line 1: missing labels line"),
         ("pce-dataset v1 m=1 n=2 classes=3\n0 1\n1 2\n",
          "line 2: labels imply 2 classes, header says 3"),
+        # a header holds m, n and, for pce-dataset, classes; nothing else
+        ("# a comment\npce-matrix v1 m=1 n=2 foo=7 classes=3\n1 2\n",
+         "line 2: unknown header field foo="),
+        ("pce-matrix v1 m=1 n=2 classes=2\n1 2\n", "line 1: unknown header field classes="),
+        ("pce-dataset v1 m=1 n=2 classes=2 foo=7\n0 1\n1 2\n",
+         "line 1: unknown header field foo="),
     ]:
         path.write_text(text)
         with pytest.raises(ParseError) as info:
             pce.load_matrix(path)
         assert str(info.value) == message
+
+
+def test_unknown_model_field_is_a_parse_error(tmp_path):
+    path = tmp_path / "model.txt"
+    data.save_model(pce.fit(np.random.default_rng(0).standard_normal((5, 7)), 3.0), path)
+    lines = path.read_text().splitlines()
+    at = lines.index("theta:")
+    lines.insert(at, "bogus=1")
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError) as info:
+        data.load_model(path)
+    assert str(info.value) == f"line {at + 1}: unknown model field bogus="
 
 
 @pytest.mark.parametrize(

@@ -334,7 +334,7 @@ def test_lle_npe_solves_the_pencil_of_its_pca_coordinates(shape):
     cfg = ExperimentConfig(source="unused", method="lle-npe", dim=dim, neighbors=5)
     project, _ = evaluation._fit_method(cfg, pce.LabeledDataset(d, np.zeros(shape[1], int)))
     theta = project(np.eye(shape[0])).T
-    r = evaluation._npe_pca(d)[1].rank
+    r = evaluation._npe_pca(d).rank
     assert dim < r < min(shape)
     u_r = np.linalg.svd(d)[0][:, :r]
     y = u_r.T @ d
@@ -361,20 +361,20 @@ def flat_tail(shape, lead, tail_square, seed):
 def check_pca_step(d, sigma, j):
     """``_npe_pca`` keeps the least r whose sigma^2 hold 98% of the energy of
     the known ``sigma``, within the 50 (n - r + 1) bound, and 2^j d gives
-    the same bits with e - j; returns r and sigma_1^2 / sigma_r^2."""
+    the same U and V bits and 2^j times the sigma; returns r and
+    sigma_1^2 / sigma_r^2."""
     n = d.shape[1]
-    x, svd, e = evaluation._npe_pca(d)
+    svd = evaluation._npe_pca(d)
     r = svd.rank
     energy = np.cumsum(sigma**2)
     assert r == 1 + int(np.argmax(energy >= 0.98 * energy[-1]))
     ratio = (svd.sigma[0] / svd.sigma[-1]) ** 2
     assert ratio < 50 * (n - r + 1) <= 50 * n
-    assert np.abs(np.ldexp(svd.sigma, -e) - sigma[:r]).max() <= 1e-12 * sigma[0]
+    assert np.abs(svd.sigma - sigma[:r]).max() <= 1e-12 * sigma[0]
     # U_r = x V_r Sigma_r^-1 is orthonormal to a few times 50 n ulps
     assert np.abs(svd.u.T @ svd.u - np.eye(r)).max() <= 5 * 50 * n * np.finfo(float).eps
-    x_j, svd_j, e_j = evaluation._npe_pca(np.ldexp(d, j))
-    assert e_j == e - j and np.array_equal(x_j, x)
-    for got, want in ((svd_j.u, svd.u), (svd_j.sigma, svd.sigma), (svd_j.v, svd.v)):
+    svd_j = evaluation._npe_pca(np.ldexp(d, j))
+    for got, want in ((svd_j.u, svd.u), (svd_j.sigma, np.ldexp(svd.sigma, j)), (svd_j.v, svd.v)):
         assert np.array_equal(got, want)
     return r, ratio
 
@@ -408,7 +408,7 @@ def test_pca_step_keeps_the_least_r_for_98_percent(shape, lead, log_tail, seed, 
     assume(np.abs(energy / energy[-1] - 0.98).min() > 1e-9)
     check_pca_step(d, sigma, j)
     # the factors keep SvdFactors' contract: all min(m, n) values, sigma leading
-    svd = evaluation._npe_pca(d)[1]
+    svd = evaluation._npe_pca(d)
     assert len(svd.spectrum) == min(shape)
     assert np.array_equal(svd.sigma, svd.spectrum[: svd.rank])
 
@@ -423,8 +423,20 @@ def test_lle_npe_dim_above_r_is_bad_dim_naming_r(noise):
     if noise is not None:
         ds = evaluation._apply_noise(ds, noise, 0)
     train, _ = pce.split(ds, 0.5, 0)
-    r = evaluation._npe_pca(train.matrix)[1].rank
+    r = evaluation._npe_pca(train.matrix).rank
     assert r < 8
     message = f"dim=8 exceeds the r={r} PCA directions that hold 0.98 of the energy"
     with pytest.raises(BadDim, match=re.escape(message)):
         run_experiment(cfg)
+
+
+def test_pca_step_refuses_an_overflowing_sigma_as_skinny_svd_does():
+    # every entry is finite, but sigma_1 = 30 * 1e307 is not: the factors of d
+    # cannot hold it, so NPE's PCA step raises NonFinite, without a numpy warning
+    d = np.full((20, 30), 1e307)
+    d[0, 0] = 0.5e307
+    for take in (evaluation._npe_pca, pce.skinny_svd):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFinite, match="sigma_1 overflows"):
+                take(d)

@@ -164,16 +164,15 @@ def test_graph_inputs_are_checked():
     w = lle_graph(d, 5)
     nan_d, nan_w = d.copy(), w.copy()
     nan_d[2, 3] = nan_w[4, 5] = np.nan
-    for call in (lambda: lle_graph(nan_d, 5), lambda: embed(nan_d, w, 2),
-                 lambda: embed(d, nan_w, 2)):
+    svd = pce.skinny_svd(d)
+    for call in (lambda: lle_graph(nan_d, 5), lambda: embed(svd, nan_w, 2)):
         with pytest.raises(NonFinite):
             call()
-    for call in (lambda: lle_graph(d[0], 5), lambda: embed(d[0], w, 2),
-                 lambda: embed(d, w[0], 2)):
+    for call in (lambda: lle_graph(d[0], 5), lambda: embed(svd, w[0], 2)):
         with pytest.raises(DimensionMismatch, match="expected a 2-d matrix"):
             call()
-    with pytest.raises(DimensionMismatch, match="weights are 30x29, not square"):
-        embed(d, w[:, :-1], 2)
+    with pytest.raises(DimensionMismatch, match="weights are 30x29, not 30x30"):
+        embed(svd, w[:, :-1], 2)
 
 
 def test_lle_degenerate_neighborhood_names_first_column(monkeypatch):
@@ -198,7 +197,7 @@ def test_lle_bad_neighborhood_size():
 def test_embed_diag_pencil():
     d = np.diag([2.0, 0.1])
     vk = pce.principal_coefficients(pce.skinny_svd(d), 1.0)
-    theta = embed(d, pce.materialize_affinity(vk), 1)
+    theta = embed(pce.skinny_svd(d), pce.materialize_affinity(vk), 1)
     assert np.allclose(np.abs(theta[:, 0]), [0.5, 0.0], atol=1e-10)
 
 
@@ -209,7 +208,7 @@ def test_embed_degenerate_spectrum_and_subspace(shape, lam):
     svd = pce.skinny_svd(d)
     vk = pce.principal_coefficients(svd, lam)
     k = vk.shape[1]
-    theta = embed(d, pce.materialize_affinity(vk), k)
+    theta = embed(svd, pce.materialize_affinity(vk), k)
     # metric orthonormality and the all-ones pencil spectrum
     gram = theta.T @ d @ d.T @ theta
     assert np.allclose(gram, np.eye(k), atol=1e-8)
@@ -220,38 +219,30 @@ def test_embed_degenerate_spectrum_and_subspace(shape, lam):
 def test_embed_identity_affinity_all_ones():
     rng = np.random.default_rng(2)
     d = rng.standard_normal((6, 9))
-    theta = embed(d, np.eye(9), 6)
+    theta = embed(pce.skinny_svd(d), np.eye(9), 6)
     assert np.allclose(theta.T @ d @ d.T @ theta, np.eye(6), atol=1e-8)
 
 
 def test_embed_dim_exceeds_rank():
     d = np.diag([2.0, 0.1])
-    vk = pce.principal_coefficients(pce.skinny_svd(d), 1.0)
+    svd = pce.skinny_svd(d)
+    vk = pce.principal_coefficients(svd, 1.0)
     with pytest.raises(BadDim):
-        embed(d, pce.materialize_affinity(vk), 2)
+        embed(svd, pce.materialize_affinity(vk), 2)
 
 
 def test_embed_rejects_mismatched_graph_and_bad_dim():
     rng = np.random.default_rng(6)
     d = rng.standard_normal((6, 9))
     graph = np.full((9, 9), 1.0 / 9.0)
-    with pytest.raises(DimensionMismatch, match="graph has 9 nodes, data has 8 columns"):
-        embed(d[:, :8], graph, 1)
+    with pytest.raises(DimensionMismatch, match="weights are 9x9, not 8x8 for data of 8 columns"):
+        embed(pce.skinny_svd(d[:, :8]), graph, 1)
+    svd = pce.skinny_svd(d)
     with pytest.raises(BadDim, match="dim must be at least 1"):
-        embed(d, graph, 0)
+        embed(svd, graph, 0)
     # the projector onto the all-ones vector gives M0 rank 1: one usable eigenvalue
     with pytest.raises(BadDim, match="dim=2 exceeds the 1 eigenvalues above 1e-08"):
-        embed(d, graph, 2)
-
-
-@pytest.mark.parametrize("other_shape", [(12, 20), (10, 21)], ids=["rows", "columns"])
-def test_embed_rejects_svd_of_another_shape(other_shape):
-    # factors of a matrix that is not d must not be trusted, whichever side differs
-    rng = np.random.default_rng(8)
-    d = rng.standard_normal((10, 20))
-    svd = pce.skinny_svd(rng.standard_normal(other_shape))
-    with pytest.raises(DimensionMismatch, match=r"SVD factors are \d+x\d+, data is 10x20"):
-        embed(d, lle_graph(d, 5), 2, svd=svd)
+        embed(svd, graph, 2)
 
 
 def test_eigenvalue_count_matches_k():
@@ -280,7 +271,7 @@ def test_lle_embed_matches_dense_generalized_solve():
     w_ref = w_ref[::-1]
     v_ref = v_ref[:, ::-1]
     dim = 4
-    theta = embed(d, a, dim)
+    theta = embed(pce.skinny_svd(d), a, dim)
     values, _ = generalized_top_eigs(left, right, dim)
     assert np.allclose(values, w_ref[:dim], atol=1e-8)
     assert principal_angle(theta, v_ref[:, :dim]) < 1e-6
@@ -294,12 +285,12 @@ def test_lle_embed_ignores_svd_column_signs(shape):
     d = np.random.default_rng(sum(shape)).standard_normal(shape)
     g = lle_graph(d, 5)
     svd = pce.skinny_svd(d)
-    theta = embed(d, g, 4, svd=svd)
+    theta = embed(svd, g, 4)
     for i in range(svd.rank):
         sign = np.ones(svd.rank)
         sign[i] = -1.0
         flipped = replace(svd, u=svd.u * sign, v=svd.v * sign)
-        assert np.array_equal(embed(d, g, 4, svd=flipped), theta), f"pair {i}"
+        assert np.array_equal(embed(flipped, g, 4), theta), f"pair {i}"
 
 
 @pytest.mark.parametrize("kind", ["lle", "factored"])
@@ -317,7 +308,7 @@ def test_embed_with_ridge_matches_pencil(kind):
         g = vk @ vk.T
         core = (svd.v.T @ vk) @ (svd.v.T @ vk).T
     dim = 4
-    theta = embed(d, g, dim)
+    theta = embed(svd, g, dim)
     assert np.allclose(theta.T @ d @ d.T @ theta, np.eye(dim), atol=1e-10)
     left = svd.sigma[:, None] * core * svd.sigma[None, :]
     _, alpha = generalized_top_eigs(
@@ -326,29 +317,15 @@ def test_embed_with_ridge_matches_pencil(kind):
     assert principal_angle(theta, svd.u @ alpha) < 1e-6
 
 
-def recorded_svds(monkeypatch):
-    """The (shape, options) of every SVD that ``embed`` asks for."""
-    calls = []
-
-    def recording(a, **options):
-        calls.append((a.shape, options))
-        return pce.skinny_svd(a, **options)
-
-    monkeypatch.setattr(pce.graph, "skinny_svd", recording)
-    return calls
-
-
 @pytest.mark.parametrize("shape", [(60, 25), (25, 25)], ids=["tall", "square"])
-def test_full_rank_embed_takes_one_svd_and_meets_criterion_6(shape, monkeypatch):
+def test_full_rank_embed_takes_one_svd_and_meets_criterion_6(shape):
     d = np.random.default_rng(21).standard_normal(shape)
     a = lle_graph(d, 5)
     n, dim = shape[1], 6
-    calls = recorded_svds(monkeypatch)
-    theta = embed(d, a, dim)
-    assert calls == [(shape, {})]
+    svd = pce.skinny_svd(d)
+    theta = embed(svd, a, dim)
     assert np.allclose(theta.T @ d @ d.T @ theta, np.eye(dim), atol=1e-8)
     # the reference: the pencil reduced through the SVD, by generalized_top_eigs
-    svd = pce.skinny_svd(d)
     sym = a + a.T - a @ a.T
     left = svd.sigma[:, None] * (svd.v.T @ sym @ svd.v) * svd.sigma[None, :]
     values, alpha = generalized_top_eigs(
@@ -361,29 +338,17 @@ def test_full_rank_embed_takes_one_svd_and_meets_criterion_6(shape, monkeypatch)
     assert np.abs(lhs - rhs).max() <= 1e-8 * np.abs(lhs).max()
 
 
-@pytest.mark.parametrize("shape", [(60, 25), (25, 60)], ids=["rank-deficient-tall", "wide"])
-def test_embed_svd_route_keeps_its_bits(shape, monkeypatch):
-    rng = np.random.default_rng(22)
-    d = rng.standard_normal((shape[0], 10)) @ rng.standard_normal((10, shape[1]))
-    a = lle_graph(d, 5)
-    reference = embed(d, a, 4, svd=pce.skinny_svd(d))
-    calls = recorded_svds(monkeypatch)
-    assert np.array_equal(embed(d, a, 4), reference)
-    assert calls == [(shape, {})]
-
-
-def test_embed_of_equal_columns_takes_svd_route_without_warning(monkeypatch):
+def test_embed_of_equal_columns_takes_svd_route_without_warning():
     # the SVD of the rank-deficient D drops its zero singular value
     d = np.random.default_rng(27).standard_normal((40, 20))
     d[:, 7] = d[:, 3]
     a = lle_graph(d, 5)
-    reference = embed(d, a, 4, svd=pce.skinny_svd(d))
-    calls = recorded_svds(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        theta = embed(d, a, 4)
-    assert calls == [((40, 20), {})]
-    assert np.array_equal(theta, reference)
+        svd = pce.skinny_svd(d)
+        theta = embed(svd, a, 4)
+    assert svd.rank == 19
+    assert np.allclose(theta.T @ d @ d.T @ theta, np.eye(4), atol=1e-8)
 
 
 def test_embed_is_scale_equivariant_bit_for_bit():
@@ -391,9 +356,10 @@ def test_embed_is_scale_equivariant_bit_for_bit():
     # exactly
     d = np.random.default_rng(23).standard_normal((60, 25))
     a = lle_graph(d, 5)
-    theta = embed(d, a, 6)
+    theta = embed(pce.skinny_svd(d), a, 6)
     for j in (-400, -255, -1, 1, 37, 255, 400):
-        assert np.array_equal(embed(np.ldexp(d, j), a, 6), np.ldexp(theta, -j)), f"2^{j}"
+        scaled = embed(pce.skinny_svd(np.ldexp(d, j)), a, 6)
+        assert np.array_equal(scaled, np.ldexp(theta, -j)), f"2^{j}"
 
 
 def graded(kappa, seed):
@@ -404,29 +370,16 @@ def graded(kappa, seed):
     return (u * np.logspace(0, -np.log10(kappa), 25)) @ v.T
 
 
-def test_graded_embed_meets_eps_kappa(monkeypatch):
+def test_graded_embed_meets_eps_kappa():
     # at kappa = 3e4 the one SVD of D gives D' Theta orthonormal columns to
     # eps kappa
     kappa = 3e4
     d = graded(kappa, 25)
     g = np.random.default_rng(25).standard_normal((25, 25))
     a = np.eye(25) - g / (2 * np.linalg.norm(g, 2))
-    calls = recorded_svds(monkeypatch)
-    theta = embed(d, a, 8)
-    assert calls == [((60, 25), {})]
+    theta = embed(pce.skinny_svd(d), a, 8)
     f = d.T @ theta
     assert np.abs(f.T @ f - np.eye(8)).max() <= 10 * np.finfo(float).eps * kappa
-
-
-def test_ill_conditioned_full_rank_embed_takes_svd_route(monkeypatch):
-    # kappa = 1e8 is full rank at 1e-12 * 60: the SVD of D runs, bit for bit
-    d = graded(1e8, 24)
-    assert pce.linalg.numerical_rank(np.linalg.svd(d, compute_uv=False), d.shape) == 25
-    a = lle_graph(d, 5)
-    reference = embed(d, a, 4, svd=pce.skinny_svd(d))
-    calls = recorded_svds(monkeypatch)
-    assert np.array_equal(embed(d, a, 4), reference)
-    assert calls == [((60, 25), {})]
 
 
 @given(
@@ -459,7 +412,7 @@ def test_embed_keeps_metric_orthonormality(shape, rank, noise, seed, skew, dim):
     a = np.eye(n) - g / (2 * np.linalg.norm(g, 2))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        theta = embed(d, a, dim)
+        theta = embed(pce.skinny_svd(d), a, dim)
     # theta' D D' theta = I to 1e-10 relative to ||D|| ||theta|| = sigma_1 / sigma_r,
     # the scale to which a backward-stable SVD keeps it
     f = d.T @ theta

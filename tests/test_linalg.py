@@ -52,7 +52,7 @@ SAMPLE_ENTRY_POINTS = {
     "pca_transform": lambda d: pce.pca_transform(pce.pca_fit(TRAIN, 2), d),
     "skinny_svd": lambda d: skinny_svd(d),
     "lle_graph": lambda d: pce.lle_graph(d, 1),
-    "embed": lambda d: pce.embed(d, np.eye(8), 1),
+    "embed": lambda d: pce.embed(skinny_svd(TRAIN), d, 1),  # its matrix input is the weights
     "add_gaussian_noise": lambda d: pce.add_gaussian_noise(d, 0.1),
     "add_pixel_corruption": lambda d: pce.add_pixel_corruption(d, 0.5),
 }
@@ -120,7 +120,7 @@ V_READERS = {
     "reconstruct": lambda d, svd: svd.reconstruct(),
     "recover_clean": lambda d, svd: pce.recover_clean(svd, 1),
     "principal_coefficients": lambda d, svd: pce.principal_coefficients(svd, 10.0),
-    "embed-lle-graph": lambda d, svd: pce.embed(d, pce.lle_graph(d, 3), 1, svd=svd),
+    "embed-lle-graph": lambda d, svd: pce.embed(svd, pce.lle_graph(d, 3), 1),
 }
 
 
@@ -172,7 +172,7 @@ U_READERS = {
     "closed_form_projection": lambda d, svd: pce.model.closed_form_projection(svd, 1),
     "recover_clean": lambda d, svd: pce.recover_clean(svd, 1),
     "pca_fit": _pca_fit_with,
-    "embed-lle-graph": lambda d, svd: pce.embed(d, pce.lle_graph(d, 3), 1, svd=svd),
+    "embed-lle-graph": lambda d, svd: pce.embed(svd, pce.lle_graph(d, 3), 1),
 }
 
 
