@@ -128,6 +128,16 @@ def _config_to_experiment(fields):
     unknown = [key for key in fields if key not in CONFIG_KEYS]
     if unknown:
         raise ParseError(f"unknown config key {unknown[0]!r}")
+    # a key that the chosen source or noise would not read is an input error
+    unread = []
+    if "noise" not in fields:
+        unread += [(key, "without noise=") for key in ("noise_rho", "noise_clip")]
+    if "data" in fields:
+        synthetic = ("synthetic", "synthetic_scale", "synthetic_basis")
+        unread += [(key, "with data=") for key in synthetic]
+    for key, why in unread:
+        if key in fields:
+            raise ParseError(f"config key {key!r} is not read {why}")
     if "data" in fields:
         source = fields["data"]
     elif "synthetic" in fields:

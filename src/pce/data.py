@@ -110,6 +110,8 @@ class NoiseSpec:
         else:
             _check_gaussian_rho(self.rho)
         if self.clip is not None:
+            if self.kind == "pixel":
+                raise ValueError(f"pixel noise takes no clip, got {self.clip!r}")
             _check_clip(self.clip)
 
 

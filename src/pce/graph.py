@@ -12,29 +12,31 @@ A = Vk Vk' is such a matrix too, but its pencil has the closed form
 
 import numpy as np
 
-from .errors import BadDim, DegenerateNeighborhood, DimensionMismatch, NotConverged
+from .errors import BadDim, DegenerateNeighborhood, DimensionMismatch, NonFinite, NotConverged
 from .linalg import _canonicalize, _check_matrix, _unit_scale, canonical_signs
 
 __all__ = ["lle_graph", "embed"]
 
 EIG_FLOOR = 1e-8
+LLE_REG = 1e-3
 
 
-def lle_graph(d, p, reg=1e-3):
+def lle_graph(d, p):
     """n x n reconstruction weights: column i encodes d_i over its p nearest
     neighbours with weights summing to 1, and the diagonal is zero.
 
-    Neighbor ties are broken by ascending column index; the local Gram matrix
-    gets reg * trace / p added to its diagonal before solving.  Distances and
-    local Grams both come from one Gram matrix K = X'X of the data with its
-    first column subtracted from every column.  That shift leaves every
-    difference unchanged, avoids cancelling large squared norms, and keeps
-    integer-valued data (e.g. pixels) integer, so exactly equal distances stay
-    equal and their ties still go to the lower index.  All n KKT systems are
-    solved in one stacked pseudo-inverse, so no per-column loop and no
-    n x p x m array is formed.  The shifted data is divided by the power of
-    two at its largest |entry| and each local Gram by the power of two at its
-    trace; both are exact, so 2^j d has the weights of d.
+    Neighbor ties are broken by ascending column index; each local Gram matrix
+    gets LLE_REG * trace / p added to its diagonal, solves (G + delta I) w = 1,
+    and its weights are rescaled to sum to 1.  Distances and local Grams both
+    come from one Gram matrix K = X'X of the data with its first column
+    subtracted from every column.  That shift leaves every difference
+    unchanged, avoids cancelling large squared norms, and keeps integer-valued
+    data (e.g. pixels) integer, so exactly equal distances stay equal and their
+    ties still go to the lower index.  All n systems are solved in one batched
+    ``solve``, so no per-column loop and no n x p x m array is formed.  The
+    shifted data is divided by the power of two at its largest |entry| and
+    each local Gram by the power of two at its trace; both are exact, so 2^j d
+    has the weights of d.
     """
     d = _check_matrix(d)
     n = d.shape[1]
@@ -57,24 +59,16 @@ def lle_graph(d, p, reg=1e-3):
         + sq_norms[:, None, None]
     )
     trace = np.trace(local, axis1=1, axis2=2)
-    # each Gram over the power of two at its trace, to match the KKT's border of ones
+    # each Gram over the power of two at its trace, so the solve neither
+    # under- nor overflows; a zero Gram (all neighbours equal) gets I
     e = -np.frexp(trace)[1]
     np.ldexp(local, e[:, None, None], out=local)
     np.ldexp(trace, e, out=trace)
-    if reg > 0:
-        diag = np.arange(p)
-        local[:, diag, diag] += np.where(trace > 0, reg * trace / p, 0.0)[:, None]
-    # constrained least squares via the KKT systems; the pseudo-inverse, with
-    # lstsq's default cutoff, picks the minimal-norm weights when a Gram is
-    # exactly singular
-    kkt = np.zeros((n, p + 1, p + 1))
-    kkt[:, :p, :p] = 2.0 * local
-    kkt[:, :p, p] = 1.0
-    kkt[:, p, :p] = 1.0
-    eps = np.finfo(float).eps
-    coeffs = np.linalg.pinv(kkt, rcond=eps * (p + 1))[:, :p, p]  # n x p
+    diag = np.arange(p)
+    local[:, diag, diag] += np.where(trace > 0, LLE_REG * trace / p, 1.0)[:, None]
+    coeffs = np.linalg.solve(local, np.ones((n, p, 1)))[..., 0]  # n x p
     total = coeffs.sum(axis=1)
-    good = np.isfinite(coeffs).all(axis=1) & (np.abs(total - 1.0) <= 1e-8)
+    good = np.isfinite(coeffs).all(axis=1) & (total > 0)
     if not good.all():
         raise DegenerateNeighborhood(
             f"degenerate weights at column {int(np.flatnonzero(~good)[0])}"
@@ -126,10 +120,16 @@ def embed(svd, weights, dim):
         evals, y = np.linalg.eigh(0.5 * (core + core.T))
     except np.linalg.LinAlgError as exc:
         raise NotConverged("symmetric eigensolve failed") from exc
-    values, alpha = _canonicalize(evals, y / svd.sigma[:, None])
-    usable = int(np.count_nonzero(values > EIG_FLOOR))
+    usable = int(np.count_nonzero(evals > EIG_FLOOR))
     if dim > usable:
         raise BadDim(
             f"dim={dim} exceeds the {usable} eigenvalues above {EIG_FLOOR:g}"
         )
-    return canonical_signs(u @ alpha[:, :dim])
+    # 1/sigma_r may overflow for subnormal data: such a theta is refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, alpha = _canonicalize(evals, y / svd.sigma[:, None])
+        theta = u @ alpha[:, :dim]
+    if not np.isfinite(theta).all():
+        raise NonFinite(f"theta = U Sigma^-1 Y overflows the float range: "
+                        f"sigma_r = {svd.sigma[-1]:.3g}")
+    return canonical_signs(theta)

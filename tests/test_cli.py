@@ -139,12 +139,13 @@ def test_transform_roundtrip(dataset_file, tmp_path):
         (r"spectrum=.*", "spectrum=" + " ".join(["0.0"] * 12)),
         (r"lambda=\S+", "lambda=0.0"),
         (r"theta:", "bogus=1\ntheta:"),
+        (r"lambda=\S+", "lambda=abc"),
     ],
     ids=["nan-theta", "negative-lambda", "short-center", "extra-spectrum",
          "bad-literal", "negative-k", "inf-spectrum", "overflow-center",
          "repeated-lambda", "negative-spectrum", "increasing-spectrum",
          "k-disagrees-with-lambda", "increasing-tiny-spectrum", "zero-sigma-1",
-         "zero-lambda", "unknown-field"],
+         "zero-lambda", "unknown-field", "bad-lambda-literal"],
 )
 def test_transform_rejects_invalid_model(dataset_file, tmp_path, pattern, replacement):
     model_path = tmp_path / "model.txt"
@@ -209,6 +210,28 @@ def test_eval_whose_gaussian_noise_overflows_names_rho(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "error: gaussian noise at rho=1.7e+308 overflows the float range" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "config",
+    ["data={data}\nmethod=lle-npe\ndim=3\nneighbors=3\n",
+     "synthetic=20:2x6,2x6\nmethod=lle-npe\ndim=3\nsynthetic_scale=1e-320\n"],
+    ids=["subnormal-file", "subnormal-synthetic"],
+)
+def test_lle_npe_on_subnormal_data_is_a_numerical_error(tmp_path, capsys, config):
+    # 1/sigma_r overflows in embed: NonFinite (exit 2), and no numpy warning
+    spec = pce.SubspaceSpec(30, ((3, 10), (3, 10), (3, 10)))
+    ds = pce.generate_union_of_subspaces(spec, seed=0)
+    data, cfg, out = tmp_path / "d.txt", tmp_path / "e.cfg", tmp_path / "r.csv"
+    pce.save_matrix(pce.LabeledDataset(ds.matrix * 1e-310, ds.labels), data)
+    cfg.write_text(config.format(data=data))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["eval", str(cfg), "--output", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: theta = U Sigma^-1 Y overflows") and "Warning" not in err
     assert not out.exists()
 
 
@@ -294,6 +317,15 @@ def test_transform_whose_features_overflow_writes_nothing(tmp_path, capsys):
         (["eval", "{config}"], "synthetic=-5:1x3,1x3\nsynthetic_basis=random-gaussian\n"),
         (["sweep", "{data}", "--lambdas", "3:1:inf"], None),
         (["fit", "{config}"], "pce-matrix v1 m=2 n=2 foo=7 classes=3\n1 2\n3 4\n"),
+        (["eval", "{config}"], "synthetic=12:2x10,2x10\ntrials=0\n"),
+        (["eval", "{config}"], "synthetic=12:2x10,2x10\ntrain_fraction=1\n"),
+        (["eval", "{config}"], "synthetic=12\n"),
+        (["eval", "{config}"], "synthetic=12:2x10,2x10\nnoise_rho=0.5\n"),
+        (["eval", "{config}"], "synthetic=12:2x10,2x10\nnoise_clip=0,1\n"),
+        (["eval", "{config}"], "data={data}\nsynthetic=12:2x10,2x10\n"),
+        (["eval", "{config}"], "data={data}\nsynthetic_scale=2\n"),
+        (["eval", "{config}"], "data={data}\nsynthetic_basis=random-gaussian\n"),
+        (["eval", "{config}"], "synthetic=12:2x10,2x10\nnoise=pixel\nnoise_clip=0,1\n"),
     ],
     ids=["zero-step", "zero-repeats", "negative-repeats", "bad-size", "bad-subspace",
          "one-clip-bound", "eval-not-utf8", "fit-not-utf8", "negative-split-seed",
@@ -309,7 +341,10 @@ def test_transform_whose_features_overflow_writes_nothing(tmp_path, capsys):
          "nan-lambda-stop", "nan-lambda-start", "infinite-lambda-start",
          "negative-infinite-lambda-stop", "overflowing-empty-lambda-range",
          "nan-lambda-span", "lle-npe-zero-neighbors", "zero-ambient", "negative-ambient",
-         "infinite-step-below-start", "unknown-header-field"],
+         "infinite-step-below-start", "unknown-header-field", "zero-trials",
+         "train-fraction-1", "synthetic-without-colon", "rho-without-noise",
+         "clip-without-noise", "data-and-synthetic", "scale-with-data", "basis-with-data",
+         "pixel-clip"],
 )
 def test_bad_arguments_are_input_errors(dataset_file, tmp_path, capsys, argv, config):
     binary = tmp_path / "latin1.txt"
@@ -318,7 +353,8 @@ def test_bad_arguments_are_input_errors(dataset_file, tmp_path, capsys, argv, co
     config_path = tmp_path / "exp.cfg"
     out = tmp_path / "out.csv"
     if config is not None:
-        config_path.write_text(config.format(binary=binary, tmp=tmp_path, out=out))
+        config_path.write_text(
+            config.format(data=dataset_file, binary=binary, tmp=tmp_path, out=out))
 
     argv = [a.format(data=dataset_file, config=config_path, binary=binary) for a in argv]
     # a config's own output= is read only when --output is not given

@@ -115,6 +115,12 @@ def test_bad_clip_rejected(clip):
         pce.add_gaussian_noise(np.zeros((3, 2)), 0.1, clip=clip)
 
 
+def test_pixel_noise_refuses_a_clip():
+    # pixel corruption never reads clip, so giving one is an input error
+    with pytest.raises(ValueError, match="pixel noise takes no clip"):
+        pce.NoiseSpec("pixel", 0.1, clip=(0.0, 1.0))
+
+
 @pytest.mark.parametrize("rho", [float("nan"), float("inf"), -0.5],
                          ids=["nan", "inf", "negative"])
 def test_bad_gaussian_rho_rejected(rho):
@@ -341,6 +347,10 @@ def test_split_deterministic_and_small_class():
         pce.split(tiny, 0.5, seed=0)
     with pytest.raises(ParseError, match="split needs a labeled pce-dataset file"):
         pce.split(pce.LabeledDataset(np.zeros((2, 8)), None), 0.5, seed=5)
+    with pytest.raises(ValueError, match="train_fraction must lie in"):
+        pce.split(ds, 1.0, 0)
+    with pytest.raises(ShapeError, match="2 labels for 3 columns"):
+        pce.LabeledDataset(np.zeros((2, 3)), [0, 1])
 
 
 def test_dataset_roundtrip(tmp_path):

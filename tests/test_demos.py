@@ -31,6 +31,6 @@ def test_readme_quotes_the_pixel_corruption_tables(tmp_path):
         capture_output=True, text=True, timeout=120, check=True,
     )
     rows = [line for line in done.stdout.splitlines() if line.startswith("| ")]
-    assert len(rows) == 14
+    assert len(rows) == 28
     readme = (ROOT / "README.md").read_text(encoding="utf-8").splitlines()
     assert [row for row in rows if row not in readme] == []
