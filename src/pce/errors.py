@@ -22,11 +22,12 @@ class NotConverged(PceError):
 
 
 class EmptySpectrum(PceError):
-    """A singular-value array of length zero was supplied."""
+    """A singular-value array is empty or not 1-d, or its sigma_1 is <= 0."""
 
 
 class NotSorted(PceError):
-    """A singular-value array increases somewhere beyond tolerance."""
+    """A singular-value array rises anywhere (no tolerance), or holds NaN,
+    Inf or a negative value."""
 
 
 class DegenerateDimension(PceError):
@@ -42,7 +43,8 @@ class BadK(PceError):
 
 
 class BadDim(PceError):
-    """Requested embedding dimension exceeds what the pencil supports."""
+    """A requested dimension is < 1, or exceeds what its method supports: the
+    pencil's usable eigenvalues, NPE's PCA directions or the PCA rank."""
 
 
 class TooLarge(PceError):

@@ -47,8 +47,8 @@ def nn_classify(train_z, train_labels, test_z):
     label.  With both sets shifted by the first training column, which keeps
     integer features exact, column a goes to the b_j minimising ||b_j||^2 - 2a'b_j;
     exact ties go to the lowest j.  Both sets are first divided by one power of
-    two, exactly, so features scaled by 2^j keep every prediction.  NaN or Inf
-    features raise NonFinite."""
+    two, exactly, so no shifted entry overflows and features scaled by 2^j keep
+    every prediction.  NaN or Inf features raise NonFinite."""
     train_z = np.atleast_2d(np.asarray(train_z, dtype=float))
     test_z = np.atleast_2d(np.asarray(test_z, dtype=float))
     train_labels = np.asarray(train_labels)
@@ -64,8 +64,10 @@ def nn_classify(train_z, train_labels, test_z):
         )
     if not (np.isfinite(train_z).all() and np.isfinite(test_z).all()):
         raise NonFinite("features contain NaN or Inf entries")
-    b, a = train_z - train_z[:, :1], test_z - train_z[:, :1]
+    b, a = train_z.copy(), test_z.copy()
     _unit_scale(b, a)
+    a -= b[:, :1]
+    b -= b[:, :1]
     score = np.einsum("ij,ij->j", b, b) - 2.0 * (a.T @ b)
     return train_labels[score.argmin(axis=1)]
 
@@ -101,7 +103,7 @@ def pca_fit(d, dim):
     svd = skinny_svd(x, right=False)
     if dim > svd.rank:
         raise BadDim(f"dim={dim} exceeds the rank {svd.rank} of the centred data")
-    components = canonical_signs(svd.require_u()[:, :dim].copy())
+    components = canonical_signs(svd.u[:, :dim].copy())
     return PcaModel(mean=mean[:, 0].copy(), components=components)
 
 

@@ -34,16 +34,16 @@ def lle_graph(d, p):
     data (e.g. pixels) integer, so exactly equal distances stay equal and their
     ties still go to the lower index.  All n systems are solved in one batched
     ``solve``, so no per-column loop and no n x p x m array is formed.  The
-    shifted data is divided by the power of two at its largest |entry| and
-    each local Gram by the power of two at its trace; both are exact, so 2^j d
-    has the weights of d.
+    data is divided by the power of two at its largest |entry| before the
+    shift, so no difference overflows, and each local Gram by the power of
+    two at its trace; both are exact, so 2^j d has the weights of d.
     """
-    d = _check_matrix(d)
-    n = d.shape[1]
+    x = _check_matrix(d).copy()
+    n = x.shape[1]
     if not 1 <= p < n:
         raise DimensionMismatch(f"need 1 <= p < n, got p={p}, n={n}")
-    x = d - d[:, :1]
     _unit_scale(x)
+    x -= x[:, :1]
     gram = x.T @ x
     sq_norms = np.diag(gram)
     dist = sq_norms[:, None] + sq_norms[None, :] - 2.0 * gram
@@ -105,7 +105,7 @@ def embed(svd, weights, dim):
     fixes each column's sign.  An ``svd`` truncated below the rank embeds in
     span U_r: this solves the pencil of U_r' D, as NPE's PCA step asks.
     """
-    u, v = svd.require_u(), svd.require_v()
+    u, v = svd.u, svd.require_v()
     weights = _check_matrix(weights)
     n = v.shape[0]
     if weights.shape != (n, n):
@@ -113,9 +113,12 @@ def embed(svd, weights, dim):
                                 f"not {n}x{n} for data of {n} columns")
     if dim < 1:
         raise BadDim("dim must be at least 1")
-    b = v.T @ weights
-    bv = b @ v
-    core = bv + bv.T - b @ b.T
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        b = v.T @ weights
+        bv = b @ v
+        core = bv + bv.T - b @ b.T
+    if not np.isfinite(core).all():
+        raise NonFinite("the pencil V' (A + A' - A A') V overflows the float range")
     try:
         evals, y = np.linalg.eigh(0.5 * (core + core.T))
     except np.linalg.LinAlgError as exc:

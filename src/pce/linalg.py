@@ -9,11 +9,11 @@ columns is a DimensionMismatch, and one holding NaN or Inf is NonFinite.
 ``skinny_svd`` holds the library's one ``np.linalg.svd`` call, and every SVD
 but NPE's PCA step (``evaluation._npe_pca``) goes through it: that step keeps
 triplets with sigma_1^2 / sigma_r^2 < 50 n, so one ``eigh`` of the n x n Gram
-loses about 50 n ulps.  A wide ``d``, or a tall one without U, takes Chan's
-R-SVD (see ``skinny_svd``), which agrees with the plain call to rounding, not
-to the bit.  ``SvdFactors.require_u`` and ``require_v`` are the one readers of
-U and V, and refuse factors taken without.  ``SvdFactors.sigma`` is
-``spectrum[:rank]``, not a copy, so the truncation is stored once.
+loses about 50 n ulps.  A wide ``d`` takes Chan's R-SVD (see ``skinny_svd``),
+which agrees with the plain call to rounding, not to the bit.  ``u`` is always
+taken; ``SvdFactors.require_v`` is the one reader of V, and refuses factors
+taken without.  ``SvdFactors.sigma`` is ``spectrum[:rank]``, not a copy, so
+the truncation is stored once.
 
 Everything here is deterministic: identical inputs produce bitwise-identical
 outputs on a given platform and BLAS thread count.  Across thread counts the
@@ -81,11 +81,11 @@ class SvdFactors:
     ``u`` (m x r) and ``v`` (n x r) are column-orthonormal.  ``spectrum`` keeps
     all min(m, n) singular values in descending order, so callers can reason
     about the discarded tail, and ``sigma`` is its head, the r retained ones.
-    ``u`` or ``v`` is None when the SVD was taken without that side's vectors;
-    read them through ``require_u`` and ``require_v``.
+    ``v`` is None when the SVD was taken without right vectors; read it
+    through ``require_v``.
     """
 
-    u: np.ndarray | None
+    u: np.ndarray
     v: np.ndarray | None
     rank: int
     spectrum: np.ndarray = field(repr=False)
@@ -94,12 +94,6 @@ class SvdFactors:
     def sigma(self):
         return self.spectrum[: self.rank]
 
-    def require_u(self):
-        """``u``, or a ValueError when the SVD was taken with ``left=False``."""
-        if self.u is None:
-            raise ValueError("this SVD has no U; take it with skinny_svd(d, left=True)")
-        return self.u
-
     def require_v(self):
         """``v``, or a ValueError when the SVD was taken with ``right=False``."""
         if self.v is None:
@@ -107,46 +101,40 @@ class SvdFactors:
         return self.v
 
     def reconstruct(self):
-        return (self.require_u() * self.sigma) @ self.require_v().T
+        return (self.u * self.sigma) @ self.require_v().T
 
 
-def skinny_svd(d, *, left=True, right=True):
+def skinny_svd(d, *, right=True):
     """SVD of ``d`` keeping only singular triplets above the rank tolerance;
-    ``left=False`` skips the left vectors (``u`` is None) and ``right=False``
-    the right ones (``v`` is None).  With neither, only the spectrum is taken.
+    ``right=False`` skips the right vectors (``v`` is None).  The V alone of a
+    matrix is the U of its transpose: ``skinny_svd(d.T, right=False).u``.
 
     For n >= QR_RATIO * m (11/6, LAPACK dgesdd's own crossover) this is
     Chan's R-SVD (ACM TOMS 8, 1982): d' = QR makes d = R'Q', so the m x m SVD
-    R' = B S A' gives u = B and sigma, and v = QA.  Q is formed only for
+    R = X S Y' gives u = Y and sigma, and v = QX.  Q is formed only for
     ``right``; both QR modes give R the same bits, so ``right=False`` keeps
-    the ``u``, ``sigma`` and rank bits.  Mirrored, m >= QR_RATIO * n with
-    ``left=False`` takes the n x n SVD of R from d = QR, whose right vectors
-    are v, and never forms Q.  Any other ``d`` is one LAPACK ``gesdd`` call on
-    ``d`` itself.
+    the ``u``, ``sigma`` and rank bits.  Any other ``d`` is one LAPACK
+    ``gesdd`` call on ``d`` itself.
 
     Raises ZeroMatrix when every entry is numerically zero (the self-expression
     problem is undefined for the zero matrix) and NonFinite on NaN/Inf or
     when sigma_1 overflows.
     """
     d = _check_matrix(d)
+    wide = d.shape[1] >= QR_RATIO * d.shape[0]
     q, a = None, d
-    if d.shape[1] >= QR_RATIO * d.shape[0]:
-        if right:
-            q, tri = np.linalg.qr(d.T, mode="reduced")
-        else:
-            tri = np.linalg.qr(d.T, mode="r")
-        a = tri.T
-    elif d.shape[0] >= QR_RATIO * d.shape[1] and not left:
-        a = np.linalg.qr(d, mode="r")
-    out = np.linalg.svd(a, full_matrices=False, compute_uv=left or right)
-    u, s, vt = out if left or right else (None, out, None)
+    if wide:
+        q, a = np.linalg.qr(d.T) if right else (None, np.linalg.qr(d.T, mode="r"))
+    x, s, yt = np.linalg.svd(a, full_matrices=False)
     if s[0] <= 0.0:
         raise ZeroMatrix("matrix is numerically zero")
     if s[0] == np.inf:
         raise NonFinite("sigma_1 overflows: the matrix norm exceeds the float range")
     r = numerical_rank(s, d.shape)
-    u = u[:, :r] if left else None
-    v = np.ascontiguousarray((vt.T if q is None else q @ vt.T)[:, :r]) if right else None
+    if wide:
+        u, v = np.ascontiguousarray(yt.T[:, :r]), None if q is None else q @ x[:, :r]
+    else:
+        u, v = x[:, :r], np.ascontiguousarray(yt.T[:, :r]) if right else None
     return SvdFactors(u=u, v=v, rank=r, spectrum=s)
 
 

@@ -160,7 +160,7 @@ def closed_form_projection(svd, k):
     rotation of the k-fold eigenvalue 1 of the embedding pencil.  Its first j
     columns are the projection for dimension j.
     """
-    return canonical_signs(svd.require_u()[:, :k] / svd.sigma[:k])
+    return canonical_signs(svd.u[:, :k] / svd.sigma[:k])
 
 
 def recover_clean(svd, k):
@@ -172,7 +172,7 @@ def recover_clean(svd, k):
     """
     if not 1 <= k <= svd.rank:
         raise BadK(f"k={k} outside 1..{svd.rank}")
-    u, v = svd.require_u(), svd.require_v()
+    u, v = svd.u, svd.require_v()
     d0 = (u[:, :k] * svd.sigma[:k]) @ v[:, :k].T
     e = (u[:, k:] * svd.sigma[k:]) @ v[:, k:].T
     return d0, e
@@ -192,9 +192,10 @@ def fit(d, lam=1.0, center=False):
 
     This is the embedding of the principal-coefficient graph C = Vk Vk' in
     closed form, so no eigenproblem is solved.  Tall data (m >= QR_RATIO * n)
-    take the SVD of the triangular factor of D, without U, and Uk is the Q
-    of D Vk Sk^-1 = Q R.  ``center`` subtracts the per-row training mean
-    first (off by default; the plain pipeline operates on raw columns).
+    take Vk as the U of D', whose SVD is that of the triangular factor of D,
+    and Uk is the Q of D Vk Sk^-1 = Q R.  ``center`` subtracts the per-row
+    training mean first (off by default; the plain pipeline operates on raw
+    columns).
     """
     t0 = time.perf_counter()
     d = _check_matrix(d)  # first: a matrix with no columns has no row mean
@@ -202,11 +203,11 @@ def fit(d, lam=1.0, center=False):
     with np.errstate(over="ignore"):  # an overflowing difference is skinny_svd's NonFinite
         x = d if mean is None else d - mean
     tall = x.shape[0] >= QR_RATIO * x.shape[1]
-    svd = skinny_svd(x, left=not tall, right=tall)
+    svd = skinny_svd(x.T if tall else x, right=False)
     k = _kept_dimension(svd, lam)
     # D Vk Sk^-1 is Uk only to sigma_1 / sigma_k ulps; its thin QR is orthonormal to rounding
     theta = closed_form_projection(svd, k) if not tall else canonical_signs(
-        np.linalg.qr(x @ svd.require_v()[:, :k] / svd.sigma[:k])[0] / svd.sigma[:k])
+        np.linalg.qr(x @ svd.u[:, :k] / svd.sigma[:k])[0] / svd.sigma[:k])
     return PceModel(
         lam=float(lam), theta=theta, spectrum=svd.spectrum, train_cols=d.shape[1],
         center=None if mean is None else mean[:, 0].copy(), fit_seconds=time.perf_counter() - t0

@@ -235,6 +235,27 @@ def test_lle_npe_on_subnormal_data_is_a_numerical_error(tmp_path, capsys, config
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "method, code, stream",
+    [("method=lle-npe\ndim=1\nneighbors=2", 2, "error: sigma_1 overflows"),
+     ("method=raw", 0, "mean=0.5 ")],
+    ids=["lle-npe", "raw"],
+)
+def test_eval_of_data_whose_differences_overflow(tmp_path, method, code, stream):
+    # finite entries whose column differences overflow: lle_graph and
+    # nn_classify scale before they shift, so neither crashes nor warns
+    d = np.random.default_rng(0).standard_normal((6, 20))
+    d[0] = np.where(np.arange(20) % 2 == 0, 1.7e308, -1.7e308)
+    data, cfg = tmp_path / "d.txt", tmp_path / "e.cfg"
+    pce.save_matrix(pce.LabeledDataset(d, np.repeat([0, 1], 10)), data)
+    cfg.write_text(f"data={data}\n{method}\ntrials=2\n")
+    argv = ["eval", str(cfg), "--output", str(tmp_path / "r.csv")]
+    proc = subprocess.run([sys.executable, "-m", "pce.cli", *argv], capture_output=True, text=True)
+    assert proc.returncode == code
+    assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
+    assert (proc.stderr if code else proc.stdout).startswith(stream)
+
+
 def test_transform_whose_features_overflow_writes_nothing(tmp_path, capsys):
     # theta ~ 1e3 times an entry of 1.7e308 overflows: save_matrix refuses the
     # inf (exit 2), and numpy's overflow warning does not escape

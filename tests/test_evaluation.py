@@ -118,6 +118,20 @@ def test_nn_predictions_keep_under_power_of_two_scaling():
         assert np.array_equal(scaled, expected), f"2^{j}"
 
 
+def test_nn_predictions_of_features_whose_differences_overflow():
+    # row 0 alternates +-1.7e308: finite, but a - b_0 overflows unless the
+    # features are scaled before they are shifted
+    rng = np.random.default_rng(0)
+    train, test = rng.standard_normal((6, 20)), rng.standard_normal((6, 30))
+    train[0] = np.where(np.arange(20) % 2 == 0, 1.7e308, -1.7e308)
+    test[0] = np.where(np.arange(30) % 3 == 0, -1.7e308, 1.7e308)
+    labels = np.arange(20)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        predicted = nn_classify(train, labels, test)
+    assert np.array_equal(predicted, nn_classify(np.ldexp(train, -4), labels, np.ldexp(test, -4)))
+
+
 def test_accuracy_counting():
     assert pce.accuracy([1, 2, 3], [1, 2, 3]) == 1.0
     assert pce.accuracy([1, 1], [2, 2]) == 0.0

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
 import pce
-from pce.errors import BadDim, DegenerateNeighborhood, DimensionMismatch, NonFinite
+from pce.errors import BadDim, DegenerateNeighborhood, DimensionMismatch, NonFinite, NotConverged
 from pce.graph import _nearest, embed, lle_graph
 from reference import generalized_top_eigs
 
@@ -121,6 +121,18 @@ def test_lle_weights_are_scale_invariant(d, p):
     w = lle_graph(d, p)
     for j in (-480, -300, -1, 1, 9, 300, 480):
         assert np.array_equal(lle_graph(np.ldexp(d, j), p), w), f"2^{j}"
+
+
+def test_lle_weights_of_data_whose_differences_overflow():
+    # row 0 alternates +-1.7e308: finite, but d_j - d_0 overflows unless the
+    # data is scaled before it is shifted
+    d = np.random.default_rng(0).standard_normal((6, 20))
+    d[0] = np.where(np.arange(20) % 2 == 0, 1.7e308, -1.7e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        w = lle_graph(d, 2)
+    assert np.array_equal(w, lle_graph(np.ldexp(d, -4), 2))
+    assert np.allclose(w.sum(axis=0), 1.0)
 
 
 def test_lle_weights_of_pixel_images_match_reference_loop():
@@ -368,6 +380,25 @@ def test_embed_of_subnormal_data_is_non_finite_without_warning():
         warnings.simplefilter("error")
         with pytest.raises(NonFinite, match=r"sigma_r = 1\.18e-310$"):
             embed(svd, lle_graph(d, 3), 3)
+
+
+def test_embed_whose_pencil_overflows_is_non_finite_without_warning():
+    d = np.random.default_rng(0).standard_normal((20, 12))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFinite, match="pencil .* overflows"):
+            embed(pce.skinny_svd(d), np.full((12, 12), 1e155), 2)
+
+
+def test_embed_whose_eigensolve_fails_is_not_converged(monkeypatch):
+    def failing_eigh(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    d = np.random.default_rng(0).standard_normal((20, 12))
+    svd, a = pce.skinny_svd(d), lle_graph(d, 3)
+    monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+    with pytest.raises(NotConverged, match="symmetric eigensolve failed"):
+        embed(svd, a, 2)
 
 
 def graded(kappa, seed):

@@ -1,11 +1,9 @@
 import warnings
-from unittest import mock
 
 import numpy as np
 import pytest
 
 import pce
-from pce import evaluation
 from pce.errors import DimensionMismatch, NonFinite, NotConverged, ZeroMatrix
 from pce.linalg import skinny_svd
 from reference import generalized_top_eigs
@@ -133,56 +131,18 @@ def test_left_only_factors_refuse_every_v_reader(reader, shape):
         reader(d, skinny_svd(d, right=False))
 
 
-def test_right_only_svd_of_tall_matrix_skips_u():
-    # the tall side of QR_RATIO takes the SVD of R from d = QR, so sigma agrees
-    # with the plain call to rounding and V is R's right vectors
+def test_right_only_svd_of_transpose_is_v():
+    # V alone is the U of d': for a tall d that is the SVD of R from d = QR,
+    # so sigma agrees with the plain call to rounding and u is R's right vectors
     rng = np.random.default_rng(4)
     d = rng.standard_normal((40, 10)) @ rng.standard_normal((10, 12))
     full = skinny_svd(d)
-    right = skinny_svd(d, left=False)
-    assert right.u is None
+    right = skinny_svd(d.T, right=False)
     assert right.rank == full.rank == 10
     assert np.allclose(right.spectrum, full.spectrum, rtol=0, atol=1e-12 * full.sigma[0])
-    assert np.allclose(right.v.T @ right.v, np.eye(10), atol=1e-12)
+    assert np.allclose(right.u.T @ right.u, np.eye(10), atol=1e-12)
     # distinct singular values: each right vector is the plain call's up to sign
-    assert np.allclose(np.abs(right.v.T @ full.v), np.eye(10), atol=1e-10)
-
-
-@pytest.mark.parametrize("shape", [(40, 12), (12, 12), (12, 40)], ids=["tall", "square", "wide"])
-def test_spectrum_only_svd(shape):
-    d = np.random.default_rng(5).standard_normal(shape)
-    full = skinny_svd(d)
-    alone = skinny_svd(d, left=False, right=False)
-    assert alone.u is None and alone.v is None
-    assert alone.rank == full.rank
-    assert np.array_equal(alone.sigma, alone.spectrum[: alone.rank])
-    assert np.allclose(alone.spectrum, full.spectrum, rtol=0, atol=1e-12 * full.sigma[0])
-    if shape[0] == shape[1]:  # no QR first: the same LAPACK call, without vectors
-        assert np.array_equal(alone.spectrum, np.linalg.svd(d, compute_uv=False))
-
-
-def _pca_fit_with(d, svd):
-    with mock.patch.object(evaluation, "skinny_svd", lambda x, **kwargs: svd):
-        return evaluation.pca_fit(d, 1)
-
-
-U_READERS = {
-    "require_u": lambda d, svd: svd.require_u(),
-    "reconstruct": lambda d, svd: svd.reconstruct(),
-    "closed_form_projection": lambda d, svd: pce.model.closed_form_projection(svd, 1),
-    "recover_clean": lambda d, svd: pce.recover_clean(svd, 1),
-    "pca_fit": _pca_fit_with,
-    "embed-lle-graph": lambda d, svd: pce.embed(svd, pce.lle_graph(d, 3), 1),
-}
-
-
-@pytest.mark.parametrize("reader", U_READERS.values(), ids=U_READERS.keys())
-@pytest.mark.parametrize("shape", [(20, 8), (8, 20)], ids=["tall-r-svd", "wide-qr-first"])
-def test_right_only_factors_refuse_every_u_reader(reader, shape):
-    d = np.random.default_rng(9).standard_normal(shape)
-    reader(d, skinny_svd(d))  # the full factors are accepted
-    with pytest.raises(ValueError, match=r"take it with skinny_svd\(d, left=True\)"):
-        reader(d, skinny_svd(d, left=False))
+    assert np.allclose(np.abs(right.u.T @ full.v), np.eye(10), atol=1e-10)
 
 
 def test_svd_deterministic():
