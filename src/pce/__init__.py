@@ -36,7 +36,7 @@ from .model import (
     transform,
 )
 
-__version__ = "0.19.0"
+__version__ = "0.20.0"
 
 __all__ = [
     "ExperimentConfig",

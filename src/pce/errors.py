@@ -10,7 +10,7 @@ class NonFinite(PceError):
 
 
 class ZeroMatrix(PceError):
-    """Input matrix is numerically zero."""
+    """Every entry of the input is numerically zero."""
 
 
 class DimensionMismatch(PceError):

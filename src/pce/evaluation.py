@@ -22,9 +22,8 @@ from .data import (
     write_csv,
 )
 from .errors import BadDim, DimensionMismatch, EmptyTrainingSet, LengthMismatch, NonFinite
-from .errors import ZeroMatrix
-from .linalg import SvdFactors, _check_matrix, _row_mean, _unit_scale, canonical_signs
-from .linalg import skinny_svd
+from .linalg import SvdFactors, _check_matrix, _row_mean, _spectrum_of, _unit_scale
+from .linalg import canonical_signs, skinny_svd
 
 __all__ = [
     "nn_classify",
@@ -202,36 +201,25 @@ def _fit_method(cfg: ExperimentConfig, train: LabeledDataset):
 def _npe_pca(d):
     """NPE's PCA step: the leading r singular triplets of ``d`` for the least
     r whose sigma_i^2 hold NPE_ENERGY of sum sigma_i^2, with all min(m, n)
-    values in the spectrum.  An all-zero ``d`` raises ZeroMatrix, and one
-    whose sigma_1 overflows NonFinite, as ``skinny_svd`` does.
+    values in the spectrum, from one ``eigh`` of the n x n Gram of ``d``
+    scaled by ``_unit_scale``; it shares ``skinny_svd``'s epilogue and errors.
 
-    The triplets come from one ``eigh`` of the n x n Gram x'x = V Sigma^2 V'
-    of x = 2^e d, scaled exactly so its largest |entry| lies in [1/2, 1),
-    which keeps the Gram finite; U_r = x V_r Sigma_r^-1 is not
-    re-orthonormalised, and sigma is 2^-e times x's, exactly, so 2^j d has
-    the same U and V and 2^j times d's sigma.  The cut bounds their
-    conditioning: as r - 1 values fall short of NPE_ENERGY, the n - r + 1
-    values from sigma_r on hold more than 2% of the energy, and none exceeds
-    sigma_r, so (n - r + 1) sigma_r^2 > 0.02 sigma_1^2 and
-    sigma_1^2 / sigma_r^2 < 50 n.  The Gram's eigenvalues are exact to about
-    eps sigma_1^2, so each kept one to about 50 n ulps of itself, and
-    U_r' U_r = I to a few times 50 n eps; no QR or refinement step is needed.
+    U_r = x V_r Sigma_r^-1 needs no re-orthonormalising: as r - 1 values fall
+    short of NPE_ENERGY, the n - r + 1 values from sigma_r on hold more than
+    2% of the energy, so sigma_1^2 / sigma_r^2 < 50 n, and the Gram's
+    eigenvalues, exact to about eps sigma_1^2, keep U_r' U_r = I to a few
+    times 50 n eps.
     """
     x = np.array(d, dtype=float)
     e = _unit_scale(x)
     evals, vecs = np.linalg.eigh(x.T @ x)
-    energy = np.cumsum(evals[::-1])
-    if not energy[-1] > 0.0:
-        raise ZeroMatrix("matrix is numerically zero")
-    r = int(np.argmax(energy >= NPE_ENERGY * energy[-1])) + 1
     # a rank-deficient Gram can have eigenvalues of -eps
-    spectrum = np.sqrt(np.maximum(evals[::-1], 0.0))[: min(x.shape)]
+    sigma = np.sqrt(np.maximum(evals[::-1], 0.0))[: min(x.shape)]
+    spectrum = _spectrum_of(sigma, e)
+    energy = np.cumsum(evals[::-1])
+    r = int(np.argmax(energy >= NPE_ENERGY * energy[-1])) + 1
     v = vecs[:, :-r - 1:-1]
-    u = x @ v / spectrum[:r]
-    with np.errstate(over="ignore"):
-        spectrum = np.ldexp(spectrum, -e)
-    if spectrum[0] == np.inf:
-        raise NonFinite("sigma_1 overflows: the matrix norm exceeds the float range")
+    u = x @ v / sigma[:r]
     return SvdFactors(u=u, v=v, rank=r, spectrum=spectrum)
 
 

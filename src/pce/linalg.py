@@ -9,11 +9,14 @@ columns is a DimensionMismatch, and one holding NaN or Inf is NonFinite.
 ``skinny_svd`` holds the library's one ``np.linalg.svd`` call, and every SVD
 but NPE's PCA step (``evaluation._npe_pca``) goes through it: that step keeps
 triplets with sigma_1^2 / sigma_r^2 < 50 n, so one ``eigh`` of the n x n Gram
-loses about 50 n ulps.  A wide ``d`` takes Chan's R-SVD (see ``skinny_svd``),
-which agrees with the plain call to rounding, not to the bit.  ``u`` is always
-taken; ``SvdFactors.require_v`` is the one reader of V, and refuses factors
-taken without.  ``SvdFactors.sigma`` is ``spectrum[:rank]``, not a copy, so
-the truncation is stored once.
+loses about 50 n ulps.  Both follow one scale rule: divide by a power of two
+(``_unit_scale``), factor, then scale sigma back and check it
+(``_spectrum_of``), so each is exact under d -> 2^j d wherever the input and
+sigma are normal floats.  A wide ``d`` takes Chan's R-SVD (see
+``skinny_svd``), which agrees with the plain call to rounding, not to the bit.
+``u`` is always taken; ``SvdFactors.require_v`` is the one reader of V, and
+refuses factors taken without.  ``SvdFactors.sigma`` is ``spectrum[:rank]``,
+not a copy, so the truncation is stored once.
 
 Everything here is deterministic: identical inputs produce bitwise-identical
 outputs on a given platform and BLAS thread count.  Across thread counts the
@@ -74,6 +77,18 @@ def _unit_scale(*arrays):
     return e
 
 
+def _spectrum_of(s, e):
+    # the spectrum of a matrix whose 2^e multiple has the spectrum s: the one
+    # check of sigma_1 for every SVD, made before anything divides by it
+    if not s[0] > 0.0:
+        raise ZeroMatrix("matrix is numerically zero")
+    with np.errstate(over="ignore"):
+        s = np.ldexp(s, -e)
+    if s[0] == np.inf:
+        raise NonFinite("sigma_1 overflows: the matrix norm exceeds the float range")
+    return s
+
+
 @dataclass(frozen=True)
 class SvdFactors:
     """Skinny SVD of a matrix, truncated at its numerical rank.
@@ -100,9 +115,6 @@ class SvdFactors:
             raise ValueError("this SVD has no V; take it with skinny_svd(d, right=True)")
         return self.v
 
-    def reconstruct(self):
-        return (self.u * self.sigma) @ self.require_v().T
-
 
 def skinny_svd(d, *, right=True):
     """SVD of ``d`` keeping only singular triplets above the rank tolerance;
@@ -114,28 +126,32 @@ def skinny_svd(d, *, right=True):
     R = X S Y' gives u = Y and sigma, and v = QX.  Q is formed only for
     ``right``; both QR modes give R the same bits, so ``right=False`` keeps
     the ``u``, ``sigma`` and rank bits.  Any other ``d`` is one LAPACK
-    ``gesdd`` call on ``d`` itself.
+    ``gesdd`` call.  A ``d`` whose largest |entry| lies outside (2^-400, 2^400)
+    is first divided by a power of two, in a copy, so ``skinny_svd(2^j d)``
+    has d's U, V and rank and 2^j times its sigma wherever the input and sigma
+    are normal floats.
 
     Raises ZeroMatrix when every entry is numerically zero (the self-expression
     problem is undefined for the zero matrix) and NonFinite on NaN/Inf or
-    when sigma_1 overflows.
+    when sigma_1 exceeds the float range.
     """
-    d = _check_matrix(d)
+    d, e = _check_matrix(d), 0
+    # outside this range gesdd rescales inexactly, and the QR's column norms can overflow
+    if not 2.0**-400 < max(d.max(), -d.min()) < 2.0**400:
+        d = d.copy()
+        e = _unit_scale(d)
     wide = d.shape[1] >= QR_RATIO * d.shape[0]
     q, a = None, d
     if wide:
         q, a = np.linalg.qr(d.T) if right else (None, np.linalg.qr(d.T, mode="r"))
     x, s, yt = np.linalg.svd(a, full_matrices=False)
-    if s[0] <= 0.0:
-        raise ZeroMatrix("matrix is numerically zero")
-    if s[0] == np.inf:
-        raise NonFinite("sigma_1 overflows: the matrix norm exceeds the float range")
+    spectrum = _spectrum_of(s, e)
     r = numerical_rank(s, d.shape)
     if wide:
         u, v = np.ascontiguousarray(yt.T[:, :r]), None if q is None else q @ x[:, :r]
     else:
         u, v = x[:, :r], np.ascontiguousarray(yt.T[:, :r]) if right else None
-    return SvdFactors(u=u, v=v, rank=r, spectrum=s)
+    return SvdFactors(u=u, v=v, rank=r, spectrum=spectrum)
 
 
 def _first_nonzero_index(vec):

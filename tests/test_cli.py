@@ -168,11 +168,27 @@ def overflowing_matrix():
     return d
 
 
-@pytest.mark.parametrize("argv", [["fit"], ["spectrum"], ["sweep", "--lambdas", "1,10"]],
-                         ids=["fit", "spectrum", "sweep"])
-def test_overflowing_sigma_1_is_a_numerical_error(tmp_path, capsys, argv):
+def alternating_row_matrix():
+    """6 x 20 standard gaussian (seed 0) whose row 0 alternates +-1.7e308:
+    wide enough that skinny_svd takes the QR of its transpose, as fit of its
+    transpose does, and the QR's norms overflow unless the data is scaled."""
+    d = np.random.default_rng(0).standard_normal((6, 20))
+    d[0] = np.where(np.arange(20) % 2 == 0, 1.7e308, -1.7e308)
+    return d
+
+
+OVERFLOWING = {"": overflowing_matrix, "-alternating-row": alternating_row_matrix,
+               "-alternating-row-tall": lambda: alternating_row_matrix().T}
+
+
+@pytest.mark.parametrize("argv, matrix", [
+    pytest.param(argv, matrix, id=argv[0] + suffix)
+    for argv in (["fit"], ["spectrum"], ["sweep", "--lambdas", "1,10"])
+    for suffix, matrix in OVERFLOWING.items()
+])
+def test_overflowing_sigma_1_is_a_numerical_error(tmp_path, capsys, argv, matrix):
     data, out = tmp_path / "d.txt", tmp_path / "out"
-    pce.save_matrix(overflowing_matrix(), data)
+    pce.save_matrix(matrix(), data)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code = main([argv[0], str(data), *argv[1:], "--output", str(out)])

@@ -445,12 +445,17 @@ def test_lle_npe_dim_above_r_is_bad_dim_naming_r(noise):
 
 
 def test_pca_step_refuses_an_overflowing_sigma_as_skinny_svd_does():
-    # every entry is finite, but sigma_1 = 30 * 1e307 is not: the factors of d
-    # cannot hold it, so NPE's PCA step raises NonFinite, without a numpy warning
-    d = np.full((20, 30), 1e307)
-    d[0, 0] = 0.5e307
-    for take in (evaluation._npe_pca, pce.skinny_svd):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(NonFinite, match="sigma_1 overflows"):
-                take(d)
+    # every entry is finite, but sigma_1 (30 * 1e307 for ``flat``) is not: the
+    # factors cannot hold it, so NPE's PCA step raises NonFinite, without a numpy
+    # warning, as skinny_svd does; the 6 x 20 ``alternating`` takes its QR route
+    flat = np.full((20, 30), 1e307)
+    flat[0, 0] = 0.5e307
+    alternating = np.random.default_rng(0).standard_normal((6, 20))
+    alternating[0] = np.where(np.arange(20) % 2 == 0, 1.7e308, -1.7e308)
+    for d in (flat, alternating, alternating.T):
+        for take in (evaluation._npe_pca, pce.skinny_svd,
+                     lambda d: pce.skinny_svd(d, right=False)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(NonFinite, match="sigma_1 overflows"):
+                    take(d)

@@ -1,11 +1,14 @@
+import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pce
 from pce.errors import DimensionMismatch, NonFinite, NotConverged, ZeroMatrix
-from pce.linalg import skinny_svd
+from pce.linalg import QR_RATIO, skinny_svd
 from reference import generalized_top_eigs
 
 
@@ -89,7 +92,7 @@ def test_roundtrip_and_energy(shape):
     rng = np.random.default_rng(hash(shape) % 2**32)
     d = rng.standard_normal(shape)
     f = skinny_svd(d)
-    rebuilt = f.reconstruct()
+    rebuilt = (f.u * f.sigma) @ f.v.T
     assert np.linalg.norm(rebuilt - d) / np.linalg.norm(d) < 1e-10
     # spectrum energy equals squared Frobenius norm
     assert np.sum(f.spectrum**2) == pytest.approx(
@@ -113,9 +116,36 @@ def test_left_only_svd_matches_full(shape):
         assert np.array_equal(getattr(left, name), getattr(full, name))
 
 
+@given(
+    # tall, square, wide below QR_RATIO (one gesdd), at QR_RATIO and past it
+    # (the R-SVD), with the tall d' that fit factors past it
+    shape=st.integers(2, 30).flatmap(lambda m: st.tuples(st.just(m), st.sampled_from(
+        [max(1, math.floor(m / QR_RATIO)), m // 2 + 1, m, m + m // 2,
+         math.ceil(QR_RATIO * m), 2 * m]))),
+    seed=st.integers(0, 2**16),
+    right=st.booleans(),
+    j=st.integers(-1000, 1000),
+)
+@settings(max_examples=200, deadline=None)
+def test_skinny_svd_is_scale_equivariant_bit_for_bit(shape, seed, right, j):
+    # c = 2^j: skinny_svd(c d) keeps u, v and the rank and gives spectrum * c
+    # exactly.  Every |entry| lies in [1/2, 2), so every entry of c d is a
+    # normal float; past 2^+-400 the data is divided by a power of two before
+    # LAPACK could rescale it by one that is not
+    rng = np.random.default_rng(seed)
+    d = rng.uniform(0.5, 2.0, shape) * rng.choice([-1.0, 1.0], shape)
+    base = skinny_svd(d, right=right)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scaled = skinny_svd(np.ldexp(d, j), right=right)
+    assert scaled.rank == base.rank
+    assert np.array_equal(scaled.u, base.u)
+    assert np.array_equal(scaled.v, base.v) if right else scaled.v is None
+    assert np.array_equal(scaled.spectrum, np.ldexp(base.spectrum, j))
+
+
 V_READERS = {
     "require_v": lambda d, svd: svd.require_v(),
-    "reconstruct": lambda d, svd: svd.reconstruct(),
     "recover_clean": lambda d, svd: pce.recover_clean(svd, 1),
     "principal_coefficients": lambda d, svd: pce.principal_coefficients(svd, 10.0),
     "embed-lle-graph": lambda d, svd: pce.embed(svd, pce.lle_graph(d, 3), 1),

@@ -87,6 +87,17 @@ def test_pyproject_version_is_the_package_version():
     assert pyproject_value("version") == f'"{pce.__version__}"'
 
 
+def test_every_python_file_parses_at_the_3_10_floor():
+    # requires-python is >=3.10; parsing with feature_version=(3, 10) catches
+    # newer syntax, such as except*, on an interpreter that would accept it
+    assert pyproject_value("requires-python") == '">=3.10"'
+    paths = sorted(p for part in ("src", "tests", "demo", "perfbench")
+                   for p in (ROOT / part).rglob("*.py"))
+    assert len(paths) >= 29
+    for path in paths:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
+
+
 README = (ROOT / "README.md").read_text(encoding="utf-8")
 
 
