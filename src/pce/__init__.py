@@ -30,13 +30,12 @@ from .model import (
     PceModel,
     estimate_dimension,
     fit,
-    materialize_affinity,
     principal_coefficients,
     recover_clean,
     transform,
 )
 
-__version__ = "0.20.0"
+__version__ = "0.21.0"
 
 __all__ = [
     "ExperimentConfig",
@@ -56,7 +55,6 @@ __all__ = [
     "generate_union_of_subspaces",
     "lle_graph",
     "load_matrix",
-    "materialize_affinity",
     "nn_classify",
     "pca_fit",
     "pca_transform",

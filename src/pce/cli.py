@@ -227,10 +227,6 @@ def cmd_sweep(args):
         ks = [model._kept_dimension(svd, lam) for lam in lambdas]
     else:
         ks = [model.estimate_dimension(svd.sigma, lam) for lam in lambdas]
-    ascending = [k for _, k in sorted(zip(lambdas, ks))]
-    if any(b < a for a, b in zip(ascending, ascending[1:])):
-        print("error: k is not nondecreasing in lambda", file=sys.stderr)
-        return EXIT_NUMERIC
     acc = dict.fromkeys(ks, "")
     if with_accuracy:
         theta = model.closed_form_projection(svd, max(ks))

@@ -38,17 +38,10 @@ class DegenerateDimension(PceError):
         self.min_lambda = min_lambda
 
 
-class BadK(PceError):
-    """Requested truncation rank is out of range."""
-
-
 class BadDim(PceError):
     """A requested dimension is < 1, or exceeds what its method supports: the
-    pencil's usable eigenvalues, NPE's PCA directions or the PCA rank."""
-
-
-class TooLarge(PceError):
-    """Materializing this object would exceed the configured size cap."""
+    rank of an SVD, the pencil's usable eigenvalues, NPE's PCA directions or
+    the PCA rank."""
 
 
 class DegenerateNeighborhood(PceError):

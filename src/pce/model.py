@@ -16,14 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    BadK,
-    DegenerateDimension,
-    DimensionMismatch,
-    EmptySpectrum,
-    NotSorted,
-    TooLarge,
-)
+from .errors import BadDim, DegenerateDimension, DimensionMismatch, EmptySpectrum, NotSorted
 from .linalg import QR_RATIO, _check_matrix, _row_mean, canonical_signs, numerical_rank
 from .linalg import skinny_svd
 
@@ -37,10 +30,8 @@ __all__ = [
     "recover_clean",
     "fit",
     "transform",
-    "materialize_affinity",
 ]
 
-AFFINITY_CAP = 20_000
 TIE_TOL = 1e-12
 
 
@@ -147,9 +138,14 @@ def _kept_dimension(svd, lam):
 
 def principal_coefficients(svd, lam):
     """Vk, the n x k first right singular vectors, k chosen by ``estimate_dimension``:
-    the factor of C = Vk @ Vk.T, which ``materialize_affinity`` forms explicitly."""
+    the factor of the affinity C = Vk @ Vk.T."""
     k = _kept_dimension(svd, lam)
     return np.ascontiguousarray(svd.require_v()[:, :k])
+
+
+def _check_k(svd, k):
+    if not 1 <= k <= svd.rank:
+        raise BadDim(f"k={k} outside 1..{svd.rank}")
 
 
 def closed_form_projection(svd, k):
@@ -158,8 +154,9 @@ def closed_form_projection(svd, k):
     Column i is u_i / sigma_i with its largest-magnitude entry made positive,
     so Theta is a deterministic function of the SVD rather than an arbitrary
     rotation of the k-fold eigenvalue 1 of the embedding pencil.  Its first j
-    columns are the projection for dimension j.
+    columns are the projection for dimension j.  k outside 1..rank is BadDim.
     """
+    _check_k(svd, k)
     return canonical_signs(svd.u[:, :k] / svd.sigma[:k])
 
 
@@ -168,22 +165,13 @@ def recover_clean(svd, k):
 
     Returns (d0, e) with d0 the best rank-k approximation and e the rest, so
     d0 + e reconstructs the input and ||e||_F^2 = sum of the trailing
-    squared singular values.
+    squared singular values.  k outside 1..rank is BadDim.
     """
-    if not 1 <= k <= svd.rank:
-        raise BadK(f"k={k} outside 1..{svd.rank}")
+    _check_k(svd, k)
     u, v = svd.u, svd.require_v()
     d0 = (u[:, :k] * svd.sigma[:k]) @ v[:, :k].T
     e = (u[:, k:] * svd.sigma[k:]) @ v[:, k:].T
     return d0, e
-
-
-def materialize_affinity(vk, cap=AFFINITY_CAP):
-    """Explicit n x n affinity C = vk @ vk.T of the n x k ``vk``; guarded by a size cap."""
-    n = vk.shape[0]
-    if n > cap:
-        raise TooLarge(f"materializing {n}x{n} exceeds the cap of {cap}")
-    return vk @ vk.T
 
 
 def fit(d, lam=1.0, center=False):

@@ -891,15 +891,6 @@ def test_sweep_descending_lambdas_keep_their_order(dataset_file, tmp_path):
     assert int(rows[0][1]) > int(rows[1][1])
 
 
-def test_sweep_decreasing_k_writes_no_csv(dataset_file, tmp_path, monkeypatch, capsys):
-    # estimate_dimension is nondecreasing in lambda; the check guards it
-    monkeypatch.setattr(cli.model, "estimate_dimension", lambda sigma, lam: 5 - lam)
-    out = tmp_path / "sweep.csv"
-    assert main(["sweep", dataset_file, "--lambdas", "2,1", "--output", str(out)]) == 2
-    assert "not nondecreasing" in capsys.readouterr().err
-    assert not out.exists()
-
-
 def test_spectrum_output(dataset_file, tmp_path):
     out = tmp_path / "spec.csv"
     svg = tmp_path / "spec.svg"

@@ -18,7 +18,7 @@ def test_demos_found():
 @pytest.mark.parametrize("script", DEMOS, ids=[p.stem for p in DEMOS])
 def test_demo_runs(script, tmp_path):
     done = subprocess.run(
-        [sys.executable, str(script)], cwd=tmp_path, capture_output=True,
+        [sys.executable, "-W", "error", str(script)], cwd=tmp_path, capture_output=True,
         text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
@@ -27,7 +27,7 @@ def test_demo_runs(script, tmp_path):
 def test_readme_quotes_the_pixel_corruption_tables(tmp_path):
     # README's "Reproduction status" shows the demo's tables as they are printed
     done = subprocess.run(
-        [sys.executable, str(ROOT / "demo" / "pixel_corruption.py")], cwd=tmp_path,
+        [sys.executable, "-W", "error", str(ROOT / "demo" / "pixel_corruption.py")], cwd=tmp_path,
         capture_output=True, text=True, timeout=120, check=True,
     )
     rows = [line for line in done.stdout.splitlines() if line.startswith("| ")]

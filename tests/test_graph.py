@@ -206,7 +206,7 @@ def test_lle_bad_neighborhood_size():
 def test_embed_diag_pencil():
     d = np.diag([2.0, 0.1])
     vk = pce.principal_coefficients(pce.skinny_svd(d), 1.0)
-    theta = embed(pce.skinny_svd(d), pce.materialize_affinity(vk), 1)
+    theta = embed(pce.skinny_svd(d), vk @ vk.T, 1)
     assert np.allclose(np.abs(theta[:, 0]), [0.5, 0.0], atol=1e-10)
 
 
@@ -217,7 +217,7 @@ def test_embed_degenerate_spectrum_and_subspace(shape, lam):
     svd = pce.skinny_svd(d)
     vk = pce.principal_coefficients(svd, lam)
     k = vk.shape[1]
-    theta = embed(svd, pce.materialize_affinity(vk), k)
+    theta = embed(svd, vk @ vk.T, k)
     # metric orthonormality and the all-ones pencil spectrum
     gram = theta.T @ d @ d.T @ theta
     assert np.allclose(gram, np.eye(k), atol=1e-8)
@@ -237,7 +237,7 @@ def test_embed_dim_exceeds_rank():
     svd = pce.skinny_svd(d)
     vk = pce.principal_coefficients(svd, 1.0)
     with pytest.raises(BadDim):
-        embed(svd, pce.materialize_affinity(vk), 2)
+        embed(svd, vk @ vk.T, 2)
 
 
 def test_embed_rejects_mismatched_graph_and_bad_dim():

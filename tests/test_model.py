@@ -15,13 +15,12 @@ from hypothesis import strategies as st
 
 import pce
 from pce.errors import (
-    BadK,
+    BadDim,
     DegenerateDimension,
     DimensionMismatch,
     EmptySpectrum,
     NonFinite,
     NotSorted,
-    TooLarge,
 )
 from pce.linalg import QR_RATIO
 from pce.model import closed_form_projection, describe, estimate_dimension
@@ -255,7 +254,7 @@ def test_principal_coefficients_2x2():
     svd = pce.skinny_svd(np.diag([2.0, 0.1]))
     vk = pce.principal_coefficients(svd, 1.0)
     assert vk.shape == (2, 1)
-    c = pce.materialize_affinity(vk)
+    c = vk @ vk.T
     assert np.allclose(c, [[1.0, 0.0], [0.0, 0.0]])
 
 
@@ -263,7 +262,7 @@ def test_orthonormal_columns_identity_affinity():
     q, _ = np.linalg.qr(np.random.default_rng(1).standard_normal((8, 4)))
     vk = pce.principal_coefficients(pce.skinny_svd(q), 2.0)
     assert vk.shape == (4, 4)
-    assert np.allclose(pce.materialize_affinity(vk), np.eye(4), atol=1e-10)
+    assert np.allclose(vk @ vk.T, np.eye(4), atol=1e-10)
 
 
 def test_degenerate_dimension_reports_min_lambda():
@@ -278,17 +277,11 @@ def test_degenerate_dimension_reports_min_lambda():
 def test_affinity_properties():
     rng = np.random.default_rng(5)
     vk, _ = np.linalg.qr(rng.standard_normal((8, 3)))
-    c = pce.materialize_affinity(vk)
+    c = vk @ vk.T
     assert np.allclose(c, c.T, atol=1e-10)
     assert np.allclose(c @ c, c, atol=1e-8)
     assert np.trace(c) == pytest.approx(3.0, abs=1e-8)
     assert np.linalg.norm(c) ** 2 == pytest.approx(3.0, abs=1e-8)
-
-
-def test_affinity_cap():
-    vk = np.eye(5)[:, :2]
-    with pytest.raises(TooLarge):
-        pce.materialize_affinity(vk, cap=4)
 
 
 def test_recover_clean_truncation():
@@ -308,11 +301,12 @@ def test_recover_clean_full_rank():
 
 
 def test_recover_clean_bad_k():
+    # both readers of k refuse one outside 1..rank alike
     svd = pce.skinny_svd(np.eye(3))
-    with pytest.raises(BadK):
-        pce.recover_clean(svd, 4)
-    with pytest.raises(BadK):
-        pce.recover_clean(svd, 0)
+    for reader in (pce.recover_clean, closed_form_projection):
+        for k in (0, -1, 4):
+            with pytest.raises(BadDim, match=rf"^k={k} outside 1\.\.3$"):
+                reader(svd, k)
 
 
 def test_eckart_young_and_self_expression():
@@ -328,7 +322,7 @@ def test_eckart_young_and_self_expression():
         d0, e = pce.recover_clean(svd, vk.shape[1])
         tail = np.sqrt(np.sum(svd.spectrum[vk.shape[1] :] ** 2))
         assert np.linalg.norm(d - d0) == pytest.approx(tail, rel=1e-8)
-        c = pce.materialize_affinity(vk)
+        c = vk @ vk.T
         assert np.linalg.norm(d0 @ c - d0) < 1e-8
 
 
@@ -428,7 +422,8 @@ def test_block_diagonal_affinity():
     ds = pce.generate_union_of_subspaces(spec, seed=42)
     svd = pce.skinny_svd(ds.matrix)
     lam = 2.0 / svd.sigma[-1] ** 2
-    c = pce.materialize_affinity(pce.principal_coefficients(svd, lam))
+    vk = pce.principal_coefficients(svd, lam)
+    c = vk @ vk.T
     labels = ds.labels
     cross = c[labels[:, None] != labels[None, :]]
     assert np.max(np.abs(cross)) < 1e-8
