@@ -35,9 +35,10 @@ EXIT_NUMERIC = 2
 MAX_LAMBDAS = 10_000  # a START:STOP:STEP grid longer than this is refused
 
 
-def _polyline_svg(xs, ys, width=640, height=400, margin=40):
+def _polyline_svg(xs, ys):
     """Minimal single-series line chart as SVG lines; no dependencies,
     best-effort output."""
+    width, height, margin = 640, 400, 40
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     x0, x1 = xs.min(), xs.max()
@@ -104,7 +105,6 @@ FIELD_KEYS = {
     "lambda": (evaluation.ExperimentConfig, "lam", float),
     "dim": (evaluation.ExperimentConfig, "dim", int),
     "neighbors": (evaluation.ExperimentConfig, "neighbors", int),
-    "noise_after_split": (evaluation.ExperimentConfig, "noise_after_split", bool),
     "trials": (evaluation.ExperimentConfig, "trials", int),
     "train_fraction": (evaluation.ExperimentConfig, "train_fraction", float),
     "seed": (evaluation.ExperimentConfig, "base_seed", int),

@@ -14,7 +14,7 @@ class ZeroMatrix(PceError):
 
 
 class DimensionMismatch(PceError):
-    """Operand shapes are incompatible."""
+    """Operand shapes or label counts disagree, or a label array is empty."""
 
 
 class NotConverged(PceError):
@@ -54,14 +54,6 @@ class InfeasibleSpec(PceError):
 
 class TooFewSamples(PceError):
     """A class has too few samples for the requested split."""
-
-
-class EmptyTrainingSet(PceError):
-    """Classification requested with no training columns."""
-
-
-class LengthMismatch(PceError):
-    """Paired sequences have different lengths."""
 
 
 class ParseError(PceError):

@@ -21,7 +21,7 @@ from .data import (
     split,
     write_csv,
 )
-from .errors import BadDim, DimensionMismatch, EmptyTrainingSet, LengthMismatch, NonFinite
+from .errors import BadDim, DimensionMismatch
 from .linalg import SvdFactors, _check_matrix, _row_mean, _spectrum_of, _unit_scale
 from .linalg import canonical_signs, skinny_svd
 
@@ -47,22 +47,17 @@ def nn_classify(train_z, train_labels, test_z):
     integer features exact, column a goes to the b_j minimising ||b_j||^2 - 2a'b_j;
     exact ties go to the lowest j.  Both sets are first divided by one power of
     two, exactly, so no shifted entry overflows and features scaled by 2^j keep
-    every prediction.  NaN or Inf features raise NonFinite."""
-    train_z = np.atleast_2d(np.asarray(train_z, dtype=float))
-    test_z = np.atleast_2d(np.asarray(test_z, dtype=float))
+    every prediction.  A 1-d set is one feature; both pass ``_check_matrix``."""
+    train_z, test_z = (_check_matrix(np.atleast_2d(z)) for z in (train_z, test_z))
     train_labels = np.asarray(train_labels)
-    if train_z.shape[1] == 0:
-        raise EmptyTrainingSet("no training columns")
     if train_z.shape[0] != test_z.shape[0]:
         raise DimensionMismatch(
             f"train features {train_z.shape[0]}-d, test {test_z.shape[0]}-d"
         )
     if len(train_labels) != train_z.shape[1]:
-        raise LengthMismatch(
+        raise DimensionMismatch(
             f"{len(train_labels)} labels for {train_z.shape[1]} training columns"
         )
-    if not (np.isfinite(train_z).all() and np.isfinite(test_z).all()):
-        raise NonFinite("features contain NaN or Inf entries")
     b, a = train_z.copy(), test_z.copy()
     _unit_scale(b, a)
     a -= b[:, :1]
@@ -76,7 +71,9 @@ def accuracy(predicted, truth):
     predicted = np.asarray(predicted)
     truth = np.asarray(truth)
     if predicted.shape != truth.shape:
-        raise LengthMismatch(f"{predicted.shape} vs {truth.shape}")
+        raise DimensionMismatch(f"{predicted.shape} vs {truth.shape}")
+    if truth.size == 0:
+        raise DimensionMismatch("no labels to score")
     return float(np.mean(predicted == truth))
 
 
@@ -121,7 +118,6 @@ class ExperimentConfig:
     dim: int | None = None  # m' for pca / lle-npe
     neighbors: int = 5  # p for lle-npe
     noise: NoiseSpec | None = None
-    noise_after_split: bool = False
     trials: int = 10
     train_fraction: float = 0.5
     base_seed: int = 0
@@ -239,12 +235,9 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
                 ds = generate_union_of_subspaces(cfg.source, seed)
             else:
                 ds = loaded
-            if cfg.noise is not None and not cfg.noise_after_split:
+            if cfg.noise is not None:
                 ds = _apply_noise(ds, cfg.noise, seed)
             train, test = split(ds, cfg.train_fraction, seed)
-            if cfg.noise is not None and cfg.noise_after_split:
-                train = _apply_noise(train, cfg.noise, seed)
-                test = _apply_noise(test, cfg.noise, seed + cfg.trials)
             project, k = _fit_method(cfg, train)
             train_z = project(train.matrix)
             test_z = project(test.matrix)

@@ -2,9 +2,9 @@
 tolerance, canonical column signs and eigenvalue order, and ``_check_matrix``,
 the one check of a sample matrix.  Every public function that takes one
 (``fit``, ``transform``, ``pca_fit``, ``pca_transform``, ``skinny_svd``,
-``lle_graph`` and both noise models) passes it through ``_check_matrix``, as
-``embed`` passes its weights: an input that is not 2-d or has no rows or
-columns is a DimensionMismatch, and one holding NaN or Inf is NonFinite.
+``lle_graph``, ``nn_classify`` and both noise models) passes it through
+``_check_matrix``, as ``embed`` passes its weights: an input that is not 2-d
+or has no rows or columns is a DimensionMismatch, and NaN or Inf is NonFinite.
 
 ``skinny_svd`` holds the library's one ``np.linalg.svd`` call, and every SVD
 but NPE's PCA step (``evaluation._npe_pca``) goes through it: that step keeps

@@ -435,11 +435,12 @@ def test_nonfinite_data_value_is_input_error(
 @pytest.mark.parametrize(
     "line, named",
     [("lamda=0.001", "'lamda'"), ("trails=1", "'trails'"), ("metod=pca", "'metod'"),
-     ("center=yes", "center='yes'"), ("noise_after_split=1", "noise_after_split='1'"),
+     ("center=yes", "center='yes'"),
+     ("noise_after_split=1", "unknown config key 'noise_after_split'"),
      ("noise_rho=nan", "got nan"), ("noise_rho=inf", "got inf"),
      ("noise_rho=-0.5", "got -0.5"),
      ("method=lle-npe\ndim=2\nneighbors=0", "lle-npe needs neighbors >= 1, got 0"),
-     ("center=yes\nnoise_after_split=1", "error: noise_after_split='1'")],
+     ("center=yes\nseed=x", "error: invalid literal for int() with base 10: 'x'")],
     ids=["lamda", "trails", "metod", "center-yes", "noise-after-split-1",
          "nan-gaussian-rho", "inf-gaussian-rho", "negative-gaussian-rho",
          "lle-npe-zero-neighbors", "first-of-two-bad-flags"],
@@ -466,7 +467,7 @@ def test_eval_accepts_every_documented_key(tmp_path):
     config.write_text(
         "synthetic=12:2x10,3x10\nsynthetic_scale=2.5\nsynthetic_basis=random-gaussian\n"
         "method=pce\nlambda=10\ndim=3\nneighbors=4\nnoise=gaussian\nnoise_rho=0.01\n"
-        "noise_clip=-10,10\nnoise_after_split=true\ntrials=2\ntrain_fraction=0.6\n"
+        "noise_clip=-10,10\ntrials=2\ntrain_fraction=0.6\n"
         f"seed=3\ncenter=true\noutput={report}\n"
     )
     assert set(cli.load_config(config)) == set(cli.CONFIG_KEYS) - {"data"}
@@ -481,14 +482,13 @@ def test_config_keys_set_their_fields_and_omitted_keys_take_defaults():
     given |= {
         "synthetic_scale": "2.5", "synthetic_basis": "random-gaussian",
         "method": "lle-npe", "lambda": "10", "dim": "3", "neighbors": "4",
-        "noise_after_split": "true", "trials": "2", "train_fraction": "0.6",
-        "seed": "3", "center": "true",
+        "trials": "2", "train_fraction": "0.6", "seed": "3", "center": "true",
     }
     assert set(given) == {"synthetic", *cli.FIELD_KEYS}
     assert cli._config_to_experiment(given) == ExperimentConfig(
         source=replace(spec, coeff_scale=2.5, basis_rule="random-gaussian"),
-        method="lle-npe", lam=10.0, dim=3, neighbors=4, noise_after_split=True,
-        trials=2, train_fraction=0.6, base_seed=3, center=True,
+        method="lle-npe", lam=10.0, dim=3, neighbors=4, trials=2, train_fraction=0.6,
+        base_seed=3, center=True,
     )
 
 
@@ -671,8 +671,8 @@ def test_eval_report_is_scale_invariant(tmp_path, method, dim):
 @pytest.mark.parametrize(
     "noise",
     ["noise=pixel\nnoise_rho=0.2\n",
-     "noise=gaussian\nnoise_rho=0.05\nnoise_after_split=true\n"],
-    ids=["pixel", "after-split"],
+     "noise=gaussian\nnoise_rho=0.05\n"],
+    ids=["pixel", "gaussian"],
 )
 def test_eval_noise_paths_rerun_identically(tmp_path, noise):
     config = tmp_path / "exp.cfg"

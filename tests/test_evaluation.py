@@ -14,8 +14,6 @@ from pce.data import add_pixel_corruption
 from pce.errors import (
     BadDim,
     DimensionMismatch,
-    EmptyTrainingSet,
-    LengthMismatch,
     NonFinite,
     ZeroMatrix,
 )
@@ -51,12 +49,15 @@ def test_nn_scalar_distance():
 
 
 def test_nn_errors():
-    with pytest.raises(EmptyTrainingSet):
-        nn_classify(np.zeros((2, 0)), [], np.zeros((2, 1)))
+    # no training columns; features of 3-d samples; no features at all, where
+    # every distance tied and each test column took column 0's label
+    for train, test in [((2, 0), (2, 1)), ((2, 3, 4), (2, 3, 1)), ((0, 3), (0, 2))]:
+        with pytest.raises(DimensionMismatch, match=re.escape(f"got shape {train}")):
+            nn_classify(np.zeros(train), [0, 1, 2][: train[1]], np.zeros(test))
     with pytest.raises(DimensionMismatch):
         nn_classify(np.zeros((2, 3)), [0, 0, 0], np.zeros((3, 1)))
     for test in ([[2]], [[0]]):  # column 2 has no label; column 0 does
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(DimensionMismatch, match="2 labels for 3 training columns"):
             nn_classify([[0, 1, 2]], [5, 6], test)
 
 
@@ -66,7 +67,7 @@ def test_nn_rejects_nonfinite_features(side, bad):
     # a NaN score made argmin stop at it: [[nan, 0, 1]] classified [[1]] as 0
     train, test = np.array([[0.0, 0.0, 1.0]]), np.array([[1.0]])
     (train if side == "train" else test)[0, 0] = bad
-    with pytest.raises(NonFinite, match="features contain NaN or Inf"):
+    with pytest.raises(NonFinite, match="matrix contains NaN or Inf entries"):
         nn_classify(train, [0, 1, 2], test)
 
 
@@ -136,8 +137,10 @@ def test_accuracy_counting():
     assert pce.accuracy([1, 2, 3], [1, 2, 3]) == 1.0
     assert pce.accuracy([1, 1], [2, 2]) == 0.0
     assert pce.accuracy([1, 2, 3, 4], [1, 2, 3, 0]) == 0.75
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(DimensionMismatch, match=re.escape("(1,) vs (2,)")):
         pce.accuracy([1], [1, 2])
+    with pytest.raises(DimensionMismatch, match="no labels to score"):
+        pce.accuracy([], [])
 
 
 def test_pca_recovers_line_direction():
