@@ -35,7 +35,7 @@ from .model import (
     transform,
 )
 
-__version__ = "0.22.0"
+__version__ = "0.23.0"
 
 __all__ = [
     "ExperimentConfig",

@@ -25,7 +25,7 @@ from .data import (
     split,
     write_csv,
 )
-from .errors import InfeasibleSpec, ParseError, PceError, ShapeError
+from .errors import ParseError, PceError
 from .linalg import skinny_svd
 
 EXIT_OK = 0
@@ -164,7 +164,7 @@ def cmd_eval(args):
     fields = load_config(args.config)
     try:
         cfg = _config_to_experiment(fields)
-    except (ValueError, InfeasibleSpec) as exc:
+    except ValueError as exc:
         raise ParseError(str(exc)) from None
     report = evaluation.run_experiment(cfg)
     output = args.output or fields.get("output", "report.csv")
@@ -345,7 +345,7 @@ def main(argv=None):
         return EXIT_INPUT if exc.code else EXIT_OK
     try:
         return args.func(args)
-    except (ParseError, ShapeError, OSError) as exc:
+    except (ParseError, OSError, MemoryError) as exc:
         return _fail(exc, EXIT_INPUT)
     except (PceError, ValueError) as exc:
         return _fail(exc, EXIT_NUMERIC)

@@ -21,7 +21,7 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import InfeasibleSpec, NonFinite, ParseError, PceError, ShapeError, TooFewSamples
+from .errors import DimensionMismatch, NonFinite, ParseError, PceError, TooFewSamples
 from .linalg import _check_matrix
 from .model import PceModel, describe
 
@@ -50,9 +50,8 @@ class LabeledDataset:
         if self.labels is not None:
             object.__setattr__(self, "labels", np.asarray(self.labels, dtype=int))
             if len(self.labels) != self.matrix.shape[1]:
-                raise ShapeError(
-                    f"{len(self.labels)} labels for {self.matrix.shape[1]} columns"
-                )
+                msg = f"{len(self.labels)} labels for {self.matrix.shape[1]} columns"
+                raise DimensionMismatch(msg)
 
     @property
     def n_classes(self):
@@ -77,18 +76,18 @@ class SubspaceSpec:
 
     def __post_init__(self):
         if self.basis_rule not in ("independent-orthogonal", "random-gaussian"):
-            raise InfeasibleSpec(f"unknown basis rule {self.basis_rule!r}")
+            raise ValueError(f"unknown basis rule {self.basis_rule!r}")
         if not self.subspaces or any(not 1 <= d <= c for d, c in self.subspaces):
-            raise InfeasibleSpec("at least one subspace, each with 1 <= dim <= count")
+            raise ValueError("at least one subspace, each with 1 <= dim <= count")
         total_dim = sum(d for d, _ in self.subspaces)
         if self.basis_rule == "independent-orthogonal" and total_dim > self.ambient:
-            raise InfeasibleSpec(
+            raise ValueError(
                 f"sum of subspace dims {total_dim} exceeds ambient {self.ambient}"
             )
         if self.ambient < 1:
-            raise InfeasibleSpec(f"ambient dimension {self.ambient} must be >= 1")
+            raise ValueError(f"ambient dimension {self.ambient} must be >= 1")
         if not np.isfinite(2.0 * self.coeff_scale):
-            raise InfeasibleSpec(
+            raise ValueError(
                 f"scale {self.coeff_scale!r}: [-scale, scale] needs a finite width"
             )
 
@@ -356,17 +355,17 @@ def _unique_keys(triples):
 
 def _parse_rows(rows, count, what):
     """An array of ``count`` floats per (lineno, text) row: the one parser of
-    v1 float lines.  A ragged row is a ShapeError naming ``what`` (formatted
+    v1 float lines.  A ragged row is a ParseError naming ``what`` (formatted
     with the row index i); a bad literal or a non-finite value (nan, inf, or a
     literal that overflows, such as 1e400) is a ParseError naming its line."""
     try:
         matrix = np.empty((len(rows), count))
     except MemoryError:  # a header can declare more values than memory holds
-        raise ShapeError(f"{len(rows)} x {count} floats do not fit in memory") from None
+        raise ParseError(f"{len(rows)} x {count} floats do not fit in memory") from None
     for i, (lineno, text) in enumerate(rows):
         tokens = text.split()
         if len(tokens) != count:
-            raise ShapeError(
+            raise ParseError(
                 f"{what.format(i=i)} (line {lineno}) has {len(tokens)} values, "
                 f"expected {count}"
             )
@@ -466,7 +465,7 @@ def _check_model(model: PceModel):
     for name, values, shape in (("spectrum", model.spectrum, (min(m, n),)),
                                 ("center", model.center, (m,)), ("theta", model.theta, (m, k))):
         if values is not None and np.shape(values) != shape:
-            raise ShapeError(f"{name} has shape {np.shape(values)}, expected {shape}")
+            raise ParseError(f"{name} has shape {np.shape(values)}, expected {shape}")
         if values is not None and not np.isfinite(values).all():
             raise ParseError(f"{name} holds a non-finite value")
     try:  # estimate_dimension's one check of the spectrum and lambda
@@ -525,7 +524,7 @@ def load_model(path) -> PceModel:
     if not 1 <= k <= min(m, n):  # before k sizes theta's parse
         raise ParseError(f"k={k} must lie in [1, min(m, n)] = [1, {min(m, n)}]")
     if len(theta_rows) != m:
-        raise ShapeError(f"expected {m} theta rows, found {len(theta_rows)}")
+        raise ParseError(f"expected {m} theta rows, found {len(theta_rows)}")
     theta = _parse_rows(theta_rows, k, "theta row {i}")
     return _check_model(PceModel(lam, theta, spectrum, n, center))
 

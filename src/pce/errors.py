@@ -10,24 +10,21 @@ class NonFinite(PceError):
 
 
 class ZeroMatrix(PceError):
-    """Every entry of the input is numerically zero."""
+    """Every entry of the input is numerically zero, or a spectrum is all zero."""
 
 
 class DimensionMismatch(PceError):
-    """Operand shapes or label counts disagree, or a label array is empty."""
+    """Operand shapes or label counts disagree (a dataset's labels and columns
+    too), a label array is empty, or a spectrum is empty or not 1-d."""
 
 
 class NotConverged(PceError):
     """An iterative or LAPACK eigensolve failed to converge."""
 
 
-class EmptySpectrum(PceError):
-    """A singular-value array is empty or not 1-d, or its sigma_1 is <= 0."""
-
-
 class NotSorted(PceError):
-    """A singular-value array rises anywhere (no tolerance), or holds NaN,
-    Inf or a negative value."""
+    """A singular-value array rises anywhere (no tolerance), or holds a
+    negative value."""
 
 
 class DegenerateDimension(PceError):
@@ -48,21 +45,14 @@ class DegenerateNeighborhood(PceError):
     """A local Gram system is singular even after regularization."""
 
 
-class InfeasibleSpec(PceError):
-    """A synthetic-data specification cannot be realized."""
-
-
 class TooFewSamples(PceError):
     """A class has too few samples for the requested split."""
 
 
 class ParseError(PceError):
-    """A text file failed to parse; carries line (1-based) when known."""
+    """A text file failed to parse, or its body disagrees with its declared
+    shape (e.g. a ragged row); carries line (1-based) when known."""
 
     def __init__(self, message, line=None):
         super().__init__(message if line is None else f"line {line}: {message}")
         self.line = line
-
-
-class ShapeError(PceError):
-    """File body disagrees with its declared shape (e.g. a ragged row)."""

@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BadDim, DegenerateDimension, DimensionMismatch, EmptySpectrum, NotSorted
+from .errors import BadDim, DegenerateDimension, DimensionMismatch, NonFinite, NotSorted
+from .errors import ZeroMatrix
 from .linalg import QR_RATIO, _check_matrix, _row_mean, canonical_signs, numerical_rank
 from .linalg import skinny_svd
 
@@ -79,17 +80,18 @@ def estimate_dimension(sigma, lam):
     sigma_i^2, as that cost changes by 1 - lam * sigma_r^2 from r - 1 to r.
     Equal values share a side of the threshold, so k never splits them.
 
-    The one check of a spectrum: empty, not 1-d or sigma_1 <= 0 is EmptySpectrum;
-    NaN, Inf, a rise or a value < 0 is NotSorted; lambda not finite and > 0 a ValueError."""
+    The one check of a spectrum, in order: empty or not 1-d is DimensionMismatch;
+    NaN or Inf is NonFinite; a rise or a value < 0 is NotSorted; then sigma_1 <= 0
+    (all zero) is ZeroMatrix; lambda not finite and > 0 is a ValueError."""
     sigma = np.asarray(sigma, dtype=float)
     if sigma.ndim != 1 or len(sigma) == 0:
-        raise EmptySpectrum("need at least one singular value")
+        raise DimensionMismatch("need at least one singular value")
     if not np.all(np.isfinite(sigma)):
-        raise NotSorted("spectrum contains non-finite values")
-    if not sigma[0] > 0:
-        raise EmptySpectrum(f"sigma_1={sigma[0]!r} must be > 0")
+        raise NonFinite("spectrum contains non-finite values")
     if np.any(np.diff(sigma) > 0) or sigma[-1] < 0:
         raise NotSorted("singular values must be nonincreasing and >= 0")
+    if not sigma[0] > 0:
+        raise ZeroMatrix(f"sigma_1={sigma[0]!r} must be > 0")
     if not (np.isfinite(lam) and lam > 0):
         raise ValueError(f"lambda must be positive and finite, got {lam:g}")
     squares, e = _squares(sigma)

@@ -1020,6 +1020,22 @@ def test_bench_size_past_memory_is_input_error(side, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_eval_synthetic_matrix_past_memory_is_input_error(tmp_path):
+    # the 4 x (10^16 + 2) matrix needs 284 PiB, past even a 57-bit address
+    # space, so numpy's MemoryError comes at once under any overcommit mode;
+    # it exits 1 as a --sizes entry past memory does, naming the trial
+    cfg, out = tmp_path / "e.cfg", tmp_path / "r.csv"
+    cfg.write_text("synthetic=4:1x10000000000000000,1x2\ntrials=1\n")
+    argv = ["eval", str(cfg), "--output", str(out)]
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "pce.cli", *argv],
+                          capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: Unable to allocate ")
+    assert proc.stderr.endswith(" (trial 0, seed 0)\n")
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == "" and not out.exists()
+
+
 def test_missing_file_is_input_error(capsys):
     assert main(["fit", "/no/such/file", "--output", "x"]) == 1
 

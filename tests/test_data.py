@@ -17,11 +17,9 @@ import pce
 from pce import data
 from pce.errors import (
     DimensionMismatch,
-    InfeasibleSpec,
     NonFinite,
     ParseError,
     PceError,
-    ShapeError,
     TooFewSamples,
 )
 from pce.model import describe
@@ -68,19 +66,19 @@ def test_random_gaussian_basis_and_coefficient_scale():
 
 
 def test_infeasible_specs():
-    with pytest.raises(InfeasibleSpec):
+    with pytest.raises(ValueError):
         pce.generate_union_of_subspaces(
             pce.SubspaceSpec(ambient=3, subspaces=((2, 4), (2, 4))), seed=0
         )
-    with pytest.raises(InfeasibleSpec):
+    with pytest.raises(ValueError):
         pce.generate_union_of_subspaces(
             pce.SubspaceSpec(ambient=8, subspaces=((3, 2),)), seed=0
         )
-    with pytest.raises(InfeasibleSpec, match="at least one subspace"):
+    with pytest.raises(ValueError, match="at least one subspace"):
         pce.SubspaceSpec(ambient=5, subspaces=())
     # the random-gaussian rule has no sum-of-dims bound to catch these
     for ambient in (0, -5):
-        with pytest.raises(InfeasibleSpec, match=f"ambient dimension {ambient} must be"):
+        with pytest.raises(ValueError, match=f"ambient dimension {ambient} must be"):
             pce.SubspaceSpec(ambient=ambient, subspaces=((1, 3), (1, 3)),
                              basis_rule="random-gaussian")
 
@@ -349,7 +347,7 @@ def test_split_deterministic_and_small_class():
         pce.split(pce.LabeledDataset(np.zeros((2, 8)), None), 0.5, seed=5)
     with pytest.raises(ValueError, match="train_fraction must lie in"):
         pce.split(ds, 1.0, 0)
-    with pytest.raises(ShapeError, match="2 labels for 3 columns"):
+    with pytest.raises(DimensionMismatch, match="2 labels for 3 columns"):
         pce.LabeledDataset(np.zeros((2, 3)), [0, 1])
 
 
@@ -430,7 +428,7 @@ def test_save_matrix_writes_only_what_load_matrix_reads(tmp_path, matrix, error,
 def test_ragged_row_named(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("pce-matrix v1 m=2 n=3\n1.0 2.0 3.0\n1.0 2.0\n")
-    with pytest.raises(ShapeError, match="row 1"):
+    with pytest.raises(ParseError, match="row 1"):
         pce.load_matrix(path)
 
 
@@ -568,7 +566,7 @@ def _inf_theta():
         (pce.PceModel(1.0, np.arange(20.0).reshape(5, 4), np.ones(4), 4), ParseError),
         (_fitted(lam=float("nan")), ParseError),
         (_inf_theta(), ParseError),
-        (_fitted(center=np.ones(3)), ShapeError),
+        (_fitted(center=np.ones(3)), ParseError),
     ],
     ids=["k-wider-than-lambda-keeps", "lambda-keeps-none", "nan-lambda", "inf-theta",
          "short-center"],
@@ -641,7 +639,7 @@ def test_save_model_writes_only_files_that_load_back(model):
         _save_unchecked(model, unchecked)
         try:
             data.save_model(model, path)
-        except (ParseError, ShapeError) as exc:
+        except ParseError as exc:
             assert not path.exists()
             with pytest.raises(type(exc)):
                 data.load_model(unchecked)
@@ -720,5 +718,5 @@ def test_readers_split_lines_as_splitlines(tmp_path, brk):
     ragged = text.replace("3.0 4.0", "3.0")
     path.write_bytes(ragged.encode("utf-8"))
     lineno = ragged.splitlines().index("3.0") + 1
-    with pytest.raises(ShapeError, match=rf"row 1 \(line {lineno}\)"):
+    with pytest.raises(ParseError, match=rf"row 1 \(line {lineno}\)"):
         pce.load_matrix(path)

@@ -18,9 +18,9 @@ from pce.errors import (
     BadDim,
     DegenerateDimension,
     DimensionMismatch,
-    EmptySpectrum,
     NonFinite,
     NotSorted,
+    ZeroMatrix,
 )
 from pce.linalg import QR_RATIO
 from pce.model import closed_form_projection, describe, estimate_dimension
@@ -80,25 +80,29 @@ def test_threshold_closed_form():
 @pytest.mark.parametrize(
     "spectrum, lam, error",
     [
-        ([], 1.0, EmptySpectrum),
-        (np.ones((2, 2)), 1.0, EmptySpectrum),
-        ([np.nan, 1.0], 1.0, NotSorted),
-        ([np.inf, 1.0], 1.0, NotSorted),
-        ([0.0, 0.0], 1.0, EmptySpectrum),
+        ([], 1.0, DimensionMismatch),
+        (np.ones((2, 2)), 1.0, DimensionMismatch),
+        ([np.nan, 1.0], 1.0, NonFinite),
+        ([np.inf, 1.0], 1.0, NonFinite),
+        ([0.0, 0.0], 1.0, ZeroMatrix),
         ([1.0, 2.0], 1.0, NotSorted),
         ([1e-20, 2e-20], 1e41, NotSorted),
         ([1.0, -0.5], 1.0, NotSorted),
         ([1e-300, 0.0, -1.0], 1.0, NotSorted),
+        ([0.0, 1.0], 1.0, NotSorted),
+        ([-1.0], 1.0, NotSorted),
         ([2.0, 1.0], 0.0, ValueError),
         ([2.0, 1.0], np.nan, ValueError),
         ([2.0, 1.0], np.inf, ValueError),
     ],
     ids=["empty", "2-d", "nan", "inf", "zero", "increasing", "increasing-tiny",
-         "negative", "negative-past-tiny", "zero-lambda", "nan-lambda", "inf-lambda"],
+         "negative", "negative-past-tiny", "zero-then-rise", "negative-only",
+         "zero-lambda", "nan-lambda", "inf-lambda"],
 )
 def test_one_rule_refuses_a_bad_spectrum(check, spectrum, lam, error):
     # describe runs estimate_dimension's check before it reads the spectrum,
-    # and an increase is refused at every scale
+    # and an increase is refused at every scale; the order of the rules makes
+    # sigma_1 <= 0 mean an all-zero spectrum, so [0, 1] and [-1] are NotSorted
     call = {"estimate_dimension": estimate_dimension,
             "describe": lambda s, lam: describe(s, lam, (2, 2))}[check]
     with warnings.catch_warnings():

@@ -1,16 +1,23 @@
 import argparse
 import ast
+import builtins
 import importlib
 import re
 import sys
 from pathlib import Path
 
+import pytest
+
 import pce
-from pce import cli
+from pce import cli, errors
 
 MODULES = ("data", "evaluation", "graph", "linalg", "model")
 ROOT = Path(__file__).resolve().parents[1]
 PYPROJECT = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+ERROR_CLASSES = {
+    name: cls for name, cls in vars(errors).items()
+    if isinstance(cls, type) and issubclass(cls, errors.PceError) and cls is not errors.PceError
+}
 
 
 def pyproject_value(key):
@@ -112,7 +119,9 @@ def resolve(dotted):
 
 
 def test_readme_names_resolve():
-    # every pce.<name> and pce.<module>.<name> the README shows still exists
+    # every pce.<name> and pce.<module>.<name> the README shows still exists,
+    # and so does every bare `CamelCase` name: a builtin, an error class or a
+    # name some pce.<module>.__all__ exports
     missing = []
     for dotted in sorted(set(re.findall(r"\bpce(?:\.[A-Za-z_]\w*)+", README))):
         try:
@@ -120,6 +129,36 @@ def test_readme_names_resolve():
         except (AttributeError, ImportError):
             missing.append(dotted)
     assert missing == []
+    known = set(dir(builtins)) | set(vars(errors))
+    for name in MODULES:
+        known.update(importlib.import_module(f"pce.{name}").__all__)
+    bare = set(re.findall(r"`([A-Z][A-Za-z0-9]*[a-z][A-Za-z0-9]*)`", README))
+    assert len(bare) >= 16
+    assert sorted(bare - known) == []
+
+
+def test_every_error_class_is_raised():
+    # a class that no raise in the library names is dead weight in the API
+    raised = set()
+    for path in sorted(Path(pce.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(ast.unparse(exc).split(".")[-1])
+    assert len(ERROR_CLASSES) >= 10
+    assert sorted(set(ERROR_CLASSES) - raised) == []
+
+
+@pytest.mark.parametrize("name", sorted(ERROR_CLASSES))
+def test_every_error_class_has_its_exit_code(name, monkeypatch, capsys):
+    # exit 1 is an input error, which in the library is ParseError alone;
+    # every other PceError is a numerical or domain error, exit 2
+    def fail(args):
+        raise ERROR_CLASSES[name]("boom")
+
+    monkeypatch.setattr(cli, "cmd_fit", fail)
+    assert cli.main(["fit", "data.txt"]) == (1 if name == "ParseError" else 2)
+    assert capsys.readouterr().err == "error: boom\n"
 
 
 def test_readme_commands_are_subcommands():
