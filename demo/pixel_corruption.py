@@ -28,7 +28,7 @@ import statistics
 import numpy as np
 
 import pce
-from pce.evaluation import nn_classify, pca_fit, pca_transform
+from pce.evaluation import nn_classify, pca_fit
 
 SPEC = pce.SubspaceSpec(ambient=256, subspaces=((4, 40),) * 10)
 TRUE_DIM = 40
@@ -99,7 +99,7 @@ def main():
                 model = pce.fit(train.matrix, lam)
                 pca = pca_fit(train.matrix, model.k)
                 pce_acc.append(score(lambda y: pce.transform(model, y), train, test))
-                pca_acc.append(score(lambda y: pca_transform(pca, y), train, test))
+                pca_acc.append(score(lambda y: pce.transform(pca, y), train, test))
                 for acc, power in zip(powers_acc, POWERS):
                     acc.append(score(whitened(svd, model.k, power), train, test))
                 ks.append(model.k)

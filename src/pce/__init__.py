@@ -21,7 +21,6 @@ from .evaluation import (
     accuracy,
     nn_classify,
     pca_fit,
-    pca_transform,
     run_experiment,
 )
 from .graph import embed, lle_graph
@@ -35,7 +34,7 @@ from .model import (
     transform,
 )
 
-__version__ = "0.23.0"
+__version__ = "0.24.0"
 
 __all__ = [
     "ExperimentConfig",
@@ -57,7 +56,6 @@ __all__ = [
     "load_matrix",
     "nn_classify",
     "pca_fit",
-    "pca_transform",
     "principal_coefficients",
     "recover_clean",
     "run_experiment",

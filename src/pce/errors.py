@@ -42,7 +42,8 @@ class BadDim(PceError):
 
 
 class DegenerateNeighborhood(PceError):
-    """A local Gram system is singular even after regularization."""
+    """A local Gram system is singular even after regularization, or its
+    weights are not finite or do not sum to a positive value."""
 
 
 class TooFewSamples(PceError):

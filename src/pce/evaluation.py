@@ -22,7 +22,7 @@ from .data import (
     write_csv,
 )
 from .errors import BadDim, DimensionMismatch
-from .linalg import SvdFactors, _check_matrix, _row_mean, _spectrum_of, _unit_scale
+from .linalg import SvdFactors, _centred, _check_matrix, _spectrum_of, _unit_scale
 from .linalg import canonical_signs, skinny_svd
 
 __all__ = [
@@ -30,7 +30,6 @@ __all__ = [
     "accuracy",
     "PcaModel",
     "pca_fit",
-    "pca_transform",
     "ExperimentConfig",
     "Report",
     "run_experiment",
@@ -79,32 +78,25 @@ def accuracy(predicted, truth):
 
 @dataclass(frozen=True)
 class PcaModel:
-    """Centered principal components: subtract ``mean`` then project."""
+    """Centred principal components, applied by ``transform``: subtract ``center``
+    then project onto ``theta``, the centred, unwhitened counterpart of PCE's."""
 
-    mean: np.ndarray
-    components: np.ndarray  # m x dim, orthonormal columns
+    center: np.ndarray
+    theta: np.ndarray  # m x dim, orthonormal columns
 
 
 def pca_fit(d, dim):
-    """Top-``dim`` left singular vectors of the column-centered data, each with
+    """Top-``dim`` left singular vectors of the column-centred data, each with
     its largest-magnitude entry positive.  ``dim`` may not exceed the centred
     data's rank.  ``d`` is checked as ``skinny_svd`` checks it (DimensionMismatch,
     NonFinite) before centring; constant rows raise ZeroMatrix."""
     if dim < 1:
         raise BadDim(f"dim={dim} must be >= 1")
-    d = _check_matrix(d)  # first: a matrix with no columns has no row mean
-    mean = _row_mean(d)
-    with np.errstate(over="ignore"):  # an overflowing difference is skinny_svd's NonFinite
-        x = d - mean
+    x, mean = _centred(d)
     svd = skinny_svd(x, right=False)
     if dim > svd.rank:
         raise BadDim(f"dim={dim} exceeds the rank {svd.rank} of the centred data")
-    components = canonical_signs(svd.u[:, :dim].copy())
-    return PcaModel(mean=mean[:, 0].copy(), components=components)
-
-
-def pca_transform(pca: PcaModel, y):
-    return _model._project(pca.components, y, pca.mean, owner="PCA")
+    return PcaModel(center=mean, theta=canonical_signs(svd.u[:, :dim].copy()))
 
 
 @dataclass(frozen=True)
@@ -180,7 +172,7 @@ def _fit_method(cfg: ExperimentConfig, train: LabeledDataset):
         return (lambda y: _model.transform(model, y)), model.k
     if cfg.method == "pca":
         pca = pca_fit(train.matrix, cfg.dim)
-        return (lambda y: pca_transform(pca, y)), None
+        return (lambda y: _model.transform(pca, y)), None
     # lle-npe: reconstruction-weight graph embedded at a user-chosen dimension
     # in the PCA subspace that holds NPE_ENERGY of the train half's energy
     weights = _graph.lle_graph(train.matrix, cfg.neighbors)

@@ -66,7 +66,10 @@ def lle_graph(d, p):
     np.ldexp(trace, e, out=trace)
     diag = np.arange(p)
     local[:, diag, diag] += np.where(trace > 0, LLE_REG * trace / p, 1.0)[:, None]
-    coeffs = np.linalg.solve(local, np.ones((n, p, 1)))[..., 0]  # n x p
+    try:
+        coeffs = np.linalg.solve(local, np.ones((n, p, 1)))[..., 0]  # n x p
+    except np.linalg.LinAlgError as exc:
+        raise DegenerateNeighborhood("a local Gram system is singular") from exc
     total = coeffs.sum(axis=1)
     good = np.isfinite(coeffs).all(axis=1) & (total > 0)
     if not good.all():
@@ -119,11 +122,13 @@ def embed(svd, weights, dim):
         core = bv + bv.T - b @ b.T
     if not np.isfinite(core).all():
         raise NonFinite("the pencil V' (A + A' - A A') V overflows the float range")
+    e = _unit_scale(core)  # exact; core is symmetric as formed, and eigh reads one triangle
     try:
-        evals, y = np.linalg.eigh(0.5 * (core + core.T))
+        evals, y = np.linalg.eigh(core)
     except np.linalg.LinAlgError as exc:
         raise NotConverged("symmetric eigensolve failed") from exc
-    usable = int(np.count_nonzero(evals > EIG_FLOOR))
+    with np.errstate(over="ignore"):
+        usable = int(np.count_nonzero(np.ldexp(evals, -e) > EIG_FLOOR))
     if dim > usable:
         raise BadDim(
             f"dim={dim} exceeds the {usable} eigenvalues above {EIG_FLOOR:g}"

@@ -1,10 +1,10 @@
 """Dense linear-algebra kernels on numpy alone: the skinny SVD, the rank
 tolerance, canonical column signs and eigenvalue order, and ``_check_matrix``,
 the one check of a sample matrix.  Every public function that takes one
-(``fit``, ``transform``, ``pca_fit``, ``pca_transform``, ``skinny_svd``,
-``lle_graph``, ``nn_classify`` and both noise models) passes it through
-``_check_matrix``, as ``embed`` passes its weights: an input that is not 2-d
-or has no rows or columns is a DimensionMismatch, and NaN or Inf is NonFinite.
+(``fit``, ``transform``, ``pca_fit``, ``skinny_svd``, ``lle_graph``,
+``nn_classify`` and both noise models) passes it through ``_check_matrix``,
+as ``embed`` passes its weights: an input that is not 2-d or has no rows or
+columns is a DimensionMismatch, and NaN or Inf is NonFinite.
 
 ``skinny_svd`` holds the library's one ``np.linalg.svd`` call, and every SVD
 but NPE's PCA step (``evaluation._npe_pca``) goes through it: that step keeps
@@ -21,7 +21,7 @@ not a copy, so the truncation is stored once.
 Everything here is deterministic: identical inputs produce bitwise-identical
 outputs on a given platform and BLAS thread count.  Across thread counts the
 bits may differ.  Canonical signs and tie order keep ``fit``'s theta and the
-PCA baseline's components equal to rounding (1e-10); ``embed``'s theta moves
+PCA baseline's theta equal to rounding (1e-10); ``embed``'s theta moves
 within its eigenvector sensitivity, which is larger where the top eigenvalues
 of its pencil lie close together.
 """
@@ -59,12 +59,17 @@ def _check_matrix(d):
     return d
 
 
-def _row_mean(d):
-    # each row's mean (a column) after dividing it by the power of two at its largest
-    # |entry|: no sum overflows, and unless an entry is 2^1022 smaller the bits are d.mean's
-    big = np.maximum(d.max(axis=1, keepdims=True), -d.min(axis=1, keepdims=True))
+def _centred(d):
+    """(d - mean, mean) for the checked ``d`` and its 1-d row mean; an overflowing
+    difference is left as inf, for ``skinny_svd``'s NonFinite."""
+    d = _check_matrix(d)
+    # each row's mean after dividing it by the power of two at its largest |entry|:
+    # no sum overflows, and unless an entry is 2^1022 smaller the bits are d.mean's
+    big = np.maximum(d.max(axis=1), -d.min(axis=1))
     e = np.frexp(big)[1]
-    return np.ldexp(np.ldexp(d, -e).mean(axis=1, keepdims=True), e)
+    mean = np.ldexp(np.ldexp(d, -e[:, None]).mean(axis=1), e)
+    with np.errstate(over="ignore"):
+        return d - mean[:, None], mean
 
 
 def _unit_scale(*arrays):

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import BadDim, DegenerateDimension, DimensionMismatch, NonFinite, NotSorted
 from .errors import ZeroMatrix
-from .linalg import QR_RATIO, _check_matrix, _row_mean, canonical_signs, numerical_rank
+from .linalg import QR_RATIO, _centred, _check_matrix, canonical_signs, numerical_rank
 from .linalg import skinny_svd
 
 __all__ = [
@@ -188,10 +188,7 @@ def fit(d, lam=1.0, center=False):
     columns).
     """
     t0 = time.perf_counter()
-    d = _check_matrix(d)  # first: a matrix with no columns has no row mean
-    mean = _row_mean(d) if center else None
-    with np.errstate(over="ignore"):  # an overflowing difference is skinny_svd's NonFinite
-        x = d if mean is None else d - mean
+    x, mean = _centred(d) if center else (_check_matrix(d), None)
     tall = x.shape[0] >= QR_RATIO * x.shape[1]
     svd = skinny_svd(x.T if tall else x, right=False)
     k = _kept_dimension(svd, lam)
@@ -199,25 +196,24 @@ def fit(d, lam=1.0, center=False):
     theta = closed_form_projection(svd, k) if not tall else canonical_signs(
         np.linalg.qr(x @ svd.u[:, :k] / svd.sigma[:k])[0] / svd.sigma[:k])
     return PceModel(
-        lam=float(lam), theta=theta, spectrum=svd.spectrum, train_cols=d.shape[1],
-        center=None if mean is None else mean[:, 0].copy(), fit_seconds=time.perf_counter() - t0
+        lam=float(lam), theta=theta, spectrum=svd.spectrum, train_cols=x.shape[1],
+        center=mean, fit_seconds=time.perf_counter() - t0
     )
 
 
-def _project(theta, y, center=None, owner="model"):
+def _project(theta, y, center=None):
     """theta' (y - center) for the columns of ``y`` (a vector is one column);
     ``y`` is checked as ``fit`` checks its data, and a row count other than
-    theta's is a DimensionMismatch naming ``owner``."""
+    theta's is a DimensionMismatch."""
     y = np.asarray(y, dtype=float)
     y = _check_matrix(y[:, None] if y.ndim == 1 else y)
     if y.shape[0] != theta.shape[0]:
-        raise DimensionMismatch(
-            f"data has {y.shape[0]} rows, {owner} expects {theta.shape[0]}"
-        )
+        raise DimensionMismatch(f"data has {y.shape[0]} rows, model expects {theta.shape[0]}")
     with np.errstate(over="ignore", invalid="ignore"):  # save_matrix refuses inf and nan
         return theta.T @ (y if center is None else y - center[:, None])
 
 
 def transform(model, y):
-    """Project columns of ``y`` into the learned feature space (z = theta' y)."""
+    """Project columns of ``y`` into the feature space of a ``PceModel`` or a
+    ``PcaModel``: z = theta' (y - center), with no centre for an uncentred model."""
     return _project(model.theta, y, model.center)

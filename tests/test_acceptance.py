@@ -11,7 +11,7 @@ import pytest
 
 import pce
 from pce.cli import load_model, main
-from pce.evaluation import nn_classify, pca_fit, pca_transform
+from pce.evaluation import nn_classify, pca_fit
 from pce.model import estimate_dimension
 from reference import argmin_oracle, generalized_top_eigs
 
@@ -172,9 +172,9 @@ def test_criterion_7_end_to_end_classification():
         pce_accs.append(pce.accuracy(predicted, test.labels))
         baseline = pca_fit(train.matrix, model.k)
         predicted = nn_classify(
-            pca_transform(baseline, train.matrix),
+            pce.transform(baseline, train.matrix),
             train.labels,
-            pca_transform(baseline, test.matrix),
+            pce.transform(baseline, test.matrix),
         )
         pca_accs.append(pce.accuracy(predicted, test.labels))
     assert np.mean(pce_accs) >= 0.95

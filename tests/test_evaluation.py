@@ -21,7 +21,6 @@ from pce.evaluation import (
     ExperimentConfig,
     nn_classify,
     pca_fit,
-    pca_transform,
     run_experiment,
     write_report_csv,
 )
@@ -148,7 +147,7 @@ def test_pca_recovers_line_direction():
     direction = np.array([3.0, 4.0]) / 5.0
     d = direction[:, None] * rng.standard_normal(40)[None, :] + 10.0
     model = pca_fit(d, 1)
-    assert np.allclose(np.abs(model.components[:, 0]), direction, atol=1e-8)
+    assert np.allclose(np.abs(model.theta[:, 0]), direction, atol=1e-8)
 
 
 def test_pca_full_rank_reconstruction():
@@ -157,8 +156,8 @@ def test_pca_full_rank_reconstruction():
     centered = d - d.mean(axis=1, keepdims=True)
     rank = np.linalg.matrix_rank(centered)
     model = pca_fit(d, rank)
-    z = pca_transform(model, d)
-    rebuilt = model.components @ z + model.mean[:, None]
+    z = pce.transform(model, d)
+    rebuilt = model.theta @ z + model.center[:, None]
     assert np.linalg.norm(rebuilt - d) < 1e-8
 
 
@@ -167,7 +166,7 @@ def test_pca_variance_fraction():
     m = 20
     d = rng.standard_normal((m, 4000))
     model = pca_fit(d, 2)
-    z = pca_transform(model, d)
+    z = pce.transform(model, d)
     captured = np.var(z, axis=1).sum()
     total = np.var(d - d.mean(axis=1, keepdims=True), axis=1).sum()
     assert captured / total == pytest.approx(2.0 / m, rel=0.2)
@@ -207,8 +206,8 @@ def test_pca_takes_the_row_mean_without_overflow():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         pca = pca_fit(d, 2)
-    assert pca.mean[0] == 1e308
-    assert pca.mean[1:].tobytes() == d[1:].mean(axis=1).tobytes()
+    assert pca.center[0] == 1e308
+    assert pca.center[1:].tobytes() == d[1:].mean(axis=1).tobytes()
 
 
 def test_pca_dim_above_centred_rank():
@@ -217,7 +216,7 @@ def test_pca_dim_above_centred_rank():
     rng = np.random.default_rng(5)
     basis = rng.standard_normal((8, 2))
     d = basis @ rng.standard_normal((2, 30)) + rng.standard_normal((8, 1))
-    assert pca_fit(d, 2).components.shape == (8, 2)
+    assert pca_fit(d, 2).theta.shape == (8, 2)
     with pytest.raises(BadDim, match="exceeds the rank 2 of the centred data"):
         pca_fit(d, 3)
 
@@ -230,7 +229,7 @@ def test_pca_constant_rows_rejected():
 
 def test_pca_components_have_canonical_signs():
     d = np.random.default_rng(6).standard_normal((15, 40))
-    components = pca_fit(d, 10).components
+    components = pca_fit(d, 10).theta
     biggest = components[np.argmax(np.abs(components), axis=0), np.arange(10)]
     assert np.all(biggest > 0)
     # a column's sign is all that canonical_signs may change

@@ -198,6 +198,17 @@ def test_lle_degenerate_neighborhood_names_first_column(monkeypatch):
         lle_graph(_random_data(), 3)
 
 
+def test_lle_singular_local_system_is_degenerate_neighborhood():
+    # a far outlier in column 0 cancels the shifted Gram's terms: one local
+    # system is exactly singular, which numpy's batched solve refuses
+    rng = np.random.default_rng(47)
+    eps = 10.0 ** rng.uniform(-12, -4)
+    x = (rng.standard_normal((20, 1)) * 100 + 1000) + eps * rng.standard_normal((20, 30))
+    x[:, 0] = rng.standard_normal(20)
+    with pytest.raises(DegenerateNeighborhood, match="a local Gram system is singular"):
+        lle_graph(x, 5)
+
+
 def test_lle_bad_neighborhood_size():
     with pytest.raises(DimensionMismatch):
         lle_graph(np.zeros((3, 4)), 4)
@@ -388,6 +399,18 @@ def test_embed_whose_pencil_overflows_is_non_finite_without_warning():
         warnings.simplefilter("error")
         with pytest.raises(NonFinite, match="pencil .* overflows"):
             embed(pce.skinny_svd(d), np.full((12, 12), 1e155), 2)
+
+
+@pytest.mark.parametrize("s", [1.6e153, 2.05e153])
+def test_embed_of_a_finite_pencil_near_the_float_limit(s):
+    # the pencil's largest entry is near 1.7e308: it is scaled by a power of
+    # two before its eigh, so nothing overflows and theta stays D D'-orthonormal
+    d = np.random.default_rng(0).standard_normal((20, 12))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        theta = embed(pce.skinny_svd(d), np.full((12, 12), s), 2)
+    assert np.isfinite(theta).all()
+    assert np.allclose(theta.T @ d @ d.T @ theta, np.eye(2), rtol=0, atol=1e-12)
 
 
 def test_embed_whose_eigensolve_fails_is_not_converged(monkeypatch):

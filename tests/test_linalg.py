@@ -50,7 +50,7 @@ SAMPLE_ENTRY_POINTS = {
     "fit": lambda d: pce.fit(d),
     "transform": lambda d: pce.transform(pce.fit(TRAIN), d),
     "pca_fit": lambda d: pce.pca_fit(d, 1),
-    "pca_transform": lambda d: pce.pca_transform(pce.pca_fit(TRAIN, 2), d),
+    "transform_pca": lambda d: pce.transform(pce.pca_fit(TRAIN, 2), d),
     "skinny_svd": lambda d: skinny_svd(d),
     "lle_graph": lambda d: pce.lle_graph(d, 1),
     "embed": lambda d: pce.embed(skinny_svd(TRAIN), d, 1),  # its matrix input is the weights
@@ -79,7 +79,7 @@ def test_every_sample_matrix_is_checked_alike(entry, kind):
     call = SAMPLE_ENTRY_POINTS[entry]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        if kind == "1-d" and entry in ("transform", "pca_transform"):
+        if kind == "1-d" and entry in ("transform", "transform_pca"):
             assert np.array_equal(call(d), call(d[:, None]))
             d[3] = np.nan
             error = NonFinite
